@@ -131,12 +131,12 @@ fn one_shot_summary() {
 }
 
 /// The PR-9 width ceiling: one-shot complete equivalence proofs on the
-/// upgraded CDCL (LBD tiers + inprocessing + XOR/Gauss all on) from
-/// width 14 up to 20 — widths the PR-3 core never attempted. The
-/// acceptance bars live here: **width 18 within 1 s, width 20 in
-/// single-digit seconds**, every verdict a definitive UNSAT.
+/// upgraded CDCL (LBD tiers + XOR/Gauss both on) from width 14 up to 20
+/// — widths the PR-3 core never attempted. The acceptance bars live
+/// here: **width 18 within 1 s, width 20 in single-digit seconds**,
+/// every verdict a definitive UNSAT.
 fn width_ceiling_summary() {
-    println!("\n== width ceiling: one-shot complete proofs, upgraded CDCL (lbd,inproc,xor) ==");
+    println!("\n== width ceiling: one-shot complete proofs, upgraded CDCL (lbd,xor) ==");
     println!(
         "{:>6} {:>12} {:>12} {:>10} {:>8}",
         "width", "cdcl", "conflicts", "learned", "xors"
@@ -175,24 +175,19 @@ fn width_ceiling_summary() {
 }
 
 /// The PR-9 ablation matrix: LBD clause management on/off × XOR/Gauss
-/// on/off (inprocessing off throughout, so each cell is a pure
-/// two-factor read) on one-shot width-14 proofs, plus the fully-off
-/// PR-3 baseline column. Every cell must report the same UNSAT verdict;
-/// the floor asserts the upgrades actually pay at the width where the
-/// old core started to struggle.
+/// on/off on one-shot width-14 proofs, whose all-off cell is the PR-3
+/// baseline. Every cell must report the same UNSAT verdict; the floor
+/// asserts the upgrades actually pay at the width where the old core
+/// started to struggle.
 fn option_matrix_summary() {
     let width = 14usize;
     let inst = miter_instance(width, 7);
     let miter = MiterEncoding::build(&inst.c1, &inst.c2, &inst.witness).expect("widths agree");
-    println!("\n== option matrix: one-shot width-{width} proofs, lbd × xor (inproc off) ==");
+    println!("\n== option matrix: one-shot width-{width} proofs, lbd × xor ==");
     println!("{:>16} {:>12} {:>12}", "options", "time", "conflicts");
     let mut cells = Vec::new();
     for (lbd, xor) in [(false, false), (true, false), (false, true), (true, true)] {
-        let opts = SatOptions {
-            lbd,
-            inproc: false,
-            xor,
-        };
+        let opts = SatOptions { lbd, xor };
         let mut conflicts = 0usize;
         let secs = best_secs(2, || {
             let mut solver = CdclSolver::new(&miter.cnf)

@@ -62,7 +62,7 @@ use rand::SeedableRng;
 const USAGE: &str = "usage: loadgen [--rate JOBS_PER_SEC] [--duration-ms MS] \
 [--shards N] [--queue-capacity N] [--widths CSV] [--mix CSV_EQUIVALENCES] \
 [--job-mix KIND[:KIND...]] [--seed N] [--epsilon F] [--sat-verify 0|1] \
-[--backend dpll|cdcl] [--sat-opts lbd,inproc,xor|all|none] \
+[--backend dpll|cdcl] [--sat-opts lbd,xor|all|none] \
 [--kernel scalar|sliced64|wide256-portable|wide256] \
 [--quantum-backend dense|sparse|stabilizer] [--trace OUT.json] [--trace-sample N] \
 [--admission 0|1] [--overload-us N] [--expensive-us N] \
@@ -302,9 +302,9 @@ fn main() {
     let sat_opts = flags.get_str("sat-opts", "");
     if !sat_opts.is_empty() {
         revmatch_sat::set_sat_opts_override(Some(
-            sat_opts.parse().unwrap_or_else(|_| {
-                usage_error("--sat-opts: expected lbd,inproc,xor, all or none")
-            }),
+            sat_opts
+                .parse()
+                .unwrap_or_else(|_| usage_error("--sat-opts: expected lbd,xor, all or none")),
         ));
     }
     println!("sat opts: {}", revmatch_sat::active_sat_opts_label());
@@ -479,13 +479,11 @@ fn main() {
     // and what the options did. Mirrors the revmatch_sat_* metrics.
     if m.jobs_sat_verified() > 0 || m.jobs_completed_of(JobKind::Enumerate) > 0 {
         println!(
-            "sat core [{}]: glue kept {} | learned db {} | xors extracted {} | \
-             inprocess {:.2}ms",
+            "sat core [{}]: glue kept {} | learned db {} | xors extracted {}",
             revmatch_sat::active_sat_opts_label(),
             m.sat_glue_kept(),
             m.sat_learned_db_size(),
             m.sat_xors_extracted(),
-            m.sat_inprocess_micros() as f64 / 1000.0,
         );
     }
 
@@ -852,7 +850,6 @@ fn run_connect_mode(
                 && (l.contains("revmatch_admission")
                     || l.contains("revmatch_jobs_submitted_total")
                     || l.contains("revmatch_jobs_completed_total")
-                    || l.contains("revmatch_rebalance")
                     || l.contains("revmatch_workers_lost_total"))
         }) {
             println!("{line}");

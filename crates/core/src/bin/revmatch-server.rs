@@ -33,8 +33,7 @@ use std::time::Duration;
 
 use revmatch::{
     read_client_frame, write_server_frame, AdmissionConfig, ClientFrame, JobKind, JobReport,
-    JobTicket, MatchError, MatchService, RebalanceConfig, ServerFrame, ServiceConfig,
-    SubmitOutcome,
+    JobTicket, MatchError, MatchService, ServerFrame, ServiceConfig, SubmitOutcome,
 };
 
 const USAGE: &str = "\
@@ -53,8 +52,6 @@ OPTIONS:
     --overload-us N        admission: backlog overload threshold in µs
     --expensive-us N       admission: cost above which jobs shed/defer
     --defer-capacity N     admission: deferral buffer size
-    --rebalance-ms N       run the shard rebalancer every N ms (0 = off,
-                           default 0)
     -h, --help             print this help
 ";
 
@@ -88,7 +85,6 @@ struct Options {
     overload_us: Option<u64>,
     expensive_us: Option<u64>,
     defer_capacity: Option<usize>,
-    rebalance_ms: u64,
 }
 
 impl Default for Options {
@@ -102,7 +98,6 @@ impl Default for Options {
             overload_us: None,
             expensive_us: None,
             defer_capacity: None,
-            rebalance_ms: 0,
         }
     }
 }
@@ -139,7 +134,6 @@ fn parse_options() -> Options {
             "--defer-capacity" => {
                 opts.defer_capacity = Some(parse_value("--defer-capacity", args.next()));
             }
-            "--rebalance-ms" => opts.rebalance_ms = parse_value("--rebalance-ms", args.next()),
             "-h" | "--help" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -389,27 +383,6 @@ fn main() -> ExitCode {
     let active: Arc<AtomicUsize> = Arc::new(AtomicUsize::new(0));
     let mut next_conn_id: u64 = 0;
 
-    // Optional background rebalancer.
-    let rebalancer = (opts.rebalance_ms > 0).then(|| {
-        let service = Arc::clone(&service);
-        let every = Duration::from_millis(opts.rebalance_ms);
-        thread::spawn(move || {
-            let config = RebalanceConfig::default();
-            while !SHUTDOWN.load(Ordering::SeqCst) {
-                thread::sleep(every);
-                if let Some(mv) = service.rebalance(&config) {
-                    eprintln!(
-                        "revmatch-server: rebalanced (width {}, kind {}) shard {} -> {}",
-                        mv.width,
-                        mv.kind.as_str(),
-                        mv.from,
-                        mv.to,
-                    );
-                }
-            }
-        })
-    });
-
     while !SHUTDOWN.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -461,9 +434,6 @@ fn main() -> ExitCode {
         thread::sleep(Duration::from_millis(10));
     }
     service.drain();
-    if let Some(handle) = rebalancer {
-        let _ = handle.join();
-    }
     eprintln!(
         "revmatch-server: drained ({} submitted, {} completed, {} shed)",
         service.metrics().jobs_submitted(),

@@ -169,8 +169,8 @@ pub use oracle::{
 pub use promise::{random_instance, random_instance_from, random_wide_instance, PromiseInstance};
 pub use revmatch_sat::{SatOptions, SolverBackend};
 pub use service::{
-    job_seed, AdmissionConfig, Histogram, JobTicket, MatchService, Metrics, RebalanceConfig,
-    RebalanceMove, ServiceConfig, SubmitOutcome, DEFAULT_MITER_BUDGET,
+    job_seed, AdmissionConfig, Histogram, JobTicket, MatchService, Metrics, ServiceConfig,
+    SubmitOutcome, DEFAULT_MITER_BUDGET,
 };
 pub use verify::{check_witness, VerifyMode};
 pub use wire::{

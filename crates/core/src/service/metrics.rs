@@ -236,8 +236,6 @@ pub struct Metrics {
     admission_shed: AtomicU64,
     /// Jobs deferred (re-queued) by admission control under overload.
     admission_requeued: AtomicU64,
-    /// Lane moves performed by the shard rebalancer.
-    rebalance_moves: AtomicU64,
     /// Worker panics converted into `WorkerLost` reports.
     worker_lost: AtomicU64,
     queries: AtomicU64,
@@ -250,8 +248,6 @@ pub struct Metrics {
     sat_learned_db: AtomicU64,
     /// XOR constraints extracted across all solver builds.
     sat_xors_extracted: AtomicU64,
-    /// Microseconds spent in solver inprocessing passes.
-    sat_inprocess_us: AtomicU64,
     table_cache_hits: AtomicU64,
     solver_cache_hits: AtomicU64,
     /// Family witnesses found across completed enumeration jobs.
@@ -304,7 +300,6 @@ impl Metrics {
             failed: AtomicU64::new(0),
             admission_shed: AtomicU64::new(0),
             admission_requeued: AtomicU64::new(0),
-            rebalance_moves: AtomicU64::new(0),
             worker_lost: AtomicU64::new(0),
             queries: AtomicU64::new(0),
             sat_verified: AtomicU64::new(0),
@@ -312,7 +307,6 @@ impl Metrics {
             sat_glue_kept: AtomicU64::new(0),
             sat_learned_db: AtomicU64::new(0),
             sat_xors_extracted: AtomicU64::new(0),
-            sat_inprocess_us: AtomicU64::new(0),
             table_cache_hits: AtomicU64::new(0),
             solver_cache_hits: AtomicU64::new(0),
             enumerated_witnesses: AtomicU64::new(0),
@@ -375,11 +369,6 @@ impl Metrics {
     pub(crate) fn record_requeue_accept(&self, shard: usize, depth_after: usize) {
         self.shard_depth[shard].store(depth_after as u64, Ordering::Relaxed);
         self.intake_depth.observe(depth_after as u64);
-    }
-
-    /// Counts one lane move performed by the shard rebalancer.
-    pub(crate) fn record_rebalance_move(&self) {
-        self.rebalance_moves.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one worker panic converted into a `WorkerLost` report.
@@ -453,21 +442,13 @@ impl Metrics {
 
     /// Samples a CDCL solver's internals after a solve: glue and
     /// learned-DB sizes are live gauges (last sample wins — they
-    /// describe the solver the service just ran), while the XOR and
-    /// inprocessing figures are deltas accumulated into totals.
-    pub(crate) fn record_sat_core(
-        &self,
-        glue_kept: u64,
-        learned_db: u64,
-        xors_delta: u64,
-        inprocess_delta_us: u64,
-    ) {
+    /// describe the solver the service just ran), while the XOR figure
+    /// is a delta accumulated into a total.
+    pub(crate) fn record_sat_core(&self, glue_kept: u64, learned_db: u64, xors_delta: u64) {
         self.sat_glue_kept.store(glue_kept, Ordering::Relaxed);
         self.sat_learned_db.store(learned_db, Ordering::Relaxed);
         self.sat_xors_extracted
             .fetch_add(xors_delta, Ordering::Relaxed);
-        self.sat_inprocess_us
-            .fetch_add(inprocess_delta_us, Ordering::Relaxed);
     }
 
     /// Counts dense-table cache hits in a worker's oracle setup.
@@ -528,11 +509,6 @@ impl Metrics {
         self.admission_requeued.load(Ordering::Relaxed)
     }
 
-    /// Lane moves performed by the shard rebalancer.
-    pub fn rebalance_moves(&self) -> u64 {
-        self.rebalance_moves.load(Ordering::Relaxed)
-    }
-
     /// Worker panics converted into `WorkerLost` reports.
     pub fn workers_lost(&self) -> u64 {
         self.worker_lost.load(Ordering::Relaxed)
@@ -591,11 +567,6 @@ impl Metrics {
     /// XOR constraints extracted across all solver builds.
     pub fn sat_xors_extracted(&self) -> u64 {
         self.sat_xors_extracted.load(Ordering::Relaxed)
-    }
-
-    /// Microseconds spent in solver inprocessing passes.
-    pub fn sat_inprocess_micros(&self) -> u64 {
-        self.sat_inprocess_us.load(Ordering::Relaxed)
     }
 
     /// Dense-table cache hits across all workers.
@@ -728,11 +699,6 @@ impl Metrics {
                 self.jobs_requeued(),
             ),
             (
-                "revmatch_rebalance_moves_total",
-                "Lane moves performed by the shard rebalancer.",
-                self.rebalance_moves(),
-            ),
-            (
                 "revmatch_worker_lost_total",
                 "Worker panics converted into WorkerLost job reports.",
                 self.workers_lost(),
@@ -838,8 +804,8 @@ impl Metrics {
             );
         }
         // Per-shard runtime introspection: executed jobs, steal flow in
-        // both directions, and busy/idle seconds — the inputs a
-        // rebalancer (ROADMAP item 1) needs to spot a hot shard.
+        // both directions, and busy/idle seconds — enough to spot a hot
+        // shard.
         let shard_counters: [(&str, &str, &Vec<AtomicU64>); 5] = [
             (
                 "revmatch_shard_jobs_total",
@@ -935,15 +901,8 @@ impl Metrics {
                 1e6,
             );
         }
-        // SAT-core introspection: inprocessing time as a seconds
-        // counter, the live clause-database shape as gauges.
-        let name = "revmatch_sat_inprocess_seconds_total";
-        let _ = writeln!(
-            out,
-            "# HELP {name} Seconds spent in solver inprocessing passes."
-        );
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {}", self.sat_inprocess_micros() as f64 / 1e6);
+        // SAT-core introspection: the live clause-database shape as
+        // gauges.
         let sat_gauges = [
             (
                 "revmatch_sat_glue_kept",
@@ -988,12 +947,12 @@ impl Metrics {
             "{name}{{backend=\"{}\"}} 1",
             escape_label(revmatch_quantum::active_quantum_backend_name())
         );
-        // The process-wide SAT feature set (lbd/inproc/xor), mirroring
+        // The process-wide SAT feature set (lbd/xor), mirroring
         // the kernel gauge: override > REVMATCH_SAT_OPTS env > all.
         let name = "revmatch_sat_opts_info";
         let _ = writeln!(
             out,
-            "# HELP {name} Active SAT solver feature set (lbd/inproc/xor)."
+            "# HELP {name} Active SAT solver feature set (lbd/xor)."
         );
         let _ = writeln!(out, "# TYPE {name} gauge");
         let _ = writeln!(
@@ -1110,8 +1069,8 @@ mod tests {
         m.record_reject();
         m.record_sat_verify(false);
         m.record_sat_verify(true);
-        m.record_sat_core(3, 17, 2, 1_500);
-        m.record_sat_core(5, 20, 0, 500);
+        m.record_sat_core(3, 17, 2);
+        m.record_sat_core(5, 20, 0);
         m.record_table_cache_hits(4);
         m.record_solver_cache_hit();
         m.record_table_compile(7);
@@ -1123,7 +1082,6 @@ mod tests {
         m.record_shard_idle(1, 1_000);
         m.record_admission_shed();
         m.record_admission_requeued();
-        m.record_rebalance_move();
         m.record_worker_lost();
         let text = m.render();
         for needle in [
@@ -1132,7 +1090,6 @@ mod tests {
             "revmatch_jobs_completed_total 2",
             "revmatch_admission_shed_total 1",
             "revmatch_admission_requeued_total 1",
-            "revmatch_rebalance_moves_total 1",
             "revmatch_worker_lost_total 1",
             "revmatch_jobs_failed_total 1",
             "revmatch_oracle_queries_total 15",
@@ -1143,7 +1100,6 @@ mod tests {
             "revmatch_sat_glue_kept 5",
             "revmatch_sat_learned_db_size 20",
             "revmatch_sat_xors_extracted_total 2",
-            "revmatch_sat_inprocess_seconds_total 0.002",
             "revmatch_sat_opts_info{opts=\"",
             "revmatch_jobs_promise_total 1",
             "revmatch_jobs_identify_total 1",

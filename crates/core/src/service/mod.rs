@@ -72,17 +72,14 @@ mod admission;
 mod cache;
 mod metrics;
 mod queue;
-mod rebalance;
 
 pub use admission::AdmissionConfig;
 pub use metrics::{Histogram, Metrics};
-pub use rebalance::{RebalanceConfig, RebalanceMove};
 
-use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -94,7 +91,6 @@ use crate::engine::{
     QuantumPathJob, SatEquivalenceJob,
 };
 use crate::enumerate::{sweep_family, sweep_family_dpll, FamilyMiter, WitnessFamily};
-use crate::equivalence::Equivalence;
 use crate::error::MatchError;
 use crate::identify::{identify_equivalence_with_oracles, IdentifyOptions};
 use crate::matchers::{
@@ -108,7 +104,6 @@ use crate::witness::MatchWitness;
 use admission::Admission;
 use cache::ShardCaches;
 use queue::ShardedQueue;
-use rebalance::{LaneHeat, RebalanceState};
 
 /// SplitMix64 increment used to whiten per-job seed indices; shared with
 /// [`crate::engine`] so both paths derive identical seeds.
@@ -150,11 +145,11 @@ pub struct ServiceConfig {
     /// yields an explicit [`MiterVerdict::Unknown`] instead of stalling a
     /// worker shard.
     pub miter_budget: usize,
-    /// CDCL feature set (LBD tiers, inprocessing, XOR/Gauss) applied to
-    /// every worker-cached solver. Defaults to the process-wide
-    /// selection ([`SatOptions::active`]: override > `REVMATCH_SAT_OPTS`
-    /// env > all on); an explicit [`ServiceConfig::with_sat_opts`] pin
-    /// wins over both.
+    /// CDCL feature set (LBD tiers, XOR/Gauss) applied to every
+    /// worker-cached solver. Defaults to the process-wide selection
+    /// ([`SatOptions::active`]: override > `REVMATCH_SAT_OPTS` env > all
+    /// on); an explicit [`ServiceConfig::with_sat_opts`] pin wins over
+    /// both.
     pub sat_opts: SatOptions,
     /// Span tracing: an explicit [`ServiceConfig::with_trace`] pin wins,
     /// the default defers to the `REVMATCH_TRACE` environment variable
@@ -404,13 +399,6 @@ struct Request {
     ticket: Arc<TicketState>,
 }
 
-/// The affinity-routing key: jobs sharing it land on the same shard.
-type RouteKey = (usize, JobKind, Option<Equivalence>);
-
-fn route_key(job: &JobSpec) -> RouteKey {
-    (job.width(), job.kind(), job.equivalence())
-}
-
 /// Per-job observation state threaded through the `execute_*` paths: the
 /// identity needed to emit spans plus the facts the executors discover
 /// along the way (cache behavior, the substrate that did the work).
@@ -459,14 +447,6 @@ struct Shared {
     /// Cost-aware admission controller; `None` (the default) is the
     /// plain FIFO intake.
     admission: Option<Admission>,
-    /// Rebalancer route overrides: keys present here route to the mapped
-    /// shard instead of their hash. Read per submit, written only inside
-    /// a pause window.
-    routes: RwLock<HashMap<RouteKey, usize>>,
-    /// Per-key execution heat since the last rebalance move.
-    heat: Mutex<HashMap<RouteKey, LaneHeat>>,
-    /// Rebalancer window snapshots (see [`rebalance`]).
-    rebalancer: Mutex<RebalanceState>,
     /// Test-only worker fault injection (see
     /// [`ServiceConfig::with_panic_injection`]).
     panic_inject: Option<fn(u64) -> bool>,
@@ -839,13 +819,12 @@ impl Shared {
                     if hit {
                         self.metrics.record_solver_cache_hit();
                     }
-                    let (xors0, inproc0) = (solver.xors_extracted(), solver.inprocess_micros());
+                    let xors0 = solver.xors_extracted();
                     let swept = sweep_family(solver, &miter, Some(self.miter_budget));
                     self.metrics.record_sat_core(
                         solver.glue_clauses() as u64,
                         solver.num_learned() as u64,
                         (solver.xors_extracted() - xors0) as u64,
-                        solver.inprocess_micros() - inproc0,
                     );
                     swept
                 }
@@ -918,7 +897,7 @@ impl Shared {
                 if hit {
                     self.metrics.record_solver_cache_hit();
                 }
-                let (xors0, inproc0) = (solver.xors_extracted(), solver.inprocess_micros());
+                let xors0 = solver.xors_extracted();
                 solver.set_budget(Some(self.miter_budget));
                 let outcome = solver.solve_budgeted();
                 let stats = SolveStats {
@@ -930,7 +909,6 @@ impl Shared {
                     solver.glue_clauses() as u64,
                     solver.num_learned() as u64,
                     (solver.xors_extracted() - xors0) as u64,
-                    solver.inprocess_micros() - inproc0,
                 );
                 miter.verdict_from(outcome, stats)
             }
@@ -946,34 +924,6 @@ impl Shared {
         self.in_flight
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The static affinity route for a key (hash modulo shard count).
-    fn default_route(&self, key: &RouteKey) -> usize {
-        let mut h = DefaultHasher::new();
-        key.0.hash(&mut h);
-        key.1.hash(&mut h);
-        key.2.hash(&mut h);
-        (h.finish() % self.intake.shards() as u64) as usize
-    }
-
-    /// The preferred shard for a key: a rebalancer override when one
-    /// exists, the static hash otherwise.
-    fn route_of(&self, key: &RouteKey) -> usize {
-        let routes = self.routes.read().unwrap_or_else(PoisonError::into_inner);
-        routes
-            .get(key)
-            .copied()
-            .unwrap_or_else(|| self.default_route(key))
-    }
-
-    /// Accumulates one completed job into the per-key heat table the
-    /// rebalancer ranks lanes by.
-    fn note_heat(&self, key: RouteKey, exec_us: u64) {
-        let mut heat = self.heat.lock().unwrap_or_else(PoisonError::into_inner);
-        let entry = heat.entry(key).or_default();
-        entry.jobs += 1;
-        entry.exec_us += exec_us;
     }
 
     /// Moves deferred jobs back into the intake once the backlog has
@@ -1064,7 +1014,7 @@ impl Shared {
         } = req;
         let queue_wait = dequeued_at.saturating_duration_since(accepted_at);
         let kind = job.kind();
-        let key = route_key(&job);
+        let width = job.width();
         let traced = self.tracer.as_ref().is_some_and(|t| t.traced(id));
         let mut obs = JobObs::new(id, shard, traced);
         let exec_start = Instant::now();
@@ -1099,10 +1049,9 @@ impl Shared {
             // Calibrate the admission cost model with the measured
             // execute time (panicked jobs would skew it toward zero).
             if let Some(adm) = &self.admission {
-                adm.observe(kind, key.0, report.timing.exec_us);
+                adm.observe(kind, width, report.timing.exec_us);
             }
         }
-        self.note_heat(key, report.timing.exec_us);
         let latency = accepted_at.elapsed().as_micros() as u64;
         let failed = job_failed(&report);
         self.metrics
@@ -1250,9 +1199,6 @@ impl MatchService {
                 .enabled()
                 .then(|| Tracer::new(config.trace, shards)),
             admission: config.admission.map(Admission::new),
-            routes: RwLock::new(HashMap::new()),
-            heat: Mutex::new(HashMap::new()),
-            rebalancer: Mutex::new(RebalanceState::new(shards)),
             panic_inject: config.panic_inject,
             in_flight: Mutex::new(0),
             idle: Condvar::new(),
@@ -1315,19 +1261,15 @@ impl MatchService {
             .map(|t| crate::observe::chrome_trace_json(&t.spans(), self.shards()))
     }
 
-    /// Routes a job to its preferred shard by `(width, kind,
-    /// equivalence)`, so same-shaped work of the same family lands on
-    /// the same shard and its kind-keyed caches stay hot. Rebalancer
-    /// overrides ([`Self::rebalance`]) win over the static hash.
+    /// Routes a job to its preferred shard by a static hash of `(width,
+    /// kind, equivalence)`, so same-shaped work of the same family lands
+    /// on the same shard and its kind-keyed caches stay hot.
     fn route(&self, job: &JobSpec) -> usize {
-        self.shared.route_of(&route_key(job))
-    }
-
-    /// The shard a job would currently be routed to — the static
-    /// affinity hash, adjusted by any rebalancer lane moves. Exposed for
-    /// placement-sensitive tests and operational introspection.
-    pub fn preferred_shard(&self, job: &JobSpec) -> usize {
-        self.route(job)
+        let mut h = DefaultHasher::new();
+        job.width().hash(&mut h);
+        job.kind().hash(&mut h);
+        job.equivalence().hash(&mut h);
+        (h.finish() % self.shards() as u64) as usize
     }
 
     /// The admission controller's current backlog estimate in µs of
@@ -1550,7 +1492,7 @@ impl MatchService {
 
     /// Pauses the worker shards (they finish the job in hand and park).
     /// Submits still enqueue, so a paused service exposes backpressure
-    /// deterministically — used for rebalancing windows and tests.
+    /// deterministically — used by the backpressure and tracing tests.
     pub fn pause(&self) {
         self.shared.intake.pause();
     }
@@ -1558,98 +1500,6 @@ impl MatchService {
     /// Resumes paused workers.
     pub fn resume(&self) {
         self.shared.intake.resume();
-    }
-
-    /// One step of the adaptive shard rebalancer — see the
-    /// [`rebalance`] module docs for the policy. Call it periodically
-    /// (each call is one observation window); it returns the lane move
-    /// it performed, or `None` when the load is balanced, the imbalance
-    /// is not yet sustained, or the service has a single shard.
-    ///
-    /// A move flips the route table inside a [`Self::pause`]/`resume`
-    /// window and only redirects future submits; it never changes
-    /// results, because job seeds are placement-independent.
-    pub fn rebalance(&self, config: &RebalanceConfig) -> Option<RebalanceMove> {
-        let shards = self.shards();
-        if shards < 2 {
-            return None;
-        }
-        let metrics = &self.shared.metrics;
-        let mut state = self
-            .shared
-            .rebalancer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        // Window deltas against the last call's snapshots.
-        let mut stolen = vec![0u64; shards];
-        let mut idle = vec![0u64; shards];
-        for shard in 0..shards {
-            let s = metrics.shard_stolen_from(shard);
-            let i = metrics.shard_idle_micros(shard);
-            stolen[shard] = s.saturating_sub(state.last_stolen_from[shard]);
-            idle[shard] = i.saturating_sub(state.last_idle_us[shard]);
-            state.last_stolen_from[shard] = s;
-            state.last_idle_us[shard] = i;
-        }
-        let victim = (0..shards).max_by_key(|&s| stolen[s])?;
-        if stolen[victim] < config.min_steals {
-            state.streak_shard = None;
-            state.streak = 0;
-            return None;
-        }
-        if state.streak_shard == Some(victim) {
-            state.streak += 1;
-        } else {
-            state.streak_shard = Some(victim);
-            state.streak = 1;
-        }
-        if state.streak < config.sustain {
-            return None;
-        }
-        state.streak_shard = None;
-        state.streak = 0;
-        drop(state);
-        // The shard that idled most this window has spare capacity.
-        let beneficiary = (0..shards)
-            .filter(|&s| s != victim)
-            .max_by_key(|&s| idle[s])?;
-        // Move the victim's hottest lane (most execute-µs accumulated
-        // since the last move among keys currently routed to it).
-        let key = {
-            let heat = self
-                .shared
-                .heat
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            heat.iter()
-                .filter(|(k, _)| self.shared.route_of(k) == victim)
-                .max_by_key(|(_, h)| h.exec_us)
-                .map(|(k, _)| *k)?
-        };
-        // Flip the route inside a pause window: no worker is mid-pop
-        // while the table changes, so a lane's jobs never interleave
-        // between two preferred shards within one submit burst.
-        self.pause();
-        self.shared
-            .routes
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, beneficiary);
-        self.resume();
-        self.shared.metrics.record_rebalance_move();
-        // Heat restarts from zero so the next move ranks fresh traffic.
-        self.shared
-            .heat
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        Some(RebalanceMove {
-            width: key.0,
-            kind: key.1,
-            equivalence: key.2,
-            from: victim,
-            to: beneficiary,
-        })
     }
 
     /// Graceful shutdown: closes the intake, completes the backlog, joins

@@ -205,7 +205,7 @@ impl<T> ShardedQueue<T> {
 
     /// Stops consumers from popping (they park after finishing the item in
     /// hand). Pushes are unaffected, so a paused queue fills up — used by
-    /// the backpressure tests and for rebalancing windows.
+    /// the backpressure and tracing tests.
     ///
     /// By the time this returns, no consumer can take another item:
     /// consumers re-check the flag under the lane lock, and cycling every

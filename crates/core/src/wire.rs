@@ -802,6 +802,11 @@ fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     w.write_all(payload)
 }
 
+/// Initial capacity of a frame body buffer. Small frames take one
+/// allocation; larger ones grow only as their bytes arrive, so a peer
+/// that declares a big length and then stalls pins at most this much.
+const INITIAL_BODY_CAPACITY: usize = 64 << 10;
+
 /// Reads one length-prefixed payload. `Ok(None)` is a clean EOF at a
 /// frame boundary (the peer closed between frames); EOF mid-frame is an
 /// error.
@@ -826,8 +831,11 @@ fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, WireError> {
     if len > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge { len });
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(INITIAL_BODY_CAPACITY));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "EOF inside frame body").into());
+    }
     Ok(Some(payload))
 }
 
@@ -1113,6 +1121,13 @@ mod tests {
         assert!(matches!(
             read_client_frame(&mut cursor),
             Err(WireError::FrameTooLarge { .. })
+        ));
+        // A maximal length prefix followed by EOF is a truncated body.
+        let max = (MAX_FRAME_LEN as u32).to_le_bytes();
+        let mut cursor: &[u8] = &max;
+        assert!(matches!(
+            read_client_frame(&mut cursor),
+            Err(WireError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof
         ));
         // Unknown opcode.
         let mut bytes = Vec::new();

@@ -27,7 +27,7 @@ struct Exposition {
 }
 
 /// Splits a rendered label set on the commas *between* pairs, never the
-/// ones inside quoted values (`opts="lbd,inproc,xor"` is one pair).
+/// ones inside quoted values (`opts="lbd,xor"` is one pair).
 /// Backslash-escape aware per the exposition format: `\"` inside a
 /// quoted value does not close it, and `\\` does not escape what
 /// follows it.
@@ -296,7 +296,6 @@ fn exposition_parses_and_is_internally_consistent() {
         "revmatch_sat_glue_kept",
         "revmatch_sat_learned_db_size",
         "revmatch_sat_xors_extracted_total",
-        "revmatch_sat_inprocess_seconds_total",
     ] {
         assert!(value_of(&first, series, "") >= 0.0, "{series} negative");
     }

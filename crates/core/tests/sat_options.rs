@@ -1,5 +1,5 @@
 //! Differential service test for the `SatOptions`-gated solver upgrades
-//! (LBD clause management, bounded inprocessing, the XOR/Gauss layer).
+//! (LBD clause management, the XOR/Gauss layer).
 //!
 //! The optimisations must be *invisible* at the API: the same seeded
 //! workload of SAT-equivalence and enumeration jobs, pushed through
@@ -125,8 +125,7 @@ fn sat_options_and_sharding_are_verdict_invisible() {
         (
             2,
             SatOptions {
-                lbd: true,
-                inproc: false,
+                lbd: false,
                 xor: true,
             },
         ),

@@ -24,7 +24,7 @@
 //!   store is halved (keeping binaries and the most active clauses) when
 //!   it outgrows its budget, which grows geometrically.
 //!
-//! On top of that baseline, three industrial features are gated by
+//! On top of that baseline, two industrial features are gated by
 //! [`SatOptions`] (all on by default, individually addressable for
 //! differential testing — `SatOptions::NONE` reproduces the baseline
 //! core bit for bit):
@@ -38,11 +38,6 @@
 //!   and in larger proportion. Restarts switch to a Glucose-style
 //!   recent-LBD EMA test (restart while recent conflicts are worse
 //!   than the long-run average) with the Luby schedule as a fallback.
-//! * **Bounded inprocessing** (`inproc`) — between solve calls the
-//!   solver runs occurrence-list subsumption and self-subsuming
-//!   resolution under a strict literal-visit budget, at level 0 only,
-//!   so incremental assumption semantics and `analyze_final` cores
-//!   stay sound ([`CdclSolver::inprocess`] in `inprocess.rs`).
 //! * **XOR/Gauss reasoning** (`xor`) — parity constraints are
 //!   recovered from the CNF (Tseitin miter XORs, Valiant–Vazirani hash
 //!   parities), Gaussian-eliminated, and kept as matrix rows with two
@@ -82,7 +77,6 @@
 //! ```
 
 mod heap;
-mod inprocess;
 mod luby;
 mod xor;
 
@@ -288,15 +282,6 @@ pub struct CdclSolver {
     lbd_ema_slow: f64,
     /// Learned glue clauses (LBD ≤ [`GLUE_LBD`]) currently in the DB.
     glue_clauses: usize,
-    /// Lifetime solve calls, driving the inprocessing cadence.
-    solves: usize,
-    /// Next `solves` value at which inprocessing runs again.
-    next_inproc: usize,
-    /// Inprocessing lifetime statistics.
-    inproc_runs: usize,
-    inproc_micros: u64,
-    inproc_subsumed: usize,
-    inproc_strengthened: usize,
     /// The Gauss layer (built lazily on the first solve when `xor` is
     /// on), its propagation head into the trail, and scratch buffers.
     xors: Option<xor::XorLayer>,
@@ -354,12 +339,6 @@ impl CdclSolver {
             lbd_ema_fast: 0.0,
             lbd_ema_slow: 0.0,
             glue_clauses: 0,
-            solves: 0,
-            next_inproc: 0,
-            inproc_runs: 0,
-            inproc_micros: 0,
-            inproc_subsumed: 0,
-            inproc_strengthened: 0,
             xors: None,
             xor_built: false,
             xor_qhead: 0,
@@ -422,9 +401,8 @@ impl CdclSolver {
         self
     }
 
-    /// Enables DRAT proof recording: clause additions (learned lemmas,
-    /// inprocessing resolvents) and deletions are logged so an UNSAT
-    /// verdict can be independently re-verified by
+    /// Enables DRAT proof recording: learned lemmas and clause deletions
+    /// are logged so an UNSAT verdict can be independently re-verified by
     /// [`crate::drat::check_drat_unsat`] or any external DRAT checker.
     ///
     /// Forces the `xor` gate off for this instance: Gauss-derived
@@ -533,26 +511,6 @@ impl CdclSolver {
     /// Live Gauss rows (after elimination and unit folding).
     pub fn xor_rows(&self) -> usize {
         self.xors.as_ref().map_or(0, xor::XorLayer::num_rows)
-    }
-
-    /// Inprocessing passes run over the solver's lifetime.
-    pub fn inprocess_runs(&self) -> usize {
-        self.inproc_runs
-    }
-
-    /// Total time spent inprocessing, in microseconds.
-    pub fn inprocess_micros(&self) -> u64 {
-        self.inproc_micros
-    }
-
-    /// Clauses deleted by inprocessing subsumption.
-    pub fn subsumed_clauses(&self) -> usize {
-        self.inproc_subsumed
-    }
-
-    /// Literals removed by inprocessing self-subsuming resolution.
-    pub fn strengthened_clauses(&self) -> usize {
-        self.inproc_strengthened
     }
 
     /// Renders the recorded DRAT proof, or `None` when proof recording
@@ -771,18 +729,16 @@ impl CdclSolver {
         self.add_clause_internal(&kept, false);
     }
 
-    /// Shared driver: reset per-call stats, refresh the feature layers
-    /// (XOR build, inprocessing) at level 0, search, and leave the
-    /// solver ready for the next call. Incremental calls keep the
-    /// shared assumption-prefix levels placed (`reuse_level`); a due
-    /// feature-layer pass vetoes the reuse because both the XOR build
-    /// and inprocessing require the reason-free level 0.
+    /// Shared driver: reset per-call stats, build the XOR layer on the
+    /// first call, search, and leave the solver ready for the next call.
+    /// Incremental calls keep the shared assumption-prefix levels placed
+    /// (`reuse_level`); the XOR build vetoes the reuse because it
+    /// requires the reason-free level 0.
     fn run(&mut self) -> Search {
         self.decisions = 0;
         self.conflicts = 0;
         self.propagations = 0;
         self.final_core.clear();
-        self.solves += 1;
         if self.assumptions.is_empty() {
             // A plain solve leaves search decisions, not assumption
             // placements, on the trail — the next incremental call must
@@ -790,20 +746,11 @@ impl CdclSolver {
             self.prev_assumptions.clear();
         }
         let build_xor = self.ok && self.opts.xor && !self.xor_built;
-        let inproc_due =
-            self.ok && self.opts.inproc && (self.solves == 1 || self.solves >= self.next_inproc);
-        let keep = if build_xor || inproc_due {
-            0
-        } else {
-            self.reuse_level
-        };
+        let keep = if build_xor { 0 } else { self.reuse_level };
         self.reuse_level = 0;
         self.backtrack(keep);
         if build_xor {
             self.build_xor_layer();
-        }
-        if self.ok && inproc_due {
-            self.maybe_inprocess();
         }
         if !self.ok {
             self.proof_conclude();
@@ -1121,8 +1068,8 @@ impl CdclSolver {
     fn bump_clause(&mut self, cref: usize) {
         self.clauses[cref].activity += self.cla_inc;
         if self.clauses[cref].activity > CLA_RESCALE_LIMIT {
-            // Rescale by flag, not position: inprocessing can delete
-            // problem clauses, after which learned records are no longer
+            // Rescale by flag, not position: `add_clause` appends problem
+            // clauses after learned ones, so learned records are not
             // confined to the tail.
             for c in self.clauses.iter_mut().filter(|c| c.learned) {
                 c.activity *= 1.0 / CLA_RESCALE_LIMIT;
@@ -1435,8 +1382,7 @@ impl CdclSolver {
         }
         // Candidates by flag, not position: `add_clause` may have
         // appended problem clauses (e.g. blocking clauses) after learned
-        // ones — and inprocessing may have deleted clauses ahead of them
-        // — so those must never be dropped no matter where they sit.
+        // ones, so those must never be dropped no matter where they sit.
         let mut candidates: Vec<usize> = (0..self.clauses.len())
             .filter(|&ci| {
                 let m = &self.clauses[ci];
@@ -1487,9 +1433,9 @@ impl CdclSolver {
         self.db_reductions += 1;
     }
 
-    /// Physically removes flagged clauses, compacting the clause records
-    /// and the literal arena together. Callers maintain the learned /
-    /// glue counters and must rebuild watches afterwards.
+    /// Physically removes flagged (learned) clauses, compacting the
+    /// clause records and the literal arena together. Callers maintain
+    /// the learned / glue counters and must rebuild watches afterwards.
     fn compact(&mut self, drop_flag: &[bool]) {
         let mut new_arena = Vec::with_capacity(self.arena.len());
         let mut new_clauses = Vec::with_capacity(self.clauses.len());
@@ -1504,13 +1450,6 @@ impl CdclSolver {
         }
         self.arena = new_arena;
         self.clauses = new_clauses;
-        // Keep the leading-problem-block marker honest after deletions.
-        self.num_problem = self
-            .clauses
-            .iter()
-            .take_while(|c| !c.learned)
-            .count()
-            .min(self.num_problem);
     }
 
     /// Reconstructs every watch list from scratch (after compaction),
@@ -2097,8 +2036,8 @@ mod tests {
 
     #[test]
     fn solve_under_budgeted_reports_unknown_not_lies() {
-        // Plain core: inprocessing would strengthen this formula into
-        // pure propagation and answer Sat inside a zero budget.
+        // Under x3 the formula needs a decision, so a zero budget must
+        // answer Unknown rather than guess.
         let f = cnf(&[&[1, 2, 3], &[-1, -2, -3], &[1, -2], &[-1, 2]]);
         let mut s = CdclSolver::new(&f)
             .with_options(SatOptions::NONE)
@@ -2173,7 +2112,6 @@ mod tests {
     #[test]
     fn tiered_reduction_never_drops_appended_problem_clauses() {
         // Regression for the LBD-tiered reducer under incremental use:
-        // inprocessing may delete problem clauses (shifting records) and
         // `add_clause` appends new problem clauses *after* learned ones,
         // so candidate selection must go by the learned flag, not by
         // record position, and `num_problem` must survive compaction.

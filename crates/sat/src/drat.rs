@@ -412,7 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn accepts_proofs_with_db_reductions_and_inprocessing() {
+    fn accepts_proofs_with_db_reductions() {
         let f = pigeonhole(6);
         let mut s = CdclSolver::new(&f)
             .with_proof()

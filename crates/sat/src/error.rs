@@ -26,8 +26,8 @@ pub enum SatError {
         /// The unrecognized name.
         name: String,
     },
-    /// A solver-option name did not parse (expected `lbd`, `inproc`,
-    /// `xor`, `all` or `none`).
+    /// A solver-option name did not parse (expected `lbd`, `xor`, `all`
+    /// or `none`).
     UnknownSatOption {
         /// The unrecognized name.
         name: String,
@@ -56,7 +56,7 @@ impl fmt::Display for SatError {
             Self::UnknownSatOption { name } => {
                 write!(
                     f,
-                    "unknown solver option {name:?} (expected lbd, inproc, xor, all or none)"
+                    "unknown solver option {name:?} (expected lbd, xor, all or none)"
                 )
             }
             Self::ProofRejected { step, reason } => {

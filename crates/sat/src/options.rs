@@ -8,8 +8,6 @@
 //!   (LBD ≤ 2) survive every DB reduction, mid-tier clauses are demoted
 //!   by LBD before activity, and restarts follow a Glucose-style
 //!   recent-LBD EMA with the Luby schedule as a fallback;
-//! * `inproc` — bounded inprocessing between solve calls (occurrence-
-//!   list subsumption and self-subsuming resolution at level 0);
 //! * `xor` — XOR extraction from CNF into a Gaussian-elimination layer
 //!   with watched columns that propagates and explains like a clause.
 //!
@@ -17,8 +15,8 @@
 //! an explicit pin ([`set_sat_opts_override`], or
 //! [`crate::CdclSolver::with_options`] per solver) wins, then the
 //! `REVMATCH_SAT_OPTS` environment variable (read once; a comma list of
-//! `lbd`, `inproc`, `xor`, or the words `all` / `none`), then the
-//! default of **all features on**.
+//! `lbd`, `xor`, or the words `all` / `none`), then the default of
+//! **all features on**.
 
 use std::fmt;
 use std::str::FromStr;
@@ -33,9 +31,6 @@ use crate::error::SatError;
 pub struct SatOptions {
     /// LBD-tiered clause management and Glucose-style restarts.
     pub lbd: bool,
-    /// Bounded inprocessing (subsumption + self-subsuming resolution)
-    /// between solve calls.
-    pub inproc: bool,
     /// XOR extraction + Gauss layer with watched columns.
     pub xor: bool,
 }
@@ -51,7 +46,6 @@ impl SatOptions {
     /// Every feature enabled (the default).
     pub const ALL: SatOptions = SatOptions {
         lbd: true,
-        inproc: true,
         xor: true,
     };
 
@@ -59,7 +53,6 @@ impl SatOptions {
     /// for differential testing and A/B benchmarks.
     pub const NONE: SatOptions = SatOptions {
         lbd: false,
-        inproc: false,
         xor: false,
     };
 
@@ -79,9 +72,6 @@ impl SatOptions {
         let mut parts = Vec::new();
         if self.lbd {
             parts.push("lbd");
-        }
-        if self.inproc {
-            parts.push("inproc");
         }
         if self.xor {
             parts.push("xor");
@@ -103,7 +93,7 @@ impl fmt::Display for SatOptions {
 impl FromStr for SatOptions {
     type Err = SatError;
 
-    /// Parses a comma list of `lbd` / `inproc` / `xor` (in any order),
+    /// Parses a comma list of `lbd` / `xor` (in any order),
     /// or the words `all` / `none`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let trimmed = s.trim().to_ascii_lowercase();
@@ -116,7 +106,6 @@ impl FromStr for SatOptions {
         for part in trimmed.split(',') {
             match part.trim() {
                 "lbd" => opts.lbd = true,
-                "inproc" => opts.inproc = true,
                 "xor" => opts.xor = true,
                 other => {
                     return Err(SatError::UnknownSatOption {
@@ -129,22 +118,21 @@ impl FromStr for SatOptions {
     }
 }
 
-/// Packed override slot: 0 = none, else `0b1000 | lbd | inproc<<1 |
-/// xor<<2` so the all-off pin is distinguishable from "no pin".
+/// Packed override slot: 0 = none, else `0b100 | lbd | xor<<1` so the
+/// all-off pin is distinguishable from "no pin".
 static SAT_OPTS_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 fn pack(opts: Option<SatOptions>) -> u8 {
     match opts {
         None => 0,
-        Some(o) => 0b1000 | u8::from(o.lbd) | u8::from(o.inproc) << 1 | u8::from(o.xor) << 2,
+        Some(o) => 0b100 | u8::from(o.lbd) | u8::from(o.xor) << 1,
     }
 }
 
 fn unpack(slot: u8) -> Option<SatOptions> {
-    (slot & 0b1000 != 0).then_some(SatOptions {
+    (slot & 0b100 != 0).then_some(SatOptions {
         lbd: slot & 1 != 0,
-        inproc: slot & 2 != 0,
-        xor: slot & 4 != 0,
+        xor: slot & 2 != 0,
     })
 }
 
@@ -182,8 +170,7 @@ mod tests {
             SatOptions::ALL,
             SatOptions::NONE,
             SatOptions {
-                lbd: true,
-                inproc: false,
+                lbd: false,
                 xor: true,
             },
         ] {
@@ -194,11 +181,7 @@ mod tests {
         assert_eq!("none".parse::<SatOptions>().unwrap(), SatOptions::NONE);
         assert_eq!(
             " XOR , lbd ".parse::<SatOptions>().unwrap(),
-            SatOptions {
-                lbd: true,
-                inproc: false,
-                xor: true
-            }
+            SatOptions::ALL
         );
         assert!("glucose".parse::<SatOptions>().is_err());
         assert_eq!(SatOptions::default(), SatOptions::ALL);
@@ -216,11 +199,10 @@ mod tests {
 
     #[test]
     fn pack_round_trips_every_combination() {
-        for bits in 0..8u8 {
+        for bits in 0..4u8 {
             let opts = SatOptions {
                 lbd: bits & 1 != 0,
-                inproc: bits & 2 != 0,
-                xor: bits & 4 != 0,
+                xor: bits & 2 != 0,
             };
             assert_eq!(unpack(pack(Some(opts))), Some(opts));
         }

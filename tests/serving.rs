@@ -458,55 +458,3 @@ fn admission_defers_then_sheds_under_overload() {
     assert_eq!(m.jobs_completed(), 3);
     service.shutdown();
 }
-
-/// The adaptive rebalancer: sustained stealing from one shard's lane
-/// moves its hottest route to the idler shard, inside a pause/resume
-/// window, and the move is visible in routing and metrics.
-#[test]
-fn rebalancer_moves_hot_route_off_stolen_shard() {
-    use revmatch::RebalanceConfig;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x0B0E);
-    let inst = random_instance(
-        Equivalence::new(revmatch::Side::I, revmatch::Side::P),
-        4,
-        &mut rng,
-    );
-    let job = EngineJob::from_instance(&inst, true);
-    let service = MatchService::start(
-        ServiceConfig::default()
-            .with_shards(2)
-            .with_queue_capacity(64)
-            .with_matcher(MatcherConfig::with_epsilon(1e-6)),
-    );
-    let home = service.preferred_shard(&job.clone().into());
-    // One route carries all traffic, so the other worker's lane stays
-    // empty and it can only steal — a sustained one-sided imbalance.
-    for _ in 0..300 {
-        service.submit_wait(job.clone());
-    }
-    service.drain();
-    let m = service.metrics();
-    assert!(
-        m.shard_stolen_from(home) > 0,
-        "the idle shard must have stolen from the loaded lane"
-    );
-    let config = RebalanceConfig::default()
-        .with_min_steals(1)
-        .with_sustain(1);
-    let moved = service
-        .rebalance(&config)
-        .expect("sustained imbalance triggers a move");
-    assert_eq!(moved.from, home);
-    assert_ne!(moved.to, home);
-    assert_eq!(moved.width, 4);
-    assert_eq!(
-        service.preferred_shard(&job.clone().into()),
-        moved.to,
-        "the hot route now lands on the beneficiary"
-    );
-    assert_eq!(service.metrics().rebalance_moves(), 1);
-    // Jobs still run (and bit-identically route) after the move.
-    let report = service.submit_wait(job).wait();
-    assert!(report.witness.is_ok());
-    service.shutdown();
-}
