@@ -31,8 +31,9 @@
 //! and verifies that every accepted job completed with no failures.
 //!
 //! With `--trace out.json` the service records lifecycle spans
-//! (`submit → queue_wait → dequeue → cache_probe → table_compile →
-//! execute → report`) and the generator writes them as Chrome
+//! (`submit → queue_wait → dequeue → execute → report`, with
+//! `cache_probe` and `table_compile` nested in `execute`) and the
+//! generator writes them as Chrome
 //! trace-event JSON — load the file in `chrome://tracing` or
 //! <https://ui.perfetto.dev> — plus a top-K slowest-jobs table with
 //! per-stage attribution. `--trace-sample N` traces every N-th job
@@ -537,8 +538,9 @@ fn main() {
         p(0.50),
         p(0.99),
     );
-    // Warm-up cost: cold dense-table compiles this run (cache misses
-    // that built a table), on the kernel reported above.
+    // Warm-up cost: the dense-table compiles this run's probes bought
+    // (a cache miss compiles only once its probes pay for the table),
+    // on the kernel reported above.
     let tc = m.table_compile();
     let tc_p99 = match tc.quantile_upper_bound(0.99) {
         Some(us) => format!("≤{us}µs"),

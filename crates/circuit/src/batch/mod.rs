@@ -325,21 +325,6 @@ impl DenseTable {
         Self::compile_with(circuit, Kernel::auto())
     }
 
-    /// [`DenseTable::compile`] with the sweep's wall-clock measured at
-    /// the compile site, so callers (the serving layer's table cache)
-    /// can attribute the cold-miss cost separately from the lookup
-    /// overhead around it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::WidthTooLarge`] beyond
-    /// [`DENSE_MAX_WIDTH`].
-    pub fn compile_timed(circuit: &Circuit) -> Result<(Self, std::time::Duration), CircuitError> {
-        let start = std::time::Instant::now();
-        let table = Self::compile(circuit)?;
-        Ok((table, start.elapsed()))
-    }
-
     /// Compiles with an explicit kernel. [`Kernel::Sliced64`] is the
     /// original transpose-sweep compile path, kept as the old-vs-new
     /// bench reference; every kernel yields bit-identical tables.
@@ -447,13 +432,11 @@ pub enum EvalBackend {
 }
 
 impl EvalBackend {
-    /// The automatic backend rule: [`EvalBackend::DenseTable`] when
-    /// `width ≤ DENSE_AUTO_MAX_WIDTH` **and** the compile sweep is no
-    /// more than a few hundred wide block walks;
-    /// [`EvalBackend::BitSliced`] otherwise.
-    ///
-    /// In practice: dense for `width ≤ 16` (table ≤ 512 KiB, compiled in
-    /// one constant-init wide sweep), bit-sliced for wider circuits.
+    /// The automatic backend rule, by width alone:
+    /// [`EvalBackend::DenseTable`] when `width ≤ DENSE_AUTO_MAX_WIDTH`
+    /// (table ≤ 512 KiB, compiled in one constant-init wide sweep),
+    /// [`EvalBackend::BitSliced`] otherwise. The gate count is accepted
+    /// but does not enter the rule.
     pub fn select(width: usize, _gate_count: usize) -> Self {
         if width <= DENSE_AUTO_MAX_WIDTH {
             Self::DenseTable

@@ -426,13 +426,12 @@ impl BatchOutcome {
 pub struct MatchEngine {
     config: MatcherConfig,
     workers: usize,
-    precompile: bool,
     solver_backend: SolverBackend,
 }
 
 impl MatchEngine {
-    /// An engine with one worker per available CPU, precompiled oracles
-    /// enabled, and the CDCL backend for SAT-verified jobs.
+    /// An engine with one worker per available CPU and the CDCL backend
+    /// for SAT-verified jobs.
     pub fn new(config: MatcherConfig) -> Self {
         let workers = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -440,7 +439,6 @@ impl MatchEngine {
         Self {
             config,
             workers,
-            precompile: true,
             solver_backend: SolverBackend::default(),
         }
     }
@@ -457,15 +455,6 @@ impl MatchEngine {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Enables or disables eager [`crate::Oracle::precompiled`]
-    /// dense-table backends (enabled by default; disable to measure the
-    /// gate-walk path or to bound per-job memory).
-    #[must_use]
-    pub fn with_precompiled_oracles(mut self, precompile: bool) -> Self {
-        self.precompile = precompile;
         self
     }
 
@@ -494,7 +483,6 @@ impl MatchEngine {
                 .with_shards(shards)
                 .with_queue_capacity(jobs.len().div_ceil(shards))
                 .with_matcher(self.config.clone())
-                .with_precompiled_oracles(self.precompile)
                 .with_solver_backend(self.solver_backend)
                 .with_seed(seed),
         );
@@ -604,18 +592,6 @@ mod tests {
                 (Err(_), Err(_)) => {}
                 _ => panic!("worker count changed a job outcome"),
             }
-        }
-    }
-
-    #[test]
-    fn precompile_toggle_does_not_change_results_or_counts() {
-        let (jobs, _) = tractable_batch(5, 1);
-        let base = MatchEngine::new(MatcherConfig::with_epsilon(1e-6)).with_workers(2);
-        let fast = base.clone().solve_batch(&jobs, 3);
-        let slow = base.with_precompiled_oracles(false).solve_batch(&jobs, 3);
-        assert_eq!(fast.total_queries, slow.total_queries);
-        for (a, b) in fast.reports.iter().zip(&slow.reports) {
-            assert_eq!(a.witness.as_ref().ok(), b.witness.as_ref().ok());
         }
     }
 

@@ -110,8 +110,8 @@ pub fn identify_equivalence(
 }
 
 /// [`identify_equivalence`] over caller-supplied oracles for the white
-/// boxes and their inverses — the serving layer passes precompiled
-/// (dense-table-cached) oracles here so repeated identification jobs
+/// boxes and their inverses — the serving layer passes its cached or
+/// on-demand dense-table oracles here, so repeated identification jobs
 /// skip the compile sweep. The oracles must compute `c1`, `c2` and their
 /// inverses; query accounting in the returned [`Identification`] is
 /// relative to the counters at entry.

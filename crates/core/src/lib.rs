@@ -95,7 +95,9 @@
 //!   for every [`Oracle`].
 //! * **dense table** — [`Oracle::precompiled`] compiles circuits of
 //!   width ≤ 20 into a `2^n` lookup table (built with one bit-sliced
-//!   sweep), making each probe a single load. The automatic rule
+//!   sweep), making each probe a single load; [`Oracle::on_demand`]
+//!   compiles it only once the probes' gate walks have paid for it
+//!   (the serving layer's choice). The automatic rule
 //!   (`EvalBackend::select`) picks dense tables at width ≤ 16 — the
 //!   table costs ≤ 512 KiB and amortizes after `2^n / 64` probes —
 //!   and bit-slicing beyond.

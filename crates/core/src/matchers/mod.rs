@@ -166,24 +166,21 @@ impl<'a> ProblemOracles<'a> {
         }
     }
 
+    /// Every supplied oracle: `c1`, `c2`, then the inverses present.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &'a Oracle> {
+        [Some(self.c1), Some(self.c2), self.c1_inv, self.c2_inv]
+            .into_iter()
+            .flatten()
+    }
+
     /// Total queries across all supplied oracles.
     pub fn total_queries(&self) -> u64 {
-        self.c1.queries()
-            + self.c2.queries()
-            + self.c1_inv.map_or(0, Oracle::queries)
-            + self.c2_inv.map_or(0, Oracle::queries)
+        self.iter().map(Oracle::queries).sum()
     }
 
     /// Resets every counter.
     pub fn reset_queries(&self) {
-        self.c1.reset_queries();
-        self.c2.reset_queries();
-        if let Some(o) = self.c1_inv {
-            o.reset_queries();
-        }
-        if let Some(o) = self.c2_inv {
-            o.reset_queries();
-        }
+        self.iter().for_each(Oracle::reset_queries);
     }
 }
 

@@ -5,8 +5,8 @@
 //! [Perfetto](https://ui.perfetto.dev). Each recording lane (worker
 //! shard, plus the submit side) becomes a named thread row; spans are
 //! complete (`"ph":"X"`) events, so the viewer nests `table_compile`
-//! inside its `cache_probe` inside its `execute` purely by time
-//! containment. Hand-rolled writer — the span fields are numbers and
+//! (the compile a probe bought) and `cache_probe` directly inside their
+//! `execute` purely by time containment. Hand-rolled writer — the span fields are numbers and
 //! `'static` enum labels, so no escaping and no JSON dependency.
 //!
 //! [`slowest_jobs`] folds the same spans into per-job
@@ -82,8 +82,9 @@ pub struct JobBreakdown {
     /// traced wall-clock footprint.
     pub total_us: u64,
     /// Summed span duration per stage, indexed by [`Stage::index`].
-    /// Stages nest (`execute` ⊃ `cache_probe` ⊃ `table_compile`), so
-    /// columns are attributions, not a partition of `total_us`.
+    /// Stages nest (`execute` ⊃ `cache_probe`, `execute` ⊃
+    /// `table_compile`), so columns are attributions, not a partition of
+    /// `total_us`.
     pub stage_us: [u64; Stage::ALL.len()],
 }
 

@@ -13,8 +13,12 @@
 //! Every sampled job emits spans along its lifecycle:
 //!
 //! ```text
-//! submit → queue_wait → dequeue → [cache_probe [table_compile]]* → execute(kind, detail) → report
+//! submit → queue_wait → dequeue → execute(kind, detail)[cache_probe*, table_compile*] → report
 //! ```
+//!
+//! The bracketed stages nest directly in `execute`: one `cache_probe`
+//! per oracle lookup, and one `table_compile` wherever a probe bought a
+//! dense table.
 //!
 //! * [`Stage::Submit`] — the producer-side `submit` call (routing +
 //!   enqueue), recorded into the dedicated submit ring;
@@ -23,11 +27,14 @@
 //! * [`Stage::Dequeue`] — worker bookkeeping between the pop and the
 //!   start of execution;
 //! * [`Stage::CacheProbe`] — one worker-cache oracle lookup (per oracle
-//!   the job builds); a nested [`Stage::TableCompile`] appears when the
-//!   probe missed and compiled a dense table;
+//!   the job builds). It is a pure lookup: a miss hands out an oracle
+//!   that compiles on demand, so no compile ever runs inside it;
 //! * [`Stage::Execute`] — the whole `execute_*` body; its [`Detail`]
 //!   names the substrate (oracle kernel, quantum backend, or SAT
 //!   backend);
+//! * [`Stage::TableCompile`] — a dense-table compile, nested directly
+//!   in `execute`: it starts at the probe that brought an on-demand
+//!   oracle's charge to its buy price ([`crate::Oracle::on_demand`]);
 //! * [`Stage::Report`] — ticket resolution and completion bookkeeping.
 //!
 //! ## Dispatch idiom
@@ -70,9 +77,10 @@ pub enum Stage {
     QueueWait,
     /// Worker bookkeeping between the pop and execution start.
     Dequeue,
-    /// One worker-cache oracle lookup.
+    /// One worker-cache oracle lookup (never compiles).
     CacheProbe,
-    /// A dense-table compile inside a missed cache probe.
+    /// A dense-table compile inside `execute`, bought by the probe that
+    /// brought an on-demand oracle's charge to its price.
     TableCompile,
     /// The job's `execute_*` body (kind + substrate in the labels).
     Execute,

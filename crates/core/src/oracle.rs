@@ -11,10 +11,19 @@
 //! optimization (the [`Oracle`] implementation evaluates 64 probes per
 //! gate walk via the bit-sliced engine in `revmatch_circuit::batch`),
 //! never an accounting discount.
+//!
+//! An oracle may also answer from a compiled `2^width` [`DenseTable`].
+//! [`Oracle::on_demand`] decides per oracle whether that compile is
+//! worth it, by the rent-or-buy rule (Karlin, Manasse, Rudolph &
+//! Sleator, "Competitive snoopy caching", 1988): it keeps paying for
+//! gate walks until they add up to the price of the table, then buys
+//! the table. That charge is kept apart from the query counter, so the
+//! choice of backend never moves the paper's accounting.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use revmatch_circuit::{Circuit, DenseTable, DENSE_MAX_WIDTH};
 use revmatch_quantum::{ProductState, SparseStateVector, StateVector};
@@ -98,23 +107,88 @@ pub trait QuantumOracle {
 pub struct Oracle {
     circuit: Circuit,
     queries: AtomicU64,
-    /// Optional precompiled lookup backend (see [`Oracle::precompiled`]).
-    /// Shared so serving workers can memoize tables across repeated
-    /// circuits ([`Oracle::with_shared_table`]).
-    dense: Option<Arc<DenseTable>>,
+    table: TableMode,
+}
+
+/// Where an oracle's dense lookup table comes from.
+enum TableMode {
+    /// Fixed at construction: none ([`Oracle::new`]), compiled eagerly
+    /// ([`Oracle::precompiled`]) or handed in from a worker cache
+    /// ([`Oracle::with_shared_table`]).
+    Fixed(Option<Arc<DenseTable>>),
+    /// Bought once the probes have paid for it ([`Oracle::on_demand`]).
+    OnDemand(OnDemand),
+}
+
+/// The rent-or-buy state of an on-demand oracle. Charges are counted
+/// in scalar gate walks: one scalar probe walks the cascade once, and
+/// the bit-sliced engine walks it once per 64 batched probes.
+struct OnDemand {
+    /// Buy price: `max(1, 2^width / 64)` walks. A compile costs about
+    /// as much per table entry as a batched probe, and a scalar walk
+    /// about as much as 64 of either.
+    price: u64,
+    /// Walks paid for so far.
+    charge: AtomicU64,
+    /// The table, once bought; compiled exactly once.
+    compiled: OnceLock<CompiledTable>,
+}
+
+/// A dense table an on-demand oracle bought, with when its compile
+/// started and how long it took.
+pub(crate) struct CompiledTable {
+    pub table: Arc<DenseTable>,
+    pub started: Instant,
+    pub took: Duration,
+}
+
+/// Probes one walk of the bit-sliced engine evaluates.
+const PROBES_PER_WALK: u64 = 64;
+
+/// The charge of a quantum window application: it evaluates every
+/// basis state of the window, so it pays the whole buy price.
+const WHOLE_WINDOW: u64 = u64::MAX;
+
+impl OnDemand {
+    /// Adds `walks` (capped at the price) to the charge. Returns the
+    /// table to serve the request from: the one already bought, or a
+    /// fresh compile when this request brings the charge to the price.
+    fn pay(&self, walks: u64, circuit: &Circuit) -> Option<&DenseTable> {
+        if let Some(bought) = self.compiled.get() {
+            return Some(&bought.table);
+        }
+        let walks = walks.min(self.price);
+        if self.charge.fetch_add(walks, Ordering::Relaxed) + walks < self.price {
+            return None;
+        }
+        let bought = self.compiled.get_or_init(|| {
+            let started = Instant::now();
+            let table = DenseTable::compile(circuit).expect("on-demand widths fit a dense table");
+            CompiledTable {
+                table: Arc::new(table),
+                started,
+                took: started.elapsed(),
+            }
+        });
+        Some(&bought.table)
+    }
 }
 
 impl Oracle {
+    fn with_mode(circuit: Circuit, table: TableMode) -> Self {
+        Self {
+            circuit,
+            queries: AtomicU64::new(0),
+            table,
+        }
+    }
+
     /// Wraps a circuit as a black box with a fresh query counter.
     ///
     /// Scalar probes walk the gate cascade; batched probes
     /// ([`ClassicalOracle::query_batch`]) use the bit-sliced engine.
     pub fn new(circuit: Circuit) -> Self {
-        Self {
-            circuit,
-            queries: AtomicU64::new(0),
-            dense: None,
-        }
+        Self::with_mode(circuit, TableMode::Fixed(None))
     }
 
     /// Wraps a circuit and eagerly compiles a [`DenseTable`] backend
@@ -131,11 +205,34 @@ impl Oracle {
         } else {
             None
         };
-        Self {
-            circuit,
-            queries: AtomicU64::new(0),
-            dense,
+        Self::with_mode(circuit, TableMode::Fixed(dense))
+    }
+
+    /// Wraps a circuit that compiles its own [`DenseTable`] only once
+    /// its probes have paid for it.
+    ///
+    /// Until then probes walk the gates, and each request adds to a
+    /// charge counted in scalar gate walks: a scalar query adds 1, a
+    /// batch of `k` adds `⌈k/64⌉`, and a quantum window application
+    /// ([`Oracle::query_quantum_xor`], its sparse twin, and
+    /// [`QuantumOracle::query_quantum_sparse`]) adds the whole price.
+    /// The request that brings the charge to `max(1, 2^width / 64)`
+    /// compiles the table, exactly once, and it and every later
+    /// request are served from it. Widths above `DENSE_MAX_WIDTH` never
+    /// compile. Answers and query accounting are those of
+    /// [`Oracle::new`].
+    pub fn on_demand(circuit: Circuit) -> Self {
+        let width = circuit.width();
+        if width > DENSE_MAX_WIDTH {
+            return Self::new(circuit);
         }
+        let price = ((1u64 << width) / PROBES_PER_WALK).max(1);
+        let on_demand = OnDemand {
+            price,
+            charge: AtomicU64::new(0),
+            compiled: OnceLock::new(),
+        };
+        Self::with_mode(circuit, TableMode::OnDemand(on_demand))
     }
 
     /// Wraps a circuit around an already-compiled (shared) dense table —
@@ -153,24 +250,22 @@ impl Oracle {
             circuit.width(),
             "shared table width must match the circuit"
         );
-        Self {
-            circuit,
-            queries: AtomicU64::new(0),
-            dense: Some(table),
-        }
+        Self::with_mode(circuit, TableMode::Fixed(Some(table)))
     }
 
     /// Derives the inverse black box (`C⁻¹`), with its own counter.
     ///
     /// The paper's §3 variant problem supplies inverse circuits explicitly;
     /// this helper plays that role (legitimate because reversible circuits
-    /// given as white boxes can always be inverted). A precompiled oracle
-    /// yields a precompiled inverse.
+    /// given as white boxes can always be inverted). The inverse keeps
+    /// the table mode: a precompiled oracle yields a precompiled
+    /// inverse, an on-demand one an on-demand inverse.
     pub fn inverse_oracle(&self) -> Oracle {
-        if self.dense.is_some() {
-            Oracle::precompiled(self.circuit.inverse())
-        } else {
-            Oracle::new(self.circuit.inverse())
+        let inverse = self.circuit.inverse();
+        match &self.table {
+            TableMode::Fixed(None) => Oracle::new(inverse),
+            TableMode::Fixed(Some(_)) => Oracle::precompiled(inverse),
+            TableMode::OnDemand(_) => Oracle::on_demand(inverse),
         }
     }
 
@@ -193,6 +288,15 @@ impl Oracle {
         &self.circuit
     }
 
+    /// The table an on-demand oracle bought, once its probes reached
+    /// the price (`None` before that and for every other table mode).
+    pub(crate) fn compiled_on_demand(&self) -> Option<&CompiledTable> {
+        match &self.table {
+            TableMode::OnDemand(on_demand) => on_demand.compiled.get(),
+            TableMode::Fixed(_) => None,
+        }
+    }
+
     fn count(&self) {
         self.queries.fetch_add(1, Ordering::Relaxed);
     }
@@ -210,10 +314,21 @@ impl Oracle {
         self.count_many(k);
     }
 
-    /// Evaluates the circuit on one input through the fastest available
-    /// backend (dense lookup table when compiled). No query accounting.
-    fn eval(&self, x: u64) -> u64 {
-        match &self.dense {
+    /// The dense table to serve a request costing `walks` scalar gate
+    /// walks from, if there is one (buying it when an on-demand
+    /// oracle's charge reaches the price). No query accounting.
+    fn table_for(&self, walks: u64) -> Option<&DenseTable> {
+        match &self.table {
+            TableMode::Fixed(table) => table.as_deref(),
+            TableMode::OnDemand(on_demand) => on_demand.pay(walks, &self.circuit),
+        }
+    }
+
+    /// The evaluator for one quantum window application, through the
+    /// dense table when there is one. No query accounting.
+    fn window_eval(&self) -> impl Fn(u64) -> u64 + '_ {
+        let table = self.table_for(WHOLE_WINDOW);
+        move |x| match table {
             Some(table) => table.apply(x),
             None => self.circuit.apply(x),
         }
@@ -240,7 +355,7 @@ impl Oracle {
     ) -> Result<(), MatchError> {
         self.count();
         state.apply_xor_oracle(
-            |x| self.eval(x),
+            self.window_eval(),
             x_offset,
             self.circuit.width(),
             out_offset,
@@ -266,7 +381,7 @@ impl Oracle {
     ) -> Result<(), MatchError> {
         self.count();
         state.apply_xor_oracle(
-            |x| self.eval(x),
+            self.window_eval(),
             x_offset,
             self.circuit.width(),
             out_offset,
@@ -283,15 +398,16 @@ impl ClassicalOracle for Oracle {
 
     fn query(&self, x: u64) -> u64 {
         self.count();
-        match &self.dense {
+        match self.table_for(1) {
             Some(table) => table.apply(x),
             None => self.circuit.apply(x),
         }
     }
 
     fn query_batch(&self, xs: &[u64]) -> Vec<u64> {
-        self.count_many(xs.len() as u64);
-        match &self.dense {
+        let k = xs.len() as u64;
+        self.count_many(k);
+        match self.table_for(k.div_ceil(PROBES_PER_WALK)) {
             Some(table) => table.apply_batch(xs),
             None => self.circuit.apply_batch(xs),
         }
@@ -324,7 +440,7 @@ impl QuantumOracle for Oracle {
         }
         self.count();
         let mut sv = SparseStateVector::from_product(input)?;
-        sv.apply_window_permutation(|x| self.eval(x), self.circuit.width(), 0)?;
+        sv.apply_window_permutation(self.window_eval(), self.circuit.width(), 0)?;
         Ok(sv)
     }
 }
@@ -700,6 +816,141 @@ mod tests {
             assert!(sparse.amplitude(x).approx_eq(dense.amplitude(x), 1e-12));
         }
         assert_eq!(o.queries(), 2);
+    }
+
+    fn random_circuit(width: usize, seed: u64) -> Circuit {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        revmatch_circuit::random_circuit(
+            &revmatch_circuit::RandomCircuitSpec::for_width(width),
+            &mut rng,
+        )
+    }
+
+    /// Walks charged so far by an on-demand oracle.
+    fn charge(o: &Oracle) -> u64 {
+        match &o.table {
+            TableMode::OnDemand(on_demand) => on_demand.charge.load(Ordering::Relaxed),
+            TableMode::Fixed(_) => panic!("not an on-demand oracle"),
+        }
+    }
+
+    #[test]
+    fn on_demand_scalar_probes_below_the_price_compile_nothing() {
+        // Width 16: the price is 2^16 / 64 = 1024 walks.
+        let c = random_circuit(16, 1);
+        let lazy = Oracle::on_demand(c.clone());
+        let plain = Oracle::new(c);
+        for x in (0..100u64).map(|i| i * 613) {
+            assert_eq!(lazy.query(x), plain.query(x));
+        }
+        assert!(lazy.compiled_on_demand().is_none());
+        assert_eq!(charge(&lazy), 100);
+        assert_eq!(lazy.queries(), plain.queries());
+    }
+
+    #[test]
+    fn on_demand_compiles_exactly_once_at_the_price() {
+        // Width 12: the price is 64 walks.
+        let c = random_circuit(12, 2);
+        let lazy = Oracle::on_demand(c.clone());
+        for x in 0..63u64 {
+            assert_eq!(lazy.query(x), c.apply(x));
+        }
+        assert!(lazy.compiled_on_demand().is_none(), "63 walks < 64");
+        assert_eq!(lazy.query(63), c.apply(63));
+        let first = lazy.compiled_on_demand().expect("64th walk buys the table");
+        let (table, started) = (Arc::clone(&first.table), first.started);
+        let xs: Vec<u64> = (0..4096).collect();
+        assert_eq!(lazy.query_batch(&xs), c.apply_batch(&xs));
+        for x in [0, 1, 4095] {
+            assert_eq!(lazy.query(x), c.apply(x));
+        }
+        let again = lazy.compiled_on_demand().unwrap();
+        assert!(Arc::ptr_eq(&again.table, &table), "no second compile");
+        assert_eq!(again.started, started);
+        assert_eq!(charge(&lazy), 64, "a bought table charges nothing more");
+        assert_eq!(lazy.queries(), 64 + 4096 + 3);
+    }
+
+    #[test]
+    fn on_demand_batch_of_k_charges_ceil_k_over_64() {
+        let c = random_circuit(12, 3);
+        let lazy = Oracle::on_demand(c.clone());
+        let xs: Vec<u64> = (0..65).collect();
+        assert_eq!(lazy.query_batch(&xs), c.apply_batch(&xs));
+        assert_eq!(charge(&lazy), 2);
+        assert_eq!(lazy.queries(), 65);
+        assert!(lazy.query_batch(&[]).is_empty());
+        assert_eq!(charge(&lazy), 2, "an empty batch walks nothing");
+        let xs: Vec<u64> = (0..62 * 64).collect();
+        assert_eq!(lazy.query_batch(&xs), c.apply_batch(&xs));
+        assert!(lazy.compiled_on_demand().is_some(), "2 + 62 walks = price");
+    }
+
+    #[test]
+    fn one_quantum_window_application_compiles_at_once() {
+        // Width 8: price 4, paid in full by one XOR application.
+        let c = random_circuit(8, 4);
+        let lazy = Oracle::on_demand(c.clone());
+        let plain = Oracle::new(c.clone());
+        let mut a = StateVector::basis(0x5A, 16);
+        let mut b = a.clone();
+        lazy.query_quantum_xor(&mut a, 0, 8, None).unwrap();
+        plain.query_quantum_xor(&mut b, 0, 8, None).unwrap();
+        assert!(lazy.compiled_on_demand().is_some());
+        assert!((a.probability(0x5A | (c.apply(0x5A) << 8)) - 1.0).abs() < 1e-12);
+        assert!((b.probability(0x5A | (c.apply(0x5A) << 8)) - 1.0).abs() < 1e-12);
+        assert_eq!(lazy.queries(), 1);
+
+        for sparse_first in [true, false] {
+            let lazy = Oracle::on_demand(c.clone());
+            if sparse_first {
+                let mut sv = SparseStateVector::basis(0x33, 16);
+                lazy.query_quantum_xor_sparse(&mut sv, 0, 8, None).unwrap();
+                assert!((sv.probability(0x33 | (c.apply(0x33) << 8)) - 1.0).abs() < 1e-12);
+            } else {
+                let input = ProductState::uniform(8, Qubit::Plus);
+                let out = lazy.query_quantum_sparse(&input).unwrap();
+                let expect = plain.query_quantum_sparse(&input).unwrap();
+                for x in 0..256u64 {
+                    assert!(out.amplitude(x).approx_eq(expect.amplitude(x), 1e-12));
+                }
+            }
+            assert!(lazy.compiled_on_demand().is_some());
+            assert_eq!(lazy.queries(), 1);
+        }
+    }
+
+    #[test]
+    fn on_demand_never_compiles_past_dense_width() {
+        let width = DENSE_MAX_WIDTH + 1;
+        let c = Circuit::from_gates(width, [Gate::cnot(0, width - 1)]).unwrap();
+        let lazy = Oracle::on_demand(c.clone());
+        let xs: Vec<u64> = (0..4096).collect();
+        assert_eq!(lazy.query_batch(&xs), c.apply_batch(&xs));
+        let input = ProductState::uniform(width, Qubit::Zero).with_qubit(0, Qubit::One);
+        let out = lazy.query_quantum_sparse(&input).unwrap();
+        assert!((out.probability(1 | (1 << (width - 1))) - 1.0).abs() < 1e-12);
+        assert!(lazy.compiled_on_demand().is_none());
+        assert!(lazy.inverse_oracle().compiled_on_demand().is_none());
+        assert_eq!(lazy.queries(), 4097);
+    }
+
+    #[test]
+    fn on_demand_inverse_is_on_demand_and_inverts() {
+        let c = random_circuit(10, 5);
+        let lazy = Oracle::on_demand(c);
+        let inv = lazy.inverse_oracle();
+        assert!(matches!(inv.table, TableMode::OnDemand(_)));
+        assert_eq!(charge(&inv), 0, "the inverse keeps its own charge");
+        let xs: Vec<u64> = (0..1024).collect();
+        assert_eq!(inv.query_batch(&lazy.query_batch(&xs)), xs);
+        assert!(
+            inv.compiled_on_demand().is_some(),
+            "16 walks = price at w10"
+        );
+        assert_eq!(inv.queries(), 1024);
     }
 
     #[test]

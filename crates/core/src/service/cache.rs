@@ -5,9 +5,13 @@
 //! regression replay, or a client re-checking one miter family. Each
 //! worker therefore carries a [`ShardCaches`]:
 //!
-//! * a **dense-table LRU** keyed by the exact circuit, so a repeated
-//!   circuit reuses its `2^width` lookup table instead of re-running the
-//!   compile sweep (the PR-2 ROADMAP follow-up);
+//! * a **dense-table LRU** keyed by the exact circuit, filled by
+//!   lookup-then-adopt: [`ShardCaches::oracle_for`] is a pure lookup
+//!   that hands a cached table in on a hit and returns an on-demand
+//!   oracle ([`Oracle::on_demand`]) on a miss. That oracle compiles its
+//!   own table only once its probes have paid for it, and after the
+//!   matcher returns the executor adopts any table it bought
+//!   ([`ShardCaches::adopt`]), so a repeated circuit reuses it;
 //! * a **CDCL solver LRU** keyed by the exact miter CNF, so repeated
 //!   SAT verification of the same circuit pair re-enters a solver that
 //!   already holds the learned refutation — the warm path answers from
@@ -26,9 +30,8 @@
 //! them hit.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use revmatch_circuit::{Circuit, DenseTable, DENSE_MAX_WIDTH};
+use revmatch_circuit::{Circuit, DenseTable};
 use revmatch_sat::{CdclSolver, Cnf, SatOptions};
 
 use crate::engine::JobKind;
@@ -38,25 +41,6 @@ use crate::oracle::Oracle;
 /// Resident cost of one cached dense table (`2^width` entries of 8 B).
 fn table_cost(table: &Arc<DenseTable>) -> usize {
     (1usize << table.width()) * std::mem::size_of::<u64>()
-}
-
-/// Outcome of one dense-table cache probe ([`ShardCaches::oracle_for`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct TableProbe {
-    /// Whether the table was served from this worker's cache.
-    pub hit: bool,
-    /// Wall-clock of the cold compile sweep, when the probe missed and
-    /// actually built a table (`None` on hits and on wide circuits that
-    /// bypass the cache).
-    pub compile: Option<Duration>,
-}
-
-impl TableProbe {
-    /// A probe that never touched the cache (width past the dense cap).
-    pub const BYPASS: TableProbe = TableProbe {
-        hit: false,
-        compile: None,
-    };
 }
 
 /// A tiny move-to-front LRU with exact-equality keys and a per-entry
@@ -80,29 +64,45 @@ impl<K: PartialEq, V> Lru<K, V> {
         }
     }
 
+    /// Moves the entry whose key satisfies `probe` to the front and
+    /// reports whether there was one. Taking a predicate instead of an
+    /// owned key keeps the hit path allocation-free for expensive keys
+    /// (circuits, formulas).
+    fn touch(&mut self, probe: impl Fn(&K) -> bool) -> bool {
+        match self.entries.iter().position(|(k, _)| probe(k)) {
+            Some(i) => {
+                self.entries[..=i].rotate_right(1);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The cached value whose key satisfies `probe` (moved to front).
+    fn get(&mut self, probe: impl Fn(&K) -> bool) -> Option<&mut V> {
+        self.touch(probe).then(|| &mut self.entries[0].1)
+    }
+
     /// Returns the cached value whose key satisfies `probe` (moved to
     /// front), or builds the `(key, value)` entry, inserts and returns
     /// it, evicting from the cold end until the total cost fits the
     /// budget (the newest entry always stays). The flag reports a hit.
-    /// Taking a predicate instead of an owned key keeps the hit path
-    /// allocation-free for expensive keys (circuits, formulas).
     fn get_or_insert_with(
         &mut self,
         probe: impl Fn(&K) -> bool,
         make: impl FnOnce() -> (K, V),
     ) -> (&mut V, bool) {
-        if let Some(i) = self.entries.iter().position(|(k, _)| probe(k)) {
-            self.entries[..=i].rotate_right(1);
-            return (&mut self.entries[0].1, true);
+        let hit = self.touch(probe);
+        if !hit {
+            let (key, value) = make();
+            self.total += (self.cost)(&value);
+            self.entries.insert(0, (key, value));
+            while self.total > self.budget && self.entries.len() > 1 {
+                let (_, evicted) = self.entries.pop().expect("len > 1");
+                self.total -= (self.cost)(&evicted);
+            }
         }
-        let (key, value) = make();
-        self.total += (self.cost)(&value);
-        self.entries.insert(0, (key, value));
-        while self.total > self.budget && self.entries.len() > 1 {
-            let (_, evicted) = self.entries.pop().expect("len > 1");
-            self.total -= (self.cost)(&evicted);
-        }
-        (&mut self.entries[0].1, false)
+        (&mut self.entries[0].1, hit)
     }
 
     #[cfg(test)]
@@ -116,10 +116,8 @@ impl<K: PartialEq, V> Lru<K, V> {
 pub(crate) struct ShardCaches {
     /// Dense tables, evicted by total size: a `2^w` table costs
     /// `8·2^w` bytes, so narrow mixes keep hundreds of tables while a
-    /// single width-16 job (512 KiB) still fits comfortably. Keys
-    /// include the [`JobKind`] so the per-kind hit metrics stay honest
-    /// and one kind's churn cannot evict another kind's working set
-    /// through shard-stolen work.
+    /// single width-16 job (512 KiB) still fits comfortably. Every
+    /// kind shares the one byte budget.
     tables: Lru<(JobKind, Circuit), Arc<DenseTable>>,
     solvers: Lru<(JobKind, Cnf), CdclSolver>,
     /// CDCL feature set stamped onto every solver this worker builds
@@ -147,32 +145,31 @@ impl ShardCaches {
         }
     }
 
-    /// A precompiled oracle for `circuit` on behalf of a `kind` job,
-    /// reusing the cached dense table when this worker has compiled the
-    /// same `(kind, circuit)` before. Falls back to the bit-sliced
-    /// oracle beyond [`DENSE_MAX_WIDTH`], exactly like
-    /// [`Oracle::precompiled`]. The probe reports a hit vs the measured
-    /// cold-compile cost, so the caller can attribute the table sweep
-    /// separately from the lookup around it.
-    pub fn oracle_for(&mut self, kind: JobKind, circuit: Circuit) -> (Oracle, TableProbe) {
-        if circuit.width() > DENSE_MAX_WIDTH {
-            return (Oracle::new(circuit), TableProbe::BYPASS);
+    /// An oracle for `circuit` on behalf of a `kind` job: a pure
+    /// lookup that never compiles. A hit hands in the table this worker
+    /// holds for the same `(kind, circuit)`; a miss returns an
+    /// on-demand oracle ([`Oracle::on_demand`]), whose table, if its
+    /// probes buy one, the caller hands back through
+    /// [`ShardCaches::adopt`]. The flag reports a hit.
+    pub fn oracle_for(&mut self, kind: JobKind, circuit: Circuit) -> (Oracle, bool) {
+        match self.tables.get(|(k, c)| *k == kind && *c == circuit) {
+            Some(table) => {
+                let table = Arc::clone(table);
+                (Oracle::with_shared_table(circuit, table), true)
+            }
+            None => (Oracle::on_demand(circuit), false),
         }
-        let mut compile = None;
-        let (table, hit) = self.tables.get_or_insert_with(
-            |(k, c)| *k == kind && *c == circuit,
-            || {
-                let (table, took) = DenseTable::compile_timed(&circuit)
-                    .expect("width checked against DENSE_MAX_WIDTH");
-                compile = Some(took);
-                ((kind, circuit.clone()), Arc::new(table))
-            },
+    }
+
+    /// Keeps a table a `kind` job's on-demand oracle bought for
+    /// `circuit`, under the same key [`ShardCaches::oracle_for`] looks
+    /// up (a no-op when an identical oracle of the same job already
+    /// handed it in).
+    pub fn adopt(&mut self, kind: JobKind, circuit: &Circuit, table: &Arc<DenseTable>) {
+        self.tables.get_or_insert_with(
+            |(k, c)| *k == kind && c == circuit,
+            || ((kind, circuit.clone()), Arc::clone(table)),
         );
-        let table = Arc::clone(table);
-        (
-            Oracle::with_shared_table(circuit, table),
-            TableProbe { hit, compile },
-        )
     }
 
     /// A CDCL solver owning `miter`'s formula, input-hinted, reused (with
@@ -247,23 +244,43 @@ mod tests {
         assert_eq!(lru.len(), 1);
     }
 
+    /// Looks `circuit` up, probes the oracle once, and adopts what the
+    /// probe bought; returns the hit flag and the adopted compile time.
+    fn probe_and_adopt(
+        caches: &mut ShardCaches,
+        kind: JobKind,
+        circuit: &Circuit,
+    ) -> (bool, Option<std::time::Duration>) {
+        let (oracle, hit) = caches.oracle_for(kind, circuit.clone());
+        assert_eq!(oracle.query(0), circuit.apply(0));
+        let compiled = oracle.compiled_on_demand();
+        if let Some(compiled) = compiled {
+            caches.adopt(kind, circuit, &compiled.table);
+        }
+        (hit, compiled.map(|c| c.took))
+    }
+
     #[test]
     fn cached_oracle_answers_match_fresh_compiles() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let c = random_circuit(&RandomCircuitSpec::for_width(6), &mut rng);
         let mut caches = ShardCaches::new(SatOptions::default());
-        let (cold, probe_cold) = caches.oracle_for(JobKind::Promise, c.clone());
-        assert!(!probe_cold.hit);
+        let (cold, hit) = caches.oracle_for(JobKind::Promise, c.clone());
+        assert!(!hit);
         assert!(
-            probe_cold.compile.is_some(),
-            "a cold miss measures its compile"
+            cold.compiled_on_demand().is_none(),
+            "the lookup itself never compiles"
         );
-        let (warm, probe_warm) = caches.oracle_for(JobKind::Promise, c.clone());
-        assert!(probe_warm.hit);
-        assert_eq!(probe_warm.compile, None, "a hit never compiles");
+        // At width 6 the buy price is one walk: the first probe compiles.
+        assert_eq!(cold.query(0), c.apply(0));
+        let bought = cold.compiled_on_demand().expect("first probe buys");
+        caches.adopt(JobKind::Promise, &c, &bought.table);
+        let (warm, hit) = caches.oracle_for(JobKind::Promise, c.clone());
+        assert!(hit);
+        assert!(warm.compiled_on_demand().is_none(), "a hit never compiles");
         // A different kind re-compiles: the key includes the kind.
-        let (_, cross_kind) = caches.oracle_for(JobKind::Identify, c.clone());
-        assert!(!cross_kind.hit);
+        let (cross_kind, compile) = probe_and_adopt(&mut caches, JobKind::Identify, &c);
+        assert!(!cross_kind && compile.is_some());
         for x in 0..64u64 {
             assert_eq!(cold.query(x), c.apply(x));
             assert_eq!(warm.query(x), c.apply(x));
@@ -277,21 +294,41 @@ mod tests {
         let a = Circuit::from_gates(3, [revmatch_circuit::Gate::not(0)]).unwrap();
         let b = Circuit::from_gates(3, [revmatch_circuit::Gate::not(1)]).unwrap();
         let mut caches = ShardCaches::new(SatOptions::default());
-        let (oa, _) = caches.oracle_for(JobKind::Promise, a.clone());
-        let (ob, probe) = caches.oracle_for(JobKind::Promise, b.clone());
-        assert!(!probe.hit);
-        assert_eq!(oa.query(0), 1);
+        probe_and_adopt(&mut caches, JobKind::Promise, &a);
+        let (ob, hit) = caches.oracle_for(JobKind::Promise, b.clone());
+        assert!(!hit);
         assert_eq!(ob.query(0), 2);
+        let (oa, hit) = caches.oracle_for(JobKind::Promise, a);
+        assert!(hit);
+        assert_eq!(oa.query(0), 1);
     }
 
     #[test]
     fn wide_circuits_bypass_the_table_cache() {
-        let c = Circuit::new(DENSE_MAX_WIDTH + 1);
+        let c = Circuit::new(revmatch_circuit::DENSE_MAX_WIDTH + 1);
         let mut caches = ShardCaches::new(SatOptions::default());
-        let (_, probe1) = caches.oracle_for(JobKind::Promise, c.clone());
-        let (_, probe2) = caches.oracle_for(JobKind::Promise, c);
-        assert_eq!(probe1, TableProbe::BYPASS);
-        assert_eq!(probe2, TableProbe::BYPASS);
+        for _ in 0..2 {
+            assert_eq!(
+                probe_and_adopt(&mut caches, JobKind::Promise, &c),
+                (false, None)
+            );
+        }
+        assert_eq!(caches.tables.len(), 0);
+    }
+
+    #[test]
+    fn adopting_a_table_twice_keeps_one_entry() {
+        let c = Circuit::from_gates(4, [revmatch_circuit::Gate::not(0)]).unwrap();
+        let mut caches = ShardCaches::new(SatOptions::default());
+        // Two oracles of one job miss on the same circuit; both buy.
+        let (a, _) = caches.oracle_for(JobKind::Promise, c.clone());
+        let (b, _) = caches.oracle_for(JobKind::Promise, c.clone());
+        a.query(0);
+        b.query(0);
+        for o in [&a, &b] {
+            caches.adopt(JobKind::Promise, &c, &o.compiled_on_demand().unwrap().table);
+        }
+        assert_eq!(caches.tables.len(), 1);
     }
 
     #[test]

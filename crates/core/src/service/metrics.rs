@@ -280,7 +280,7 @@ pub struct Metrics {
     shard_idle_us: Vec<AtomicU64>,
     latency: Histogram,
     intake_depth: Histogram,
-    /// Cold dense-table compile latency in worker oracle setup (cache
+    /// Latency of the dense-table compiles jobs' probes bought (cache
     /// misses only — hits never compile).
     table_compile: Histogram,
     /// Accept-to-dequeue wait (the queue_wait stage of every job).
@@ -461,8 +461,8 @@ impl Metrics {
         self.solver_cache_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one cold dense-table compile (a worker table-cache miss
-    /// that actually built a table).
+    /// Records one dense-table compile an on-demand oracle bought (a
+    /// worker table-cache miss whose probes paid for a table).
     pub(crate) fn record_table_compile(&self, micros: u64) {
         self.table_compile.observe(micros);
     }
@@ -622,7 +622,7 @@ impl Metrics {
         &self.intake_depth
     }
 
-    /// The cold dense-table compile histogram (microseconds).
+    /// The dense-table compile histogram (microseconds).
     pub fn table_compile(&self) -> &Histogram {
         &self.table_compile
     }
@@ -876,7 +876,7 @@ impl Metrics {
         self.table_compile.render(
             &mut out,
             "revmatch_table_compile_seconds",
-            "Cold dense-table compile latency in worker oracle setup.",
+            "Latency of the dense-table compiles bought by job probes.",
             1e6,
         );
         self.queue_wait.render(

@@ -17,8 +17,8 @@
 //! * **N persistent worker shards** (`std::thread`, no external runtime),
 //!   each owning one lane of a bounded MPMC intake queue. Jobs are routed
 //!   by a hash of `(width, kind, equivalence)` so same-shaped work lands
-//!   on the same shard — its dense-table/precompiled-oracle allocations
-//!   and branch history stay hot — and idle workers steal from the
+//!   on the same shard — its cached dense tables and miter solvers and
+//!   its branch history stay hot — and idle workers steal from the
 //!   fullest lane so affinity never costs parallelism.
 //! * **Explicit backpressure**: [`MatchService::submit`] never blocks; it
 //!   returns [`SubmitOutcome::Enqueued`] with a [`JobTicket`] or hands the
@@ -131,9 +131,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Matcher tuning shared by every worker.
     pub matcher: MatcherConfig,
-    /// Eagerly compile oracles into dense tables ([`Oracle::precompiled`]),
-    /// memoized per worker in a table LRU.
-    pub precompile: bool,
     /// Base seed for [`MatchService::submit`]'s derived per-job seeds.
     pub seed: u64,
     /// SAT backend for jobs requesting miter verification
@@ -179,7 +176,6 @@ impl Default for ServiceConfig {
                 .unwrap_or(1),
             queue_capacity: 64,
             matcher: MatcherConfig::default(),
-            precompile: true,
             seed: 0,
             solver_backend: SolverBackend::default(),
             miter_budget: DEFAULT_MITER_BUDGET,
@@ -210,13 +206,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_matcher(mut self, matcher: MatcherConfig) -> Self {
         self.matcher = matcher;
-        self
-    }
-
-    /// Enables or disables dense-table oracle precompilation.
-    #[must_use]
-    pub fn with_precompiled_oracles(mut self, precompile: bool) -> Self {
-        self.precompile = precompile;
         self
     }
 
@@ -437,7 +426,6 @@ struct Shared {
     intake: ShardedQueue<Request>,
     metrics: Metrics,
     matcher: MatcherConfig,
-    precompile: bool,
     solver_backend: SolverBackend,
     miter_budget: usize,
     sat_opts: SatOptions,
@@ -456,12 +444,12 @@ struct Shared {
 }
 
 impl Shared {
-    /// Wraps a circuit in an oracle, going through the worker's
-    /// kind-keyed dense-table cache when precompilation is on. A cache
-    /// miss that compiles a table records the compile's own latency in
-    /// the `table_compile` histogram (warm-up cost, visible under
-    /// load); a traced job additionally emits a `cache_probe` span with
-    /// the `table_compile` span nested inside it.
+    /// Wraps a circuit in an oracle through the worker's kind-keyed
+    /// dense-table cache: a hit hands the cached table in, a miss yields
+    /// an on-demand oracle that compiles its own table only once its
+    /// probes have paid for it ([`crate::Oracle::on_demand`]). The
+    /// lookup never compiles; a traced job records it as a
+    /// `cache_probe` span.
     fn oracle(
         &self,
         kind: JobKind,
@@ -469,49 +457,58 @@ impl Shared {
         caches: &mut ShardCaches,
         obs: &mut JobObs,
     ) -> Oracle {
-        if self.precompile {
-            let start = Instant::now();
-            let (oracle, probe) = caches.oracle_for(kind, circuit);
-            let probe_dur = start.elapsed();
-            if probe.hit {
-                obs.table_hits += 1;
-                obs.cache_hit = true;
+        let start = Instant::now();
+        let (oracle, hit) = caches.oracle_for(kind, circuit);
+        if hit {
+            obs.table_hits += 1;
+            obs.cache_hit = true;
+        }
+        if let Some(tracer) = self.tracer.as_ref().filter(|_| obs.traced) {
+            let took = start.elapsed();
+            tracer.record(
+                obs.shard,
+                obs.id,
+                Stage::CacheProbe,
+                kind,
+                Detail::NONE,
+                start,
+                took,
+            );
+        }
+        oracle
+    }
+
+    /// Runs after the matcher returns: adopts every table the job's
+    /// on-demand oracles bought into the worker's LRU under the same
+    /// `(kind, circuit)` key, records each compile's latency in the
+    /// `table_compile` histogram, and for a traced job emits a
+    /// `table_compile` span at the compile's real start — nested in
+    /// `execute`, at the probe that crossed the buy price.
+    fn adopt_tables<'a>(
+        &self,
+        kind: JobKind,
+        oracles: impl IntoIterator<Item = &'a Oracle>,
+        caches: &mut ShardCaches,
+        obs: &JobObs,
+    ) {
+        for oracle in oracles {
+            let Some(bought) = oracle.compiled_on_demand() else {
+                continue;
+            };
+            self.metrics
+                .record_table_compile(bought.took.as_micros() as u64);
+            caches.adopt(kind, oracle.circuit(), &bought.table);
+            if let Some(tracer) = self.tracer.as_ref().filter(|_| obs.traced) {
+                tracer.record(
+                    obs.shard,
+                    obs.id,
+                    Stage::TableCompile,
+                    kind,
+                    Detail::active_kernel(),
+                    bought.started,
+                    bought.took,
+                );
             }
-            if let Some(compile) = probe.compile {
-                self.metrics
-                    .record_table_compile(compile.as_micros() as u64);
-            }
-            if obs.traced {
-                if let Some(tracer) = &self.tracer {
-                    tracer.record(
-                        obs.shard,
-                        obs.id,
-                        Stage::CacheProbe,
-                        kind,
-                        Detail::NONE,
-                        start,
-                        probe_dur,
-                    );
-                    if let Some(compile) = probe.compile {
-                        // End-aligned within the probe: the compile is
-                        // the tail of the miss path, so the span nests
-                        // under cache_probe in the trace view.
-                        let lead = probe_dur.saturating_sub(compile);
-                        tracer.record(
-                            obs.shard,
-                            obs.id,
-                            Stage::TableCompile,
-                            kind,
-                            Detail::active_kernel(),
-                            start + lead,
-                            compile,
-                        );
-                    }
-                }
-            }
-            oracle
-        } else {
-            Oracle::new(circuit)
         }
     }
 
@@ -571,6 +568,7 @@ impl Shared {
             c2_inv: c2_inv.as_ref(),
         };
         let report = solve_promise_named(equivalence, &oracles, &self.matcher, rng);
+        self.adopt_tables(kind, oracles.iter(), caches, obs);
         let (witness, rounds) = match report {
             Ok((entry, r)) => {
                 self.metrics.record_entry_completion(entry);
@@ -625,6 +623,7 @@ impl Shared {
         };
         let outcome =
             identify_equivalence_with_oracles(&c1, &c2, &o1, &o2, &o1_inv, &o2_inv, &options, rng);
+        self.adopt_tables(kind, [&o1, &o2, &o1_inv, &o2_inv], caches, obs);
         let spent = o1.queries() + o2.queries() + o1_inv.queries() + o2_inv.queries();
         let (witness, identified, rounds) = match outcome {
             Ok(Some(id)) => (
@@ -656,7 +655,8 @@ impl Shared {
     /// `revmatch_quantum_backend_jobs_total` metric. Oracles go through
     /// the worker's dense-table cache: Simon's classical oracle queries
     /// and sparse/dense quantum probes all route window evaluations
-    /// through a compiled table when one exists.
+    /// through a compiled table when one exists, and a quantum window
+    /// application buys a missing one at once.
     fn execute_quantum(
         &self,
         job: QuantumPathJob,
@@ -701,7 +701,9 @@ impl Shared {
         let c2 = self.oracle(kind, job.c2, caches, obs);
         let oracles = ProblemOracles::without_inverses(&c1, &c2);
         let entry = matcher.name();
-        match matcher.run(&oracles, &self.matcher, rng) {
+        let outcome = matcher.run(&oracles, &self.matcher, rng);
+        self.adopt_tables(kind, oracles.iter(), caches, obs);
+        match outcome {
             Ok(report) => {
                 self.metrics.record_entry_completion(entry);
                 JobReport {
@@ -1190,7 +1192,6 @@ impl MatchService {
             intake: ShardedQueue::new(shards, config.queue_capacity.max(1)),
             metrics: Metrics::new(shards),
             matcher: config.matcher,
-            precompile: config.precompile,
             solver_backend: config.solver_backend,
             miter_budget: config.miter_budget.max(1),
             sat_opts: config.sat_opts,

@@ -97,8 +97,9 @@ fn every_kind_emits_the_span_taxonomy() {
             );
         }
     }
-    // The cache-backed oracle path shows up for at least one job (cold
-    // dense compile ⇒ a cache_probe span wrapping a table_compile span).
+    // The cache-backed oracle path shows up for at least one job: every
+    // oracle lookup is a cache_probe span, and a w4 oracle buys its
+    // table on its first probe ⇒ a table_compile span inside execute.
     let all_stages: BTreeSet<Stage> = spans.iter().map(|s| s.stage).collect();
     assert!(all_stages.contains(&Stage::CacheProbe));
     assert!(all_stages.contains(&Stage::TableCompile));

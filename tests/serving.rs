@@ -3,9 +3,11 @@
 
 use rand::SeedableRng;
 use revmatch::{
-    classify, job_seed, random_instance, EngineJob, Equivalence, JobReport, JobTicket, MatchEngine,
-    MatchService, MatcherConfig, MiterVerdict, ServiceConfig, SolverBackend, SubmitOutcome,
+    classify, job_seed, random_instance, random_wide_instance, EngineJob, Equivalence, JobReport,
+    JobSpec, JobTicket, MatchEngine, MatchService, MatcherConfig, MiterVerdict, QuantumAlgorithm,
+    QuantumPathJob, ServiceConfig, Side, SolverBackend, SubmitOutcome,
 };
+use revmatch_quantum::QuantumBackend;
 
 /// One job per tractable equivalence type (inverses available).
 fn tractable_jobs(width: usize, per_type: usize) -> Vec<EngineJob> {
@@ -457,4 +459,84 @@ fn admission_defers_then_sheds_under_overload() {
     assert_eq!(m.jobs_completed(), m.jobs_submitted());
     assert_eq!(m.jobs_completed(), 3);
     service.shutdown();
+}
+
+/// Workers compile a dense table only once a job's probes have paid
+/// for it. Wide jobs whose matchers probe a few dozen times never
+/// compile; a narrow job buys on its first probe and its repeat hits
+/// the adopted tables; a quantum window application buys at once. The
+/// reports match a 2-shard run at the same seeds.
+#[test]
+fn dense_tables_compile_only_once_probes_pay_for_them() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x7AB1E);
+    let np_i = Equivalence::new(Side::Np, Side::I);
+    let n_i = Equivalence::new(Side::N, Side::I);
+    let simon = |width, rng: &mut rand::rngs::StdRng| {
+        let inst = random_wide_instance(n_i, width, 4 * width, rng);
+        JobSpec::QuantumPath(QuantumPathJob {
+            equivalence: n_i,
+            c1: inst.c1,
+            c2: inst.c2,
+            algorithm: QuantumAlgorithm::Simon,
+        })
+    };
+    let wide_promise: JobSpec =
+        EngineJob::from_instance(&random_wide_instance(np_i, 16, 64, &mut rng), true).into();
+    let wide_simon = simon(16, &mut rng);
+    let narrow: JobSpec =
+        EngineJob::from_instance(&random_instance(np_i, 5, &mut rng), true).into();
+    let sparse_simon = simon(12, &mut rng);
+    let run = |service: &MatchService, job: &JobSpec, seed: u64| {
+        service
+            .submit_wait_seeded(job.clone(), job_seed(0x7AB1E, seed))
+            .wait()
+    };
+
+    let mut runs = Vec::new();
+    for shards in [1, 2] {
+        let auto = MatchService::start(ServiceConfig::default().with_shards(shards));
+        let m = auto.metrics();
+        let mut reports = vec![run(&auto, &wide_promise, 0), run(&auto, &wide_simon, 1)];
+        assert_eq!(
+            m.table_compile().count(),
+            0,
+            "{shards} shards: no w16 oracle reaches its buy price"
+        );
+        reports.push(run(&auto, &narrow, 2));
+        let bought = m.table_compile().count();
+        assert!(
+            bought > 0,
+            "{shards} shards: a w5 job buys on its first probe"
+        );
+        reports.push(run(&auto, &narrow, 2));
+        if shards == 1 {
+            assert!(
+                reports[3].timing.cache_hit,
+                "the repeat hits adopted tables"
+            );
+            assert!(m.table_cache_hits() > 0);
+            assert_eq!(m.table_compile().count(), bought, "the repeat buys nothing");
+        }
+        auto.shutdown();
+
+        let sparse = MatchService::start(
+            ServiceConfig::default()
+                .with_shards(shards)
+                .with_quantum_backend(QuantumBackend::Sparse),
+        );
+        reports.push(run(&sparse, &sparse_simon, 3));
+        assert_eq!(
+            sparse.metrics().table_compile().count(),
+            2,
+            "{shards} shards: the first sparse Simon round buys both tables"
+        );
+        sparse.shutdown();
+        runs.push(reports);
+    }
+    assert_reports_identical(&runs[0], &runs[1], "1 vs 2 shards");
+    for (i, (a, b)) in runs[0].iter().zip(&runs[1]).enumerate() {
+        assert!(a.witness.is_ok(), "job {i}: {:?}", a.witness);
+        assert_eq!(a.charged_queries, b.charged_queries, "job {i}");
+        assert_eq!(a.rounds, b.rounds, "job {i}");
+    }
 }
