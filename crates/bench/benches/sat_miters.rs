@@ -35,8 +35,8 @@ use revmatch_sat::{AssumedSolve, CdclSolver, SatOptions, Solve, Solver};
 /// every verdict is definitive and the comparison is apples to apples.
 const BUDGET: usize = 50_000_000;
 
-/// Verdicts per miter family in the stream measurement — the serving
-/// pattern the per-shard solver cache exists for.
+/// Verdicts per miter family in the stream measurement — repeated
+/// verdicts on one retained solver.
 const REPLAYS: usize = 8;
 
 /// A promised N-P pair (planted witness) whose miter is UNSAT — the
@@ -215,10 +215,11 @@ fn option_matrix_summary() {
     );
 }
 
-/// The serving-layer access pattern: `REPLAYS` verdicts per miter
-/// family. The DPLL is stateless and pays full price each time; the
-/// CDCL solver is retained (as in the per-shard cache) and answers warm
-/// verdicts from its learned clauses.
+/// `REPLAYS` verdicts per miter family. The DPLL is stateless and pays
+/// full price each time; the CDCL solver is retained and answers warm
+/// verdicts from its learned clauses. (The serving layer retains
+/// solvers for family sweeps and budget-exhausted miters; a repeated
+/// decided miter it answers from its verdict memo without solving.)
 fn verdict_stream_summary() {
     println!("\n== verdict streams: {REPLAYS} verdicts per family (per-shard solver reuse) ==");
     println!(

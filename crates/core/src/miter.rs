@@ -32,9 +32,10 @@
 //! retained for differential testing ([`SolverBackend::ALL`] sweeps).
 //!
 //! Callers that solve the *same* miter repeatedly (the serving layer's
-//! per-shard verification cache) should build a [`MiterEncoding`] once
-//! and keep a [`revmatch_sat::CdclSolver`] on its formula: learned
-//! clauses persist across calls, so re-verdicts are near-free.
+//! retry of a budget-exhausted verification) should build a
+//! [`MiterEncoding`] once and keep a [`revmatch_sat::CdclSolver`] on its
+//! formula: learned clauses persist across calls, so re-verdicts are
+//! near-free.
 
 use revmatch_circuit::Circuit;
 use revmatch_sat::{BudgetedSolve, Clause, Cnf, Lit, SolveStats, SolverBackend, Var};
@@ -276,8 +277,9 @@ pub fn check_equivalence_sat_budgeted_with(
 ///
 /// This is the reuse-friendly handle for callers that keep solver state
 /// across repeated verdicts on the same circuit pair (the serving
-/// layer's per-shard solver cache keys on the full [`MiterEncoding::cnf`]
-/// formula, compared by equality so a wrong solver can never be reused).
+/// layer's per-shard cache parks a budget-exhausted solver under the
+/// circuits and witness it was built from, next to this encoding with
+/// its `cnf` emptied, to decode the retry's counterexample).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MiterEncoding {
     /// The miter formula: satisfiable exactly on distinguishing inputs.

@@ -456,7 +456,8 @@ impl Metrics {
         self.table_cache_hits.fetch_add(hits, Ordering::Relaxed);
     }
 
-    /// Counts one warm re-entry into a cached miter solver.
+    /// Counts one SAT job answered from a worker's cached verdict or
+    /// warm solver.
     pub(crate) fn record_solver_cache_hit(&self) {
         self.solver_cache_hits.fetch_add(1, Ordering::Relaxed);
     }
@@ -574,7 +575,8 @@ impl Metrics {
         self.table_cache_hits.load(Ordering::Relaxed)
     }
 
-    /// Miter-solver cache hits across all workers.
+    /// SAT jobs answered from a worker's cached verdict or warm solver,
+    /// across all workers.
     pub fn solver_cache_hits(&self) -> u64 {
         self.solver_cache_hits.load(Ordering::Relaxed)
     }
@@ -735,7 +737,7 @@ impl Metrics {
             ),
             (
                 "revmatch_solver_cache_hits_total",
-                "Worker miter-solver cache hits.",
+                "SAT jobs answered from a worker's cached verdict or warm solver.",
                 self.solver_cache_hits(),
             ),
             (

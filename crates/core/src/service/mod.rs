@@ -17,9 +17,9 @@
 //! * **N persistent worker shards** (`std::thread`, no external runtime),
 //!   each owning one lane of a bounded MPMC intake queue. Jobs are routed
 //!   by a hash of `(width, kind, equivalence)` so same-shaped work lands
-//!   on the same shard — its cached dense tables and miter solvers and
-//!   its branch history stay hot — and idle workers steal from the
-//!   fullest lane so affinity never costs parallelism.
+//!   on the same shard — its cached dense tables, miter verdicts,
+//!   family solvers and branch history stay hot — and idle workers
+//!   steal from the fullest lane so affinity never costs parallelism.
 //! * **Explicit backpressure**: [`MatchService::submit`] never blocks; it
 //!   returns [`SubmitOutcome::Enqueued`] with a [`JobTicket`] or hands the
 //!   job back as [`SubmitOutcome::QueueFull`]. [`MatchService::submit_wait`]
@@ -84,7 +84,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use rand::SeedableRng;
-use revmatch_sat::{SatOptions, SolveStats, SolverBackend};
+use revmatch_sat::{SatOptions, SolverBackend};
 
 use crate::engine::{
     EngineJob, EnumerateJob, IdentifyJob, JobKind, JobReport, JobSpec, QuantumAlgorithm,
@@ -96,7 +96,7 @@ use crate::identify::{identify_equivalence_with_oracles, IdentifyOptions};
 use crate::matchers::{
     solve_promise_named, InverseAvailability, MatcherConfig, MatcherRegistry, Path, ProblemOracles,
 };
-use crate::miter::{check_witness_sat_budgeted_with, MiterEncoding, MiterVerdict};
+use crate::miter::{check_witness_sat_budgeted_with, MiterVerdict};
 use crate::observe::{Detail, JobTiming, SpanRecord, Stage, TraceConfig, Tracer};
 use crate::oracle::Oracle;
 use crate::verify::VerifyMode;
@@ -515,11 +515,13 @@ impl Shared {
     /// Executes one job with a deterministic RNG; the worker body. Takes
     /// the job by value — the circuits move into the oracles instead of
     /// being cloned a second time. `caches` is the worker's private
-    /// memoization state (dense tables, miter solvers). Table reuse
-    /// never changes results; solver reuse never changes a *completed*
-    /// verdict, though under a tight miter budget a warm solver may
-    /// resolve a formula a cold one left `Unknown` (see
-    /// [`cache`](self) module docs).
+    /// memoization state (dense tables, decided miter verdicts, warm
+    /// solvers). Table reuse never changes results. A memoized verdict
+    /// is the one the miter's first decided solve returned, so a
+    /// repeated non-equivalent miter reports that solve's
+    /// counterexample. Solver reuse never changes a *completed* verdict,
+    /// though under a tight miter budget a warm solver may resolve a
+    /// formula a cold one left `Unknown` (see the `cache` module docs).
     fn execute(
         &self,
         job: JobSpec,
@@ -580,7 +582,7 @@ impl Shared {
             witness
                 .as_ref()
                 .ok()
-                .map(|w| self.verify_witness(kind, c1.circuit(), c2.circuit(), w, caches))
+                .map(|w| self.verify_witness(c1.circuit(), c2.circuit(), w, caches))
         } else {
             None
         };
@@ -733,8 +735,8 @@ impl Shared {
     }
 
     /// The direct white-box verdict: fold the claimed witness (identity
-    /// when absent) into a miter and solve it on the configured backend
-    /// through the worker's solver cache.
+    /// when absent) into a miter and decide it through
+    /// [`Shared::verify_witness`].
     fn execute_sat(
         &self,
         job: SatEquivalenceJob,
@@ -777,7 +779,7 @@ impl Shared {
                 timing: JobTiming::default(),
             };
         }
-        let verdict = self.verify_witness(kind, &job.c1, &job.c2, &witness, caches);
+        let verdict = self.verify_witness(&job.c1, &job.c2, &witness, caches);
         let witness = match &verdict {
             MiterVerdict::Equivalent => Ok(witness),
             MiterVerdict::Counterexample { .. } => Err(MatchError::PromiseViolated),
@@ -798,8 +800,9 @@ impl Shared {
 
     /// Witness enumeration: sweep the whole candidate family under
     /// assumptions on one CDCL solver. The solver is cached per
-    /// `(kind, family formula)` — a repeated family re-enters a solver
-    /// whose learned clauses already cover every candidate, so warm
+    /// `(c1, c2, family)` with the family's selector layout — a repeated
+    /// family re-enters a solver whose learned clauses already cover
+    /// every candidate, without encoding the family again, so warm
     /// re-enumerations answer mostly by propagation. (Assumptions never
     /// poison the cache; this is why the service sweeps instead of
     /// running blocking-clause mode.) The DPLL backend falls back to the
@@ -813,28 +816,28 @@ impl Shared {
         let kind = JobKind::Enumerate;
         obs.detail = Detail::solver(self.solver_backend);
         let family = job.family;
-        let outcome = FamilyMiter::build(&job.c1, &job.c2, family).and_then(|miter| {
-            match self.solver_backend {
-                SolverBackend::Cdcl => {
-                    let (solver, hit) =
-                        caches.solver_for_cnf(kind, &miter.cnf, || miter.input_hint());
+        let outcome = match self.solver_backend {
+            SolverBackend::Cdcl => {
+                let cached = caches.family_solver(&job.c1, &job.c2, family);
+                cached.and_then(|(solver, miter, hit)| {
                     if hit {
                         self.metrics.record_solver_cache_hit();
                     }
                     let xors0 = solver.xors_extracted();
-                    let swept = sweep_family(solver, &miter, Some(self.miter_budget));
+                    let swept = sweep_family(solver, miter, Some(self.miter_budget));
                     self.metrics.record_sat_core(
                         solver.glue_clauses() as u64,
                         solver.num_learned() as u64,
                         (solver.xors_extracted() - xors0) as u64,
                     );
                     swept
-                }
-                // Stateless, but under the same per-solve budget: a hard
-                // family must surface as Inconclusive, not pin a shard.
-                SolverBackend::Dpll => sweep_family_dpll(&miter, Some(self.miter_budget)),
+                })
             }
-        });
+            // Stateless, but under the same per-solve budget: a hard
+            // family must surface as Inconclusive, not pin a shard.
+            SolverBackend::Dpll => FamilyMiter::build(&job.c1, &job.c2, family)
+                .and_then(|miter| sweep_family_dpll(&miter, Some(self.miter_budget))),
+        };
         match outcome {
             Ok(found) => {
                 let count = found.count();
@@ -873,47 +876,54 @@ impl Shared {
         }
     }
 
-    /// Proves (or refutes) a recovered witness on the configured SAT
-    /// backend. CDCL runs warm through the worker's solver cache (keyed
-    /// by `(kind, formula)`): the same miter family re-enters a solver
-    /// that already holds the learned refutation.
+    /// Proves (or refutes) a recovered witness. A worker that has
+    /// decided the miter of the same `(c1, c2, witness)` before answers
+    /// from its verdict memo, on either backend, before any encoding.
+    /// Otherwise the miter is solved on the configured backend — CDCL
+    /// resuming warm when an earlier budget-exhausted solve parked its
+    /// solver — and a decided verdict is memoized, while an `Unknown`
+    /// parks the CDCL solver for a warm retry. The job kind is in no
+    /// key: a sat job and a sat-verified promise job share verdicts.
     fn verify_witness(
         &self,
-        kind: JobKind,
         c1: &revmatch_circuit::Circuit,
         c2: &revmatch_circuit::Circuit,
         witness: &MatchWitness,
         caches: &mut ShardCaches,
     ) -> MiterVerdict {
-        let verdict = match self.solver_backend {
-            SolverBackend::Dpll => {
-                check_witness_sat_budgeted_with(c1, c2, witness, self.miter_budget, {
-                    SolverBackend::Dpll
-                })
-                .expect("a solved job's circuits share a width")
-            }
-            SolverBackend::Cdcl => {
-                let miter = MiterEncoding::build(c1, c2, witness)
-                    .expect("a solved job's circuits share a width");
-                let (solver, hit) = caches.solver_for(kind, &miter);
-                if hit {
-                    self.metrics.record_solver_cache_hit();
+        let verdict = if let Some(verdict) = caches.verdict(c1, c2, witness) {
+            self.metrics.record_solver_cache_hit();
+            verdict
+        } else {
+            let verdict = match self.solver_backend {
+                SolverBackend::Dpll => {
+                    check_witness_sat_budgeted_with(c1, c2, witness, self.miter_budget, {
+                        SolverBackend::Dpll
+                    })
+                    .expect("a solved job's circuits share a width")
                 }
-                let xors0 = solver.xors_extracted();
-                solver.set_budget(Some(self.miter_budget));
-                let outcome = solver.solve_budgeted();
-                let stats = SolveStats {
-                    decisions: solver.decisions(),
-                    conflicts: solver.conflicts(),
-                    propagations: solver.propagations(),
-                };
-                self.metrics.record_sat_core(
-                    solver.glue_clauses() as u64,
-                    solver.num_learned() as u64,
-                    (solver.xors_extracted() - xors0) as u64,
-                );
-                miter.verdict_from(outcome, stats)
-            }
+                SolverBackend::Cdcl => {
+                    let (mut miter, hit) = caches
+                        .take_miter_solver(c1, c2, witness)
+                        .expect("a solved job's circuits share a width");
+                    if hit {
+                        self.metrics.record_solver_cache_hit();
+                    }
+                    let xors0 = miter.solver.xors_extracted();
+                    let verdict = miter.solve(self.miter_budget);
+                    self.metrics.record_sat_core(
+                        miter.solver.glue_clauses() as u64,
+                        miter.solver.num_learned() as u64,
+                        (miter.solver.xors_extracted() - xors0) as u64,
+                    );
+                    if verdict.is_unknown() {
+                        caches.park(c1, c2, witness, miter);
+                    }
+                    verdict
+                }
+            };
+            caches.remember(c1, c2, witness, &verdict);
+            verdict
         };
         self.metrics.record_sat_verify(verdict.is_unknown());
         verdict

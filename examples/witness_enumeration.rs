@@ -68,8 +68,9 @@ fn main() {
     );
 
     // 3. Through the serving layer, twice: the repeat hits the per-shard
-    //    solver cache and re-answers from learned clauses.
-    let service = MatchService::start(ServiceConfig::default().with_shards(2));
+    //    solver cache and re-answers from learned clauses. One shard, so
+    //    no idle shard can steal the repeat and run it cold.
+    let service = MatchService::start(ServiceConfig::default().with_shards(1));
     let job = EnumerateJob::new(inst.c1.clone(), inst.c2.clone(), family);
     let first = service.submit_wait(job.clone()).wait();
     let second = service.submit_wait(job).wait();

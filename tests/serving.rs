@@ -3,9 +3,10 @@
 
 use rand::SeedableRng;
 use revmatch::{
-    classify, job_seed, random_instance, random_wide_instance, EngineJob, Equivalence, JobReport,
-    JobSpec, JobTicket, MatchEngine, MatchService, MatcherConfig, MiterVerdict, QuantumAlgorithm,
-    QuantumPathJob, ServiceConfig, Side, SolverBackend, SubmitOutcome,
+    classify, job_seed, random_instance, random_wide_instance, EngineJob, EnumerateJob,
+    Equivalence, JobReport, JobSpec, JobTicket, MatchEngine, MatchService, MatcherConfig,
+    MiterVerdict, QuantumAlgorithm, QuantumPathJob, SatEquivalenceJob, ServiceConfig, Side,
+    SolverBackend, SubmitOutcome, WitnessFamily,
 };
 use revmatch_quantum::QuantumBackend;
 
@@ -310,6 +311,80 @@ fn sat_verified_jobs_prove_their_witnesses() {
         assert!(text.contains("revmatch_jobs_sat_verified_total"));
         service.shutdown();
     }
+}
+
+/// The served pool's SAT shape — 24 planted sat jobs interleaved with
+/// 24 input-negation enumerate jobs, 48 distinct formulas — cycled twice
+/// through one shard. A cyclic scan of 48 formulas through a 32-entry
+/// solver LRU keyed by formula never hits; keyed by job inputs, the sat
+/// jobs answer from remembered verdicts and the family sweeps fit the
+/// LRU, so every job of the second pass hits, with unchanged answers.
+#[test]
+fn repeated_sat_pool_answers_from_worker_caches() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5A7);
+    let served = [
+        Equivalence::new(Side::Np, Side::I),
+        Equivalence::new(Side::I, Side::P),
+        Equivalence::new(Side::P, Side::N),
+    ];
+    let mut sat = Vec::new();
+    let mut enumerate = Vec::new();
+    for width in [4, 5] {
+        for e in served {
+            for _ in 0..4 {
+                let inst = random_instance(e, width, &mut rng);
+                sat.push(JobSpec::SatEquivalence(SatEquivalenceJob {
+                    c1: inst.c1,
+                    c2: inst.c2,
+                    witness: Some(inst.witness),
+                }));
+                let inst = random_instance(Equivalence::new(Side::N, Side::I), width, &mut rng);
+                enumerate.push(JobSpec::Enumerate(EnumerateJob::new(
+                    inst.c1,
+                    inst.c2,
+                    WitnessFamily::InputNegation,
+                )));
+            }
+        }
+    }
+    let jobs: Vec<JobSpec> = sat
+        .into_iter()
+        .zip(enumerate)
+        .flat_map(<[_; 2]>::from)
+        .collect();
+    assert_eq!(jobs.len(), 48);
+
+    let service = MatchService::start(ServiceConfig::default().with_shards(1).with_seed(5));
+    let mut passes = Vec::new();
+    let mut hits = Vec::new();
+    for _ in 0..2 {
+        let reports: Vec<JobReport> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, job)| service.submit_wait_seeded(job.clone(), job_seed(5, i as u64)))
+            .map(JobTicket::wait)
+            .collect();
+        hits.push(service.metrics().solver_cache_hits());
+        passes.push(reports);
+    }
+    assert!(
+        hits[1] - hits[0] >= jobs.len() as u64,
+        "the second pass must answer every job from the caches (hits per pass: {hits:?})"
+    );
+    for (i, (first, second)) in passes[0].iter().zip(&passes[1]).enumerate() {
+        if matches!(jobs[i], JobSpec::SatEquivalence(_)) {
+            assert_eq!(first.miter, Some(MiterVerdict::Equivalent), "job {i}");
+        } else {
+            assert!(first.witness_count.is_some_and(|n| n >= 1), "job {i}");
+        }
+        assert_eq!(first.witness, second.witness, "job {i} witness");
+        assert_eq!(first.miter, second.miter, "job {i} miter");
+        assert_eq!(first.witness_count, second.witness_count, "job {i} count");
+        assert_eq!(first.rounds, second.rounds, "job {i} rounds");
+        assert_eq!(first.queries, second.queries, "job {i} queries");
+    }
+    assert_eq!(service.metrics().jobs_failed(), 0);
+    service.shutdown();
 }
 
 /// Unverified jobs never pay for (or report) a miter verdict, and a job
