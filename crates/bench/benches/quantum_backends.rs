@@ -7,10 +7,10 @@
 //! **asserts** the acceptance floors in-bench: all backends recover
 //! bit-identical witnesses vs dense at fixed seeds, the stabilizer
 //! completes width-20 Simon jobs, and a Simon-only mix at widths 10–12
-//! runs ≥ 5× the jobs/s of a forced-dense service (which must serve
+//! runs ≥ 5× the jobs/s of a dense-pinned service (which must serve
 //! those widths through its swap-test capacity fallback — dense Simon
-//! needs 2n+1 ≤ 20 qubits). The active backend policy is logged
-//! (`quantum backend: …`) so CI can grep both auto and forced runs.
+//! needs 2n+1 ≤ 20 qubits). Each service pins its backend through its
+//! own `ServiceConfig`.
 
 use std::time::Instant;
 
@@ -20,7 +20,7 @@ use revmatch::{
     job_seed, match_n_i_simon_with, random_wide_instance, Equivalence, JobSpec, JobTicket,
     MatchService, Oracle, PromiseInstance, QuantumAlgorithm, QuantumPathJob, ServiceConfig, Side,
 };
-use revmatch_quantum::{active_quantum_backend_name, QuantumBackend, MAX_QUBITS};
+use revmatch_quantum::{QuantumBackend, MAX_QUBITS};
 
 /// Planted N-I pair as a bounded MCT cascade: oracle evaluation cost is
 /// gate-count-linear, so the same generator serves every width.
@@ -147,7 +147,7 @@ fn simon_matrix_summary() {
 }
 
 /// Acceptance floor: a Simon-only mix at widths 10–12 through the
-/// service on the stabilizer must clear 5× the jobs/s of a forced-dense
+/// service on the stabilizer must clear 5× the jobs/s of a dense-pinned
 /// service over the same instances. Dense cannot register Simon past
 /// width 9, so its jobs take the swap-test fallback — exactly the path
 /// loadgen plans for it — and that dense swap-test wall is the baseline
@@ -208,9 +208,6 @@ fn service_floor_summary() {
 }
 
 fn main() {
-    // The CI smokes grep this line in both the auto and the forced
-    // (REVMATCH_QBACKEND) runs.
-    println!("quantum backend: {}", active_quantum_backend_name());
     benches();
     witness_identity_summary();
     simon_matrix_summary();

@@ -39,6 +39,10 @@
 //! per-stage attribution. `--trace-sample N` traces every N-th job
 //! (default 1 = all) to bound overhead at high rates.
 //!
+//! With `--connect HOST:PORT` the jobs go over the wire to a running
+//! `revmatch-server`, which owns its configuration: the flags that
+//! configure the in-process service are usage errors there.
+//!
 //! Run with: `cargo run --release -p revmatch-bench --bin loadgen -- \
 //!   --rate 500 --duration-ms 2000 --shards 4 --queue-capacity 64 \
 //!   --job-mix promise:identify:quantum:sat --trace trace.json`
@@ -57,6 +61,7 @@ use revmatch::{
 };
 use revmatch_bench::{service_flags, Flags};
 use revmatch_quantum::QuantumBackend;
+use revmatch_sat::SatOptions;
 
 use rand::SeedableRng;
 
@@ -64,12 +69,11 @@ const USAGE: &str = "usage: loadgen [--rate JOBS_PER_SEC] [--duration-ms MS] \
 [--shards N] [--queue-capacity N] [--widths CSV] [--mix CSV_EQUIVALENCES] \
 [--job-mix KIND[:KIND...]] [--seed N] [--epsilon F] [--sat-verify 0|1] \
 [--backend dpll|cdcl] [--sat-opts lbd,xor|all|none] \
-[--kernel scalar|sliced64|wide256-portable|wide256] \
 [--quantum-backend dense|sparse|stabilizer] [--trace OUT.json] [--trace-sample N] \
 [--admission 0|1] [--overload-us N] [--expensive-us N] \
 [--connect HOST:PORT] [--connections N]";
 
-const KNOWN_FLAGS: [&str; 21] = [
+const KNOWN_FLAGS: [&str; 20] = [
     "rate",
     "duration-ms",
     "shards",
@@ -82,7 +86,6 @@ const KNOWN_FLAGS: [&str; 21] = [
     "sat-verify",
     "backend",
     "sat-opts",
-    "kernel",
     "quantum-backend",
     "trace",
     "trace-sample",
@@ -91,6 +94,22 @@ const KNOWN_FLAGS: [&str; 21] = [
     "expensive-us",
     "connect",
     "connections",
+];
+
+/// Flags that configure the in-process service: usage errors under
+/// `--connect`, where the server owns its configuration.
+const IN_PROCESS_FLAGS: [&str; 11] = [
+    "shards",
+    "queue-capacity",
+    "epsilon",
+    "backend",
+    "sat-opts",
+    "quantum-backend",
+    "trace",
+    "trace-sample",
+    "admission",
+    "overload-us",
+    "expensive-us",
 ];
 
 /// Prints a usage diagnostic and exits nonzero (malformed flag values
@@ -111,6 +130,7 @@ fn job_for_kind(
     width: usize,
     equivalence: Equivalence,
     sat_verify: bool,
+    qbackend: Option<QuantumBackend>,
     rng: &mut rand::rngs::StdRng,
 ) -> JobSpec {
     match kind {
@@ -131,10 +151,10 @@ fn job_for_kind(
         }
         // Quantum-path jobs run the classically-exponential N-I case:
         // Simon-style sampling while the *planned* simulation backend
-        // (forced via --quantum-backend / REVMATCH_QBACKEND, stabilizer
-        // under auto policy) can hold the round, swap-test Algorithm 1
-        // beyond — so a forced narrow backend degrades to the wider
-        // algorithm instead of submitting jobs that can only fail.
+        // (pinned via --quantum-backend, stabilizer under auto policy)
+        // can hold the round, swap-test Algorithm 1 beyond — so a
+        // pinned narrow backend degrades to the wider algorithm instead
+        // of submitting jobs that can only fail.
         JobKind::Quantum => {
             let e = Equivalence::new(Side::N, Side::I);
             // Wide instances (past the dense-table ceiling) come from a
@@ -146,7 +166,7 @@ fn job_for_kind(
             } else {
                 revmatch::random_wide_instance(e, width, 4 * width, rng)
             };
-            let simon_cap = match QuantumBackend::forced() {
+            let simon_cap = match qbackend {
                 Some(QuantumBackend::Dense) => (revmatch_quantum::MAX_QUBITS - 1) / 2,
                 Some(QuantumBackend::Sparse) => {
                     revmatch_quantum::SPARSE_MAX_ENTRIES.ilog2() as usize - 1
@@ -196,6 +216,7 @@ fn build_pool(
     kinds: &[JobKind],
     seed: u64,
     sat_verify: bool,
+    qbackend: Option<QuantumBackend>,
 ) -> Vec<JobSpec> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut pool = Vec::new();
@@ -203,7 +224,7 @@ fn build_pool(
         for &e in mix {
             for &kind in kinds {
                 for _ in 0..POOL_PER_CELL {
-                    pool.push(job_for_kind(kind, w, e, sat_verify, &mut rng));
+                    pool.push(job_for_kind(kind, w, e, sat_verify, qbackend, &mut rng));
                 }
             }
         }
@@ -213,6 +234,13 @@ fn build_pool(
 
 fn main() {
     let flags = Flags::parse(&KNOWN_FLAGS, USAGE);
+    if let Some(flag) = IN_PROCESS_FLAGS.into_iter().find(|&f| flags.has(f)) {
+        if flags.has("connect") {
+            usage_error(&format!(
+                "--{flag} configures the in-process service; under --connect the server owns it"
+            ));
+        }
+    }
     let rate = flags.get_f64("rate", 500.0);
     if rate.is_nan() || rate <= 0.0 {
         usage_error("--rate must be positive");
@@ -227,8 +255,7 @@ fn main() {
         .parse()
         .unwrap_or_else(|_| usage_error("--backend: expected dpll or cdcl"));
     // --trace OUT.json turns span recording on; --trace-sample N keeps
-    // every N-th job (1 = all). Without --trace the pin is Off, which
-    // also shields the overhead baseline from a stray REVMATCH_TRACE.
+    // every N-th job (1 = all). Without --trace tracing stays off.
     let trace_path = flags.get_str("trace", "");
     let trace_sample = flags.get_u64("trace-sample", 1);
     if trace_sample == 0 {
@@ -297,47 +324,36 @@ fn main() {
     if connections == 0 {
         usage_error("--connections must be at least 1");
     }
-    // SAT feature forcing: same shape as --kernel. The override feeds
-    // ServiceConfig's default (SatOptions::active), so every
-    // worker-cached CDCL solver runs with the requested feature set.
-    let sat_opts = flags.get_str("sat-opts", "");
-    if !sat_opts.is_empty() {
-        revmatch_sat::set_sat_opts_override(Some(
-            sat_opts
-                .parse()
-                .unwrap_or_else(|_| usage_error("--sat-opts: expected lbd,xor, all or none")),
-        ));
-    }
-    println!("sat opts: {}", revmatch_sat::active_sat_opts_label());
-    // Kernel forcing: a process-wide override every oracle walk and
-    // table compile in the service then dispatches through.
-    let kernel = flags.get_str("kernel", "");
-    if !kernel.is_empty() {
-        revmatch_circuit::set_kernel_override(Some(kernel.parse().unwrap_or_else(|_| {
-            usage_error("--kernel: expected scalar|sliced64|wide256-portable|wide256")
-        })));
-    }
-    println!("oracle kernel: {}", revmatch_circuit::active_kernel_name());
-    // Quantum-backend forcing: same shape as --kernel. Unforced, the
-    // per-algorithm auto policy applies (stabilizer for Simon, sparse
-    // for swap tests) and the summary line reads "auto".
-    let qbackend = flags.get_str("quantum-backend", "");
-    if !qbackend.is_empty() {
-        revmatch_quantum::set_quantum_backend_override(Some(qbackend.parse().unwrap_or_else(
-            |_| usage_error("--quantum-backend: expected dense|sparse|stabilizer"),
-        )));
-    }
-    println!(
-        "quantum backend: {}",
-        revmatch_quantum::active_quantum_backend_name()
-    );
+    // The CDCL feature set every worker-cached solver runs with, and
+    // the quantum backend pin (unpinned, the per-algorithm auto policy
+    // applies: stabilizer for Simon, sparse for swap tests).
+    let sat_opts: SatOptions = flags
+        .get_str("sat-opts", "all")
+        .parse()
+        .unwrap_or_else(|_| usage_error("--sat-opts: expected lbd,xor, all or none"));
+    let qbackend: Option<QuantumBackend> = match flags.get_str("quantum-backend", "").as_str() {
+        "" => None,
+        name => Some(name.parse().unwrap_or_else(|_| {
+            usage_error("--quantum-backend: expected dense|sparse|stabilizer")
+        })),
+    };
+    let qbackend_name = qbackend.map_or("auto", QuantumBackend::name);
 
-    let pool = build_pool(&widths, &mix, &kinds, seed, sat_verify);
+    let pool = build_pool(&widths, &mix, &kinds, seed, sat_verify, qbackend);
+    // Settings are echoed only when they describe the service this run
+    // drives: under --connect the server owns them.
+    let (target, verifier) = if connect.is_empty() {
+        println!("sat opts: {sat_opts}");
+        println!("oracle kernel: {}", revmatch_circuit::active_kernel_name());
+        println!("quantum backend: {qbackend_name}");
+        let target = format!("over {shards} shards (lane capacity {capacity})");
+        (target, format!(" on {backend}"))
+    } else {
+        (format!("to {connect}"), String::new())
+    };
     println!(
-        "loadgen: {rate} jobs/s for {:?} over {} shards (lane capacity {capacity}); \
+        "loadgen: {rate} jobs/s for {duration:?} {target}; \
          pool of {} jobs ({:?} × {:?} × [{}]){}",
-        duration,
-        shards,
         pool.len(),
         widths,
         mix.iter().map(ToString::to_string).collect::<Vec<_>>(),
@@ -347,7 +363,7 @@ fn main() {
             .collect::<Vec<_>>()
             .join(":"),
         if sat_verify {
-            format!("; promise jobs SAT-verified on {backend}")
+            format!("; promise jobs SAT-verified{verifier}")
         } else {
             String::new()
         },
@@ -366,8 +382,12 @@ fn main() {
         .with_queue_capacity(capacity)
         .with_matcher(MatcherConfig::with_epsilon(epsilon))
         .with_solver_backend(backend)
+        .with_sat_opts(sat_opts)
         .with_seed(seed)
         .with_trace(trace_config);
+    if let Some(b) = qbackend {
+        service_config = service_config.with_quantum_backend(b);
+    }
     if admission {
         let mut a = AdmissionConfig::default();
         if overload_us != 0 {
@@ -442,10 +462,7 @@ fn main() {
                 by_backend.push_str(&format!(" {backend}={dispatched}"));
             }
         }
-        println!(
-            "quantum dispatch [{}]:{by_backend}",
-            revmatch_quantum::active_quantum_backend_name()
-        );
+        println!("quantum dispatch [{qbackend_name}]:{by_backend}");
     }
     if kinds.contains(&JobKind::Enumerate) {
         let done = m.jobs_completed_of(JobKind::Enumerate);
@@ -480,8 +497,7 @@ fn main() {
     // and what the options did. Mirrors the revmatch_sat_* metrics.
     if m.jobs_sat_verified() > 0 || m.jobs_completed_of(JobKind::Enumerate) > 0 {
         println!(
-            "sat core [{}]: glue kept {} | learned db {} | xors extracted {}",
-            revmatch_sat::active_sat_opts_label(),
+            "sat core [{sat_opts}]: glue kept {} | learned db {} | xors extracted {}",
             m.sat_glue_kept(),
             m.sat_learned_db_size(),
             m.sat_xors_extracted(),

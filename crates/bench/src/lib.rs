@@ -87,6 +87,11 @@ impl Flags {
             .map(|(_, v)| v.as_str())
     }
 
+    /// Whether the flag was given at all.
+    pub fn has(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
     /// The flag as `usize`, or `default` when absent.
     pub fn get_usize(&self, name: &str, default: usize) -> usize {
         self.get(name)

@@ -23,11 +23,12 @@
 //!   skips the input transpose entirely; short cascades skip both
 //!   transposes via an in-place control-masked XOR pass per gate.
 //!
-//! Kernel selection is automatic ([`Kernel::auto`]: AVX2 where
-//! detected, portable wide words otherwise) and forcible for tests,
-//! benches and the load generator via [`set_kernel_override`] or the
-//! `REVMATCH_KERNEL` environment variable (`scalar`, `sliced64`,
-//! `wide256`, `wide256-portable`). Every kernel is bit-for-bit
+//! The entry points without a kernel argument ([`Circuit::apply_batch`],
+//! [`DenseTable::compile`], [`BatchEvaluator::compile`]) run
+//! [`Kernel::Wide256`]: AVX2 where detected, portable wide words
+//! otherwise. Tests and benches pin a kernel per call with
+//! [`apply_kernel`], [`DenseTable::compile_with`] and
+//! [`BatchEvaluator::with_kernel`]. Every kernel is bit-for-bit
 //! equivalent — the differential suites in this module and
 //! `tests/kernels.rs` hold them to that.
 //!
@@ -38,9 +39,6 @@
 #[cfg(target_arch = "x86_64")]
 mod avx2;
 mod word;
-
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 use crate::bits::width_mask;
 use crate::circuit::Circuit;
@@ -64,8 +62,8 @@ pub const DENSE_AUTO_MAX_WIDTH: usize = 16;
 /// transposed lanes, and how many probes one gate walk retires.
 ///
 /// All kernels compute identical outputs — the choice is purely a
-/// throughput knob, resolved once per batch via [`Kernel::auto`] unless
-/// a caller forces one.
+/// throughput knob. Entry points without a kernel argument run
+/// [`Kernel::Wide256`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// One scalar gate-cascade walk per probe (the reference oracle).
@@ -83,10 +81,6 @@ pub enum Kernel {
     Wide256,
 }
 
-/// Packed override slot for [`set_kernel_override`]: 0 = none, else
-/// `Kernel` position in [`Kernel::ALL`] plus 1.
-static KERNEL_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
 impl Kernel {
     /// Every kernel, in escalation order.
     pub const ALL: [Kernel; 4] = [
@@ -96,18 +90,7 @@ impl Kernel {
         Kernel::Wide256,
     ];
 
-    /// The kernel batch entry points use when none is forced: a
-    /// process-wide [`set_kernel_override`] wins, then the
-    /// `REVMATCH_KERNEL` environment variable (read once), then
-    /// [`Kernel::Wide256`].
-    pub fn auto() -> Kernel {
-        match KERNEL_OVERRIDE.load(Ordering::Relaxed) {
-            0 => env_kernel().unwrap_or(Kernel::Wide256),
-            n => Kernel::ALL[usize::from(n) - 1],
-        }
-    }
-
-    /// The kernel's forcing name (`scalar`, `sliced64`,
+    /// The kernel's name (`scalar`, `sliced64`,
     /// `wide256-portable`, `wide256`), as parsed back by
     /// [`FromStr`](std::str::FromStr).
     pub fn name(self) -> &'static str {
@@ -152,25 +135,6 @@ impl std::str::FromStr for Kernel {
     }
 }
 
-/// Forces every auto-selected batch evaluation in this process onto
-/// `kernel` (`None` clears the override). Meant for benches, the load
-/// generator's `--kernel` flag, and differential tests; outputs are
-/// identical either way.
-pub fn set_kernel_override(kernel: Option<Kernel>) {
-    let slot = kernel.map_or(0, |k| {
-        Kernel::ALL.iter().position(|&c| c == k).expect("in ALL") as u8 + 1
-    });
-    KERNEL_OVERRIDE.store(slot, Ordering::Relaxed);
-}
-
-fn env_kernel() -> Option<Kernel> {
-    static ENV: OnceLock<Option<Kernel>> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("REVMATCH_KERNEL") {
-        Ok(s) => Some(s.parse().unwrap_or_else(|e| panic!("REVMATCH_KERNEL: {e}"))),
-        Err(_) => None,
-    })
-}
-
 /// Whether the 256-bit kernels will dispatch to AVX2 on this CPU.
 pub fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -183,11 +147,11 @@ pub fn avx2_available() -> bool {
     }
 }
 
-/// The dispatch-resolved name of the kernel auto-selection currently in
-/// effect (e.g. `wide256-avx2`); what serving metrics and bench logs
-/// report.
+/// The dispatch-resolved name of the kernel the entry points without a
+/// kernel argument run (e.g. `wide256-avx2`); what serving metrics and
+/// bench logs report.
 pub fn active_kernel_name() -> &'static str {
-    Kernel::auto().dispatch_name()
+    Kernel::Wide256.dispatch_name()
 }
 
 /// Transposes a 64×64 bit matrix held as 64 `u64` words, in place
@@ -206,7 +170,7 @@ pub fn transpose64(a: &mut [u64; 64]) {
 ///
 /// Exposed for benchmarks and tests (it is [`Kernel::Sliced64`] by
 /// name); [`Circuit::apply_batch`] is the ergonomic entry point and
-/// uses [`Kernel::auto`].
+/// uses [`Kernel::Wide256`].
 ///
 /// # Panics
 ///
@@ -314,15 +278,15 @@ pub struct DenseTable {
 }
 
 impl DenseTable {
-    /// Compiles the circuit into a dense table with the auto-selected
-    /// kernel ([`Kernel::auto`]).
+    /// Compiles the circuit into a dense table with
+    /// [`Kernel::Wide256`].
     ///
     /// # Errors
     ///
     /// Returns [`CircuitError::WidthTooLarge`] beyond
     /// [`DENSE_MAX_WIDTH`].
     pub fn compile(circuit: &Circuit) -> Result<Self, CircuitError> {
-        Self::compile_with(circuit, Kernel::auto())
+        Self::compile_with(circuit, Kernel::Wide256)
     }
 
     /// Compiles with an explicit kernel. [`Kernel::Sliced64`] is the
@@ -435,9 +399,8 @@ impl EvalBackend {
     /// The automatic backend rule, by width alone:
     /// [`EvalBackend::DenseTable`] when `width ≤ DENSE_AUTO_MAX_WIDTH`
     /// (table ≤ 512 KiB, compiled in one constant-init wide sweep),
-    /// [`EvalBackend::BitSliced`] otherwise. The gate count is accepted
-    /// but does not enter the rule.
-    pub fn select(width: usize, _gate_count: usize) -> Self {
+    /// [`EvalBackend::BitSliced`] otherwise.
+    pub fn select(width: usize) -> Self {
         if width <= DENSE_AUTO_MAX_WIDTH {
             Self::DenseTable
         } else {
@@ -476,13 +439,14 @@ enum BackendImpl {
 
 impl BatchEvaluator {
     /// Compiles with the backend chosen by [`EvalBackend::select`] and
-    /// the kernel chosen by [`Kernel::auto`].
+    /// [`Kernel::Wide256`].
     pub fn compile(circuit: &Circuit) -> Self {
-        let backend = EvalBackend::select(circuit.width(), circuit.len());
+        let backend = EvalBackend::select(circuit.width());
         Self::with_backend(circuit, backend).expect("selected backend always fits")
     }
 
-    /// Compiles with an explicit backend (kernel still auto-selected).
+    /// Compiles with an explicit backend ([`Kernel::Wide256`] when
+    /// bit-sliced).
     ///
     /// # Errors
     ///
@@ -491,7 +455,9 @@ impl BatchEvaluator {
     /// [`DENSE_MAX_WIDTH`].
     pub fn with_backend(circuit: &Circuit, backend: EvalBackend) -> Result<Self, CircuitError> {
         let backend = match backend {
-            EvalBackend::BitSliced => BackendImpl::Sliced(circuit.gates().to_vec(), Kernel::auto()),
+            EvalBackend::BitSliced => {
+                BackendImpl::Sliced(circuit.gates().to_vec(), Kernel::Wide256)
+            }
             EvalBackend::DenseTable => BackendImpl::Dense(DenseTable::compile(circuit)?),
         };
         Ok(Self {
@@ -630,17 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_override_wins_over_default() {
-        // Kernels are output-identical, so a racing reader in another
-        // test only ever changes speed, never answers.
-        set_kernel_override(Some(Kernel::Sliced64));
-        assert_eq!(Kernel::auto(), Kernel::Sliced64);
-        assert_eq!(active_kernel_name(), "sliced64");
-        set_kernel_override(None);
-        assert!(Kernel::ALL.contains(&Kernel::auto()));
-    }
-
-    #[test]
     fn compile_kernels_yield_identical_tables() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         // Widths straddling the in-place/packed-sweep crossover and the
@@ -700,16 +655,16 @@ mod tests {
 
     #[test]
     fn backend_selection_rule() {
-        assert_eq!(EvalBackend::select(4, 10), EvalBackend::DenseTable);
+        assert_eq!(EvalBackend::select(4), EvalBackend::DenseTable);
         assert_eq!(
-            EvalBackend::select(DENSE_AUTO_MAX_WIDTH, 10),
+            EvalBackend::select(DENSE_AUTO_MAX_WIDTH),
             EvalBackend::DenseTable
         );
         assert_eq!(
-            EvalBackend::select(DENSE_AUTO_MAX_WIDTH + 1, 10),
+            EvalBackend::select(DENSE_AUTO_MAX_WIDTH + 1),
             EvalBackend::BitSliced
         );
-        assert_eq!(EvalBackend::select(64, 10), EvalBackend::BitSliced);
+        assert_eq!(EvalBackend::select(64), EvalBackend::BitSliced);
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl Circuit {
 
     /// Applies the circuit to every pattern in `xs`, walking the gate
     /// cascade once per block of probes via the bit-sliced kernels
-    /// (see [`crate::batch`]; the kernel is [`crate::batch::Kernel::auto`]).
+    /// (see [`crate::batch`]; the kernel is [`crate::batch::Kernel::Wide256`]).
     ///
     /// Output order matches input order; `apply_batch(&[x])[0]` equals
     /// [`Circuit::apply`]`(x)` for every `x`.
@@ -144,7 +144,7 @@ impl Circuit {
     /// Panics in debug builds if any pattern has bits beyond the
     /// circuit width.
     pub fn apply_batch(&self, xs: &[u64]) -> Vec<u64> {
-        crate::batch::apply_kernel(self, crate::batch::Kernel::auto(), xs)
+        crate::batch::apply_kernel(self, crate::batch::Kernel::Wide256, xs)
     }
 
     /// Applies the circuit to a [`Bits`] pattern.

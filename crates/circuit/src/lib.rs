@@ -45,9 +45,8 @@ pub mod truth_table;
 pub mod walsh;
 
 pub use batch::{
-    active_kernel_name, apply_bitsliced, apply_kernel, avx2_available, set_kernel_override,
-    transpose64, BatchEvaluator, DenseTable, EvalBackend, Kernel, DENSE_AUTO_MAX_WIDTH,
-    DENSE_MAX_WIDTH,
+    active_kernel_name, apply_bitsliced, apply_kernel, avx2_available, transpose64, BatchEvaluator,
+    DenseTable, EvalBackend, Kernel, DENSE_AUTO_MAX_WIDTH, DENSE_MAX_WIDTH,
 };
 pub use bits::{width_mask, Bits, MAX_WIDTH};
 pub use circuit::{Circuit, CircuitStats};

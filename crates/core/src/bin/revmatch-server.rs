@@ -33,7 +33,7 @@ use std::time::Duration;
 
 use revmatch::{
     read_client_frame, write_server_frame, AdmissionConfig, ClientFrame, JobKind, JobReport,
-    JobTicket, MatchError, MatchService, ServerFrame, ServiceConfig, SubmitOutcome,
+    JobTicket, MatchError, MatchService, ServerFrame, ServiceConfig, SubmitOutcome, TraceConfig,
 };
 
 const USAGE: &str = "\
@@ -53,6 +53,10 @@ OPTIONS:
     --expensive-us N       admission: cost above which jobs shed/defer
     --defer-capacity N     admission: deferral buffer size
     -h, --help             print this help
+
+ENVIRONMENT:
+    REVMATCH_TRACE         span tracing: off or 0 (default), on, 1 or all
+                           (every job), N or sample:N (every N-th job)
 ";
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -153,6 +157,12 @@ fn parse_options() -> Options {
 
 fn build_service(opts: &Options) -> MatchService {
     let mut config = ServiceConfig::default().with_seed(opts.seed);
+    if let Ok(value) = std::env::var("REVMATCH_TRACE") {
+        let trace: TraceConfig = value
+            .parse()
+            .unwrap_or_else(|e| usage_error(&format!("REVMATCH_TRACE: {e}")));
+        config = config.with_trace(trace);
+    }
     if let Some(shards) = opts.shards {
         if shards == 0 {
             usage_error("--shards must be at least 1");

@@ -70,11 +70,9 @@ pub struct MatcherConfig {
     pub quantum_k: usize,
     /// How swap tests are executed.
     pub swap_method: SwapTestMethod,
-    /// Quantum simulation substrate. `None` (the default) defers to the
-    /// process-wide override ([`QuantumBackend::forced`], settable via
-    /// `REVMATCH_QBACKEND`) and then to the per-algorithm auto policy:
-    /// Stabilizer for the Clifford-only Simon sampler, Sparse for
-    /// swap-test probes.
+    /// Quantum simulation substrate. `None` (the default) applies the
+    /// per-algorithm auto policy: Stabilizer for the Clifford-only Simon
+    /// sampler, Sparse for swap-test probes.
     pub quantum_backend: Option<QuantumBackend>,
 }
 
@@ -104,22 +102,19 @@ impl MatcherConfig {
         }
     }
 
-    /// The resolved substrate for the Simon hidden-shift sampler:
-    /// explicit config choice, then the process-wide force, then
-    /// Stabilizer (the round is pure Clifford, so the tableau wins at
-    /// every width).
+    /// The resolved substrate for the Simon hidden-shift sampler: the
+    /// config's pin, else Stabilizer (the round is pure Clifford, so the
+    /// tableau wins at every width).
     pub fn simon_backend(&self) -> QuantumBackend {
-        self.quantum_backend
-            .or_else(QuantumBackend::forced)
-            .unwrap_or(QuantumBackend::Stabilizer)
+        self.quantum_backend.unwrap_or(QuantumBackend::Stabilizer)
     }
 
-    /// The resolved substrate for swap-test probes: explicit config
-    /// choice, then the process-wide force, then Sparse. A Stabilizer
-    /// selection falls back to Sparse — the controlled-SWAP is not
-    /// Clifford, so the tableau cannot execute it.
+    /// The resolved substrate for swap-test probes: the config's pin,
+    /// else Sparse. A Stabilizer pin falls back to Sparse — the
+    /// controlled-SWAP is not Clifford, so the tableau cannot execute
+    /// it.
     pub fn swap_test_backend(&self) -> QuantumBackend {
-        match self.quantum_backend.or_else(QuantumBackend::forced) {
+        match self.quantum_backend {
             Some(QuantumBackend::Stabilizer) | None => QuantumBackend::Sparse,
             Some(b) => b,
         }

@@ -37,14 +37,15 @@
 //!   oracle's charge to its buy price ([`crate::Oracle::on_demand`]);
 //! * [`Stage::Report`] — ticket resolution and completion bookkeeping.
 //!
-//! ## Dispatch idiom
+//! ## Configuration
 //!
-//! Mirroring `Kernel` / `SolverBackend` / `QuantumBackend`: an explicit
-//! [`crate::ServiceConfig::with_trace`] pin wins, then the
-//! `REVMATCH_TRACE` environment variable (`off`/`0`, `on`/`1`/`all`, or
-//! a sampling stride `N` / `sample:N`), and the default is **off** —
-//! an untraced service carries no recorder at all, so the off path
-//! costs one `Option` check per job.
+//! Tracing is a per-service setting, like the SAT options and the
+//! quantum backend: [`crate::ServiceConfig::with_trace`] sets it and the
+//! default is **off** — an untraced service carries no recorder at all,
+//! so the off path costs one `Option` check per job. The text forms
+//! (`off`/`0`, `on`/`1`/`all`, or a sampling stride `N` / `sample:N`)
+//! parse through [`TraceConfig`]'s `FromStr`; `revmatch-server` reads
+//! them from its `REVMATCH_TRACE` deployment switch.
 //!
 //! ## Recorder
 //!
@@ -59,7 +60,7 @@ pub(crate) mod ring;
 
 pub use chrome::{chrome_trace_json, slowest_jobs, JobBreakdown};
 
-use std::sync::OnceLock;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use revmatch_quantum::QuantumBackend;
@@ -285,31 +286,23 @@ impl TraceConfig {
     pub fn enabled(&self) -> bool {
         self.sample > 0
     }
+}
 
-    /// The environment-level default: parses `REVMATCH_TRACE` once
-    /// (`off`/`0` → off; `on`/`1`/`all` → every job; `N` or `sample:N`
-    /// → every `N`-th job). Unset means off. An explicit
-    /// [`crate::ServiceConfig::with_trace`] pin wins over this.
-    pub fn from_env() -> Self {
-        static ENV: OnceLock<TraceConfig> = OnceLock::new();
-        *ENV.get_or_init(|| match std::env::var("REVMATCH_TRACE") {
-            Ok(v) => Self::parse_env(&v),
-            Err(_) => Self::off(),
-        })
-    }
+impl FromStr for TraceConfig {
+    type Err = String;
 
-    fn parse_env(value: &str) -> Self {
+    /// Parses the text forms: `off`/`0` (or empty) → off;
+    /// `on`/`1`/`all` → every job; `N` or `sample:N` → every `N`-th job.
+    fn from_str(value: &str) -> Result<Self, Self::Err> {
         match value {
-            "" | "0" | "off" => Self::off(),
-            "1" | "on" | "all" => Self::all(),
+            "" | "0" | "off" => Ok(Self::off()),
+            "1" | "on" | "all" => Ok(Self::all()),
             other => {
                 let stride = other.strip_prefix("sample:").unwrap_or(other);
-                match stride.parse::<u64>() {
-                    Ok(n) => Self::sampled(n),
-                    Err(_) => {
-                        panic!("REVMATCH_TRACE: expected off|on|all|N|sample:N, got {value:?}")
-                    }
-                }
+                stride
+                    .parse::<u64>()
+                    .map(Self::sampled)
+                    .map_err(|_| format!("expected off|on|all|N|sample:N, got {value:?}"))
             }
         }
     }
@@ -483,12 +476,21 @@ mod tests {
 
     #[test]
     fn env_forms_parse() {
-        assert!(!TraceConfig::parse_env("off").enabled());
-        assert!(!TraceConfig::parse_env("0").enabled());
-        assert_eq!(TraceConfig::parse_env("on").sample, 1);
-        assert_eq!(TraceConfig::parse_env("all").sample, 1);
-        assert_eq!(TraceConfig::parse_env("7").sample, 7);
-        assert_eq!(TraceConfig::parse_env("sample:16").sample, 16);
+        let parse = |s: &str| s.parse::<TraceConfig>().unwrap();
+        assert!(!parse("off").enabled());
+        assert!(!parse("0").enabled());
+        assert_eq!(parse("on").sample, 1);
+        assert_eq!(parse("all").sample, 1);
+        assert_eq!(parse("7").sample, 7);
+        assert_eq!(parse("sample:16").sample, 16);
+    }
+
+    #[test]
+    fn unknown_trace_forms_are_errors() {
+        for bad in ["sometimes", "sample:", "sample:x", "-1"] {
+            let err = bad.parse::<TraceConfig>().unwrap_err();
+            assert!(err.contains("off|on|all|N|sample:N"), "{bad}: {err}");
+        }
     }
 
     #[test]

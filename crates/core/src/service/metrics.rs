@@ -18,6 +18,7 @@ use std::sync::Mutex;
 
 use revmatch_quantum::QuantumBackend;
 
+use super::ServiceConfig;
 use crate::engine::JobKind;
 
 /// Number of [`JobKind`]s — sizes the dense per-kind metric arrays.
@@ -288,11 +289,18 @@ pub struct Metrics {
     /// Execute-stage latency per [`JobKind`] (the `execute_*` body
     /// alone, queue wait excluded).
     exec_by_kind: [Histogram; KINDS],
+    /// The service's pinned quantum backend name, or `auto`.
+    quantum_backend: &'static str,
+    /// The service's SAT feature-set label (e.g. `lbd,xor`).
+    sat_opts: String,
 }
 
 impl Metrics {
-    /// A fresh registry for a service with `shards` worker shards.
-    pub fn new(shards: usize) -> Self {
+    /// A fresh registry for a service started with `config`: one set of
+    /// shard series per worker shard, and info gauges naming the
+    /// config's quantum backend and SAT options.
+    pub fn new(config: &ServiceConfig) -> Self {
+        let shards = config.shards;
         Self {
             submitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -326,6 +334,11 @@ impl Metrics {
             table_compile: Histogram::new(compile_bounds()),
             queue_wait: Histogram::new(latency_bounds()),
             exec_by_kind: std::array::from_fn(|_| Histogram::new(latency_bounds())),
+            quantum_backend: config
+                .matcher
+                .quantum_backend
+                .map_or("auto", QuantumBackend::name),
+            sat_opts: config.sat_opts.label(),
         }
     }
 
@@ -922,46 +935,35 @@ impl Metrics {
             let _ = writeln!(out, "# TYPE {name} gauge");
             let _ = writeln!(out, "{name} {value}");
         }
-        // The evaluation kernel the batch entry points dispatch to, as
-        // an info-style gauge (value always 1; the label carries the
-        // resolved name, e.g. wide256-avx2).
-        let name = "revmatch_kernel_info";
-        let _ = writeln!(
-            out,
-            "# HELP {name} Active oracle evaluation kernel (dispatch-resolved)."
-        );
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(
-            out,
-            "{name}{{kernel=\"{}\"}} 1",
-            escape_label(revmatch_circuit::active_kernel_name())
-        );
-        // The quantum backend selection mode, mirroring the kernel gauge:
-        // a forced backend's name, or "auto" under per-algorithm policy.
-        let name = "revmatch_quantum_backend_info";
-        let _ = writeln!(
-            out,
-            "# HELP {name} Active quantum backend selection (forced name or auto)."
-        );
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(
-            out,
-            "{name}{{backend=\"{}\"}} 1",
-            escape_label(revmatch_quantum::active_quantum_backend_name())
-        );
-        // The process-wide SAT feature set (lbd/xor), mirroring
-        // the kernel gauge: override > REVMATCH_SAT_OPTS env > all.
-        let name = "revmatch_sat_opts_info";
-        let _ = writeln!(
-            out,
-            "# HELP {name} Active SAT solver feature set (lbd/xor)."
-        );
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(
-            out,
-            "{name}{{opts=\"{}\"}} 1",
-            escape_label(&revmatch_sat::active_sat_opts_label())
-        );
+        // Info-style gauges (value always 1; the label carries the
+        // setting): the kernel the batch entry points dispatch to (e.g.
+        // wide256-avx2), and this service's quantum backend pin ("auto"
+        // under the per-algorithm policy) and SAT feature set.
+        let infos = [
+            (
+                "revmatch_kernel_info",
+                "Active oracle evaluation kernel (dispatch-resolved).",
+                "kernel",
+                revmatch_circuit::active_kernel_name(),
+            ),
+            (
+                "revmatch_quantum_backend_info",
+                "Active quantum backend selection (pinned name or auto).",
+                "backend",
+                self.quantum_backend,
+            ),
+            (
+                "revmatch_sat_opts_info",
+                "Active SAT solver feature set (lbd/xor).",
+                "opts",
+                self.sat_opts.as_str(),
+            ),
+        ];
+        for (name, help, key, value) in infos {
+            let _ = writeln!(out, "# HELP {name} {help}");
+            let _ = writeln!(out, "# TYPE {name} gauge");
+            let _ = writeln!(out, "{name}{{{key}=\"{}\"}} 1", escape_label(value));
+        }
         out
     }
 }
@@ -1047,7 +1049,7 @@ mod tests {
             "a\\\\b\\\"c\\nd",
             "backslash, quote and newline must be escaped"
         );
-        let m = Metrics::new(1);
+        let m = Metrics::new(&ServiceConfig::default().with_shards(1));
         m.record_entry_completion("bad\\entry\"with\nnoise");
         let text = m.render();
         assert!(
@@ -1064,7 +1066,7 @@ mod tests {
 
     #[test]
     fn render_includes_every_family() {
-        let m = Metrics::new(2);
+        let m = Metrics::new(&ServiceConfig::default().with_shards(2));
         m.record_accept(1, 3);
         m.record_completion(JobKind::Promise, false, 12, 250);
         m.record_completion(JobKind::Identify, true, 3, 100);
@@ -1135,7 +1137,7 @@ mod tests {
 
     #[test]
     fn latency_scale_exports_seconds() {
-        let m = Metrics::new(1);
+        let m = Metrics::new(&ServiceConfig::default().with_shards(1));
         m.record_completion(JobKind::Sat, true, 1, 2_000_000); // 2 s
         let text = m.render();
         assert!(text.contains("revmatch_job_latency_seconds_sum 2"));

@@ -37,12 +37,12 @@
 //!   counters (`revmatch_jobs_{promise,identify,quantum,sat}_total`),
 //!   `kind`-labeled latency and execute-stage histograms, queue-wait
 //!   decomposition, and per-shard jobs/steal/busy/idle introspection.
-//! * **Tracing** (opt-in, [`crate::observe`]): with a
-//!   [`ServiceConfig::with_trace`] pin or `REVMATCH_TRACE` set, sampled
-//!   jobs record lifecycle spans into lock-free per-shard rings,
-//!   drained via [`MatchService::trace_spans`] /
-//!   [`MatchService::trace_json`] (Chrome trace-event format). Every
-//!   completed job carries a [`JobTiming`] breakdown regardless.
+//! * **Tracing** (opt-in, [`crate::observe`]): with tracing enabled by
+//!   [`ServiceConfig::with_trace`], sampled jobs record lifecycle spans
+//!   into lock-free per-shard rings, drained via
+//!   [`MatchService::trace_spans`] / [`MatchService::trace_json`]
+//!   (Chrome trace-event format). Every completed job carries a
+//!   [`JobTiming`] breakdown regardless.
 //!
 //! Determinism mirrors the engine contract: a job solved with seed `s`
 //! produces the same witness and query count whichever shard or worker
@@ -143,15 +143,10 @@ pub struct ServiceConfig {
     /// worker shard.
     pub miter_budget: usize,
     /// CDCL feature set (LBD tiers, XOR/Gauss) applied to every
-    /// worker-cached solver. Defaults to the process-wide selection
-    /// ([`SatOptions::active`]: override > `REVMATCH_SAT_OPTS` env > all
-    /// on); an explicit [`ServiceConfig::with_sat_opts`] pin wins over
-    /// both.
+    /// worker-cached solver. Defaults to [`SatOptions::ALL`].
     pub sat_opts: SatOptions,
-    /// Span tracing: an explicit [`ServiceConfig::with_trace`] pin wins,
-    /// the default defers to the `REVMATCH_TRACE` environment variable
-    /// ([`TraceConfig::from_env`]), and unset means off — an untraced
-    /// service allocates no recorder at all.
+    /// Span tracing. Defaults to off: an untraced service allocates no
+    /// recorder at all.
     pub trace: TraceConfig,
     /// Cost-aware admission control ([`AdmissionConfig`]); `None` (the
     /// default) admits every job FIFO exactly as before.
@@ -179,8 +174,8 @@ impl Default for ServiceConfig {
             seed: 0,
             solver_backend: SolverBackend::default(),
             miter_budget: DEFAULT_MITER_BUDGET,
-            sat_opts: SatOptions::active(),
-            trace: TraceConfig::from_env(),
+            sat_opts: SatOptions::ALL,
+            trace: TraceConfig::off(),
             admission: None,
             panic_inject: None,
         }
@@ -230,30 +225,25 @@ impl ServiceConfig {
         self
     }
 
-    /// Pins the CDCL feature set for every worker-cached solver,
-    /// overriding the process-wide selection (`REVMATCH_SAT_OPTS` /
-    /// [`revmatch_sat::set_sat_opts_override`]). Any combination is
-    /// verdict-identical; the options trade raw speed for bookkeeping.
+    /// Pins the CDCL feature set for every worker-cached solver. Any
+    /// combination is verdict-identical; the options trade raw speed
+    /// for bookkeeping.
     #[must_use]
     pub fn with_sat_opts(mut self, opts: SatOptions) -> Self {
         self.sat_opts = opts;
         self
     }
 
-    /// Pins the span-tracing configuration, overriding the
-    /// `REVMATCH_TRACE` environment default (see [`TraceConfig`];
-    /// `TraceConfig::off()` pins tracing off even when the env enables
-    /// it).
+    /// Sets the span-tracing configuration (see [`TraceConfig`]).
     #[must_use]
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {
         self.trace = trace;
         self
     }
 
-    /// Pins every quantum-path job to one simulation backend, overriding
-    /// both the `REVMATCH_QBACKEND` process override and the
-    /// per-algorithm auto policy (stabilizer for Simon, sparse for swap
-    /// tests). Jobs whose width exceeds the pinned backend's capacity
+    /// Pins every quantum-path job to one simulation backend instead of
+    /// the per-algorithm auto policy (stabilizer for Simon, sparse for
+    /// swap tests). Jobs whose width exceeds the pinned backend's capacity
     /// complete with a clean error instead of falling back.
     #[must_use]
     pub fn with_quantum_backend(mut self, backend: revmatch_quantum::QuantumBackend) -> Self {
@@ -1200,7 +1190,7 @@ impl MatchService {
         let shards = config.shards.max(1);
         let shared = Arc::new(Shared {
             intake: ShardedQueue::new(shards, config.queue_capacity.max(1)),
-            metrics: Metrics::new(shards),
+            metrics: Metrics::new(&config),
             matcher: config.matcher,
             solver_backend: config.solver_backend,
             miter_budget: config.miter_budget.max(1),

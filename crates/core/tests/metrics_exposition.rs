@@ -7,8 +7,10 @@ use std::collections::BTreeMap;
 
 use rand::SeedableRng;
 use revmatch::{
-    job_seed, random_instance, EngineJob, Equivalence, JobSpec, MatchService, ServiceConfig, Side,
+    job_seed, random_instance, EngineJob, Equivalence, JobSpec, MatchService, SatOptions,
+    ServiceConfig, Side,
 };
+use revmatch_quantum::QuantumBackend;
 
 /// One parsed sample: metric name, raw label string (`{}`-less, may be
 /// empty), value.
@@ -346,4 +348,41 @@ fn exposition_parses_and_is_internally_consistent() {
         );
     }
     service.shutdown();
+}
+
+/// The quantum-backend and SAT-options info gauges describe the service
+/// that renders them: a pinned service and a default one, side by side
+/// in one process, each export their own values.
+#[test]
+fn info_gauges_describe_the_service_config() {
+    let info = |service: &MatchService, name: &str| -> Vec<(String, f64)> {
+        parse(&service.metrics_text())
+            .of(name)
+            .iter()
+            .map(|s| (s.labels.clone(), s.value))
+            .collect()
+    };
+    let pinned = MatchService::start(
+        ServiceConfig::default()
+            .with_shards(1)
+            .with_sat_opts(SatOptions::NONE)
+            .with_quantum_backend(QuantumBackend::Dense),
+    );
+    let default = MatchService::start(ServiceConfig::default().with_shards(1));
+    assert_eq!(
+        info(&pinned, "revmatch_sat_opts_info"),
+        [("opts=\"none\"".to_string(), 1.0)]
+    );
+    assert_eq!(
+        info(&pinned, "revmatch_quantum_backend_info"),
+        [("backend=\"dense\"".to_string(), 1.0)]
+    );
+    assert_eq!(
+        info(&default, "revmatch_sat_opts_info"),
+        [("opts=\"lbd,xor\"".to_string(), 1.0)]
+    );
+    assert_eq!(
+        info(&default, "revmatch_quantum_backend_info"),
+        [("backend=\"auto\"".to_string(), 1.0)]
+    );
 }

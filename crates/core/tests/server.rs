@@ -182,6 +182,54 @@ fn wire_reports_match_in_process_bit_for_bit() {
     }
 }
 
+/// `REVMATCH_TRACE` is the server's deployment switch for tracing: a
+/// value it cannot parse is a usage error (exit 2, the variable named
+/// on stderr) before the server binds, not a panic.
+#[test]
+fn bad_trace_env_is_a_usage_error() {
+    let child = Command::new(env!("CARGO_BIN_EXE_revmatch-server"))
+        .args(["--addr", "127.0.0.1:0", "--shards", "1"])
+        .env("REVMATCH_TRACE", "sometimes")
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn revmatch-server");
+    let mut guard = ServerGuard(child);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = guard.0.try_wait().expect("poll revmatch-server") {
+            break status;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the server kept running with a bad REVMATCH_TRACE"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    use std::io::Read as _;
+    let (mut stdout, mut stderr) = (String::new(), String::new());
+    let _ = guard
+        .0
+        .stdout
+        .take()
+        .expect("piped")
+        .read_to_string(&mut stdout);
+    let _ = guard
+        .0
+        .stderr
+        .take()
+        .expect("piped")
+        .read_to_string(&mut stderr);
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(first.starts_with("error: REVMATCH_TRACE:"), "{stderr}");
+    assert!(
+        !stdout.contains("listening on"),
+        "the server bound before rejecting its environment"
+    );
+}
+
 /// The HTTP sniff on the same port: `GET /metrics` answers one
 /// Prometheus text scrape with the serving counters in it.
 #[test]

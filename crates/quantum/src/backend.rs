@@ -16,15 +16,11 @@
 //!   sampling round is pure H/CNOT/X, so it runs in `O(n²)` bit-packed
 //!   row updates at any width.
 //!
-//! Selection is automatic per algorithm (Stabilizer for Simon-style
-//! Clifford sampling, Sparse for swap-test probes) and forcible via
-//! [`set_quantum_backend_override`] or the `REVMATCH_QBACKEND`
-//! environment variable (`dense`, `sparse`, `stabilizer`). Every
-//! backend recovers identical Simon witnesses on identical instances —
-//! the differential suites hold them to that.
-
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+//! Callers pick the backend: the matchers take an explicit pin from
+//! their configuration, or else apply a per-algorithm auto policy
+//! (Stabilizer for Simon-style Clifford sampling, Sparse for swap-test
+//! probes). Every backend recovers identical Simon witnesses on
+//! identical instances — the differential suites hold them to that.
 
 /// The quantum simulation substrate executing a matcher's circuit runs.
 ///
@@ -41,10 +37,6 @@ pub enum QuantumBackend {
     Stabilizer,
 }
 
-/// Packed override slot for [`set_quantum_backend_override`]: 0 = none,
-/// else `QuantumBackend` position in [`QuantumBackend::ALL`] plus 1.
-static QBACKEND_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
 impl QuantumBackend {
     /// Every backend, in escalation order.
     pub const ALL: [QuantumBackend; 3] = [
@@ -53,7 +45,7 @@ impl QuantumBackend {
         QuantumBackend::Stabilizer,
     ];
 
-    /// The backend's forcing name (`dense`, `sparse`, `stabilizer`), as
+    /// The backend's name (`dense`, `sparse`, `stabilizer`), as
     /// parsed back by [`FromStr`](std::str::FromStr).
     pub fn name(self) -> &'static str {
         match self {
@@ -66,18 +58,6 @@ impl QuantumBackend {
     /// Dense index of the backend (for per-backend metric arrays).
     pub fn index(self) -> usize {
         Self::ALL.iter().position(|&b| b == self).expect("in ALL")
-    }
-
-    /// The process-wide forced backend, if any: a
-    /// [`set_quantum_backend_override`] wins, then the
-    /// `REVMATCH_QBACKEND` environment variable (read once). `None`
-    /// means callers apply their per-algorithm auto policy (Stabilizer
-    /// for Simon sampling, Sparse for swap-test probes).
-    pub fn forced() -> Option<QuantumBackend> {
-        match QBACKEND_OVERRIDE.load(Ordering::Relaxed) {
-            0 => env_backend(),
-            n => Some(QuantumBackend::ALL[usize::from(n) - 1]),
-        }
     }
 }
 
@@ -100,33 +80,6 @@ impl std::str::FromStr for QuantumBackend {
     }
 }
 
-/// Forces every auto-selected quantum simulation in this process onto
-/// `backend` (`None` clears the override). Meant for benches, the load
-/// generator's `--quantum-backend` flag, and differential tests;
-/// recovered witnesses are identical either way.
-pub fn set_quantum_backend_override(backend: Option<QuantumBackend>) {
-    let slot = backend.map_or(0, |b| b.index() as u8 + 1);
-    QBACKEND_OVERRIDE.store(slot, Ordering::Relaxed);
-}
-
-fn env_backend() -> Option<QuantumBackend> {
-    static ENV: OnceLock<Option<QuantumBackend>> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("REVMATCH_QBACKEND") {
-        Ok(s) => Some(
-            s.parse()
-                .unwrap_or_else(|e| panic!("REVMATCH_QBACKEND: {e}")),
-        ),
-        Err(_) => None,
-    })
-}
-
-/// The name the serving metrics and bench logs report for the
-/// process-wide backend selection: the forced backend's name, or
-/// `"auto"` when each algorithm picks its own substrate.
-pub fn active_quantum_backend_name() -> &'static str {
-    QuantumBackend::forced().map_or("auto", QuantumBackend::name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,19 +97,6 @@ mod tests {
     fn indices_are_dense() {
         for (i, b) in QuantumBackend::ALL.into_iter().enumerate() {
             assert_eq!(b.index(), i);
-        }
-    }
-
-    #[test]
-    fn override_wins_and_clears() {
-        set_quantum_backend_override(Some(QuantumBackend::Sparse));
-        assert_eq!(QuantumBackend::forced(), Some(QuantumBackend::Sparse));
-        assert_eq!(active_quantum_backend_name(), "sparse");
-        set_quantum_backend_override(None);
-        // With no env var set in tests, forced() falls back to None.
-        if std::env::var("REVMATCH_QBACKEND").is_err() {
-            assert_eq!(QuantumBackend::forced(), None);
-            assert_eq!(active_quantum_backend_name(), "auto");
         }
     }
 }

@@ -53,7 +53,7 @@ pub mod stabilizer;
 pub mod state;
 pub mod swap_test;
 
-pub use backend::{active_quantum_backend_name, set_quantum_backend_override, QuantumBackend};
+pub use backend::QuantumBackend;
 pub use complex::Complex;
 pub use error::QuantumError;
 pub use sparse::{SparseStateVector, SPARSE_MAX_ENTRIES, SPARSE_MAX_QUBITS};

@@ -333,7 +333,7 @@ impl CdclSolver {
             reuse_level: 0,
             assump_mark: Vec::new(),
             final_core: Vec::new(),
-            opts: SatOptions::active(),
+            opts: SatOptions::ALL,
             lbd_stamp: Vec::new(),
             lbd_gen: 0,
             lbd_ema_fast: 0.0,
@@ -385,10 +385,10 @@ impl CdclSolver {
         self.budget = budget;
     }
 
-    /// Pins this solver instance to an explicit feature set, overriding
-    /// [`SatOptions::active`] — the per-solver twin of
-    /// [`crate::set_sat_opts_override`], used by differential tests and
-    /// A/B benchmarks. Call before the first solve: the XOR layer is
+    /// Pins this solver instance to an explicit feature set instead of
+    /// the default [`SatOptions::ALL`] — how a service applies its
+    /// configured options, and what differential tests and A/B
+    /// benchmarks use. Call before the first solve: the XOR layer is
     /// (re)built lazily under the new gates.
     #[must_use]
     pub fn with_options(mut self, opts: SatOptions) -> Self {

@@ -60,7 +60,7 @@ pub use cnf::{Clause, Cnf, Lit, Var};
 pub use drat::{check_drat_unsat, DratReport};
 pub use error::SatError;
 pub use gen::{minimize_unique, planted_unique, random_ksat, PlantedUnique};
-pub use options::{active_sat_opts_label, set_sat_opts_override, SatOptions};
+pub use options::SatOptions;
 pub use solver::{AssumedSolve, BudgetedAssumedSolve, BudgetedSolve, Solve, Solver};
 pub use valiant_vazirani::{
     encode_with_xors, isolate_unique, isolate_unique_with, valiant_vazirani_trial,
