@@ -5,15 +5,19 @@
 //! feeds the service) and a writer thread (streams `Report` frames back
 //! as tickets resolve, tagged with the client's correlation id, in
 //! submit order per connection). A plain HTTP `GET /metrics` on the
-//! same port — sniffed from the first bytes — answers one Prometheus
-//! text scrape and closes.
+//! same port answers one Prometheus text scrape and closes. The reader
+//! thread itself reads a connection's first four bytes to tell the two
+//! apart, so the accept loop never waits on a client.
 //!
-//! `SIGTERM`/`SIGINT` trigger a graceful drain: the listener stops
-//! accepting, open connections see EOF on their read half (in-flight
-//! jobs still complete and their reports flush out), the service drains
-//! and the process exits 0. Frames a client had written but the server
-//! had not yet read when the signal landed are discarded with the read
-//! half — the drain contract covers *accepted* jobs only.
+//! The accept loop sleeps in `poll(2)` on the listener and on a pipe
+//! that the `SIGTERM`/`SIGINT` handler writes to, so a connection or a
+//! signal wakes it at once. A signal triggers a graceful drain: the
+//! listener stops accepting, open connections see EOF on their read
+//! half (in-flight jobs still complete and their reports flush out),
+//! the connection threads are joined, the service drains and the
+//! process exits 0. Frames a client had written but the server had not
+//! yet read when the signal landed are discarded with the read half —
+//! the drain contract covers *accepted* jobs only.
 //!
 //! Backpressure policy, per submit:
 //! - admission control (when `--admission` is on) may **shed** an
@@ -23,11 +27,13 @@
 //!   stalls that one connection's reader — natural per-connection TCP
 //!   backpressure — without affecting other connections.
 
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::ffi::{c_int, c_short, c_ulong};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
@@ -59,25 +65,79 @@ ENVIRONMENT:
                            (every job), N or sample:N (every N-th job)
 ";
 
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_signal(_signum: i32) {
-    SHUTDOWN.store(true, Ordering::SeqCst);
+// Raw libc calls via FFI (no `libc` crate is vendored).
+extern "C" {
+    fn signal(signum: c_int, handler: usize) -> usize;
+    fn pipe(fds: *mut c_int) -> c_int;
+    // `nfds_t` is `unsigned long` on Linux.
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
 }
 
-fn install_signal_handlers() {
-    // Raw libc `signal(2)` via FFI: the handler only stores an atomic,
-    // which is async-signal-safe.
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x1;
+
+static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+/// Write end of the pipe that wakes the accept loop on a signal. Set
+/// before the handlers are installed and never closed.
+static WAKE_WRITE: AtomicI32 = AtomicI32::new(-1);
+
+extern "C" fn on_signal(_signum: c_int) {
+    // Only the first signal writes, so the pipe never fills and the
+    // write never blocks.
+    if !SHUTDOWN.swap(true, Ordering::SeqCst) {
+        // SAFETY: write(2) is async-signal-safe, WAKE_WRITE holds an
+        // open descriptor (see install_signal_handlers), and the buffer
+        // is one live byte.
+        unsafe { write(WAKE_WRITE.load(Ordering::SeqCst), &1u8, 1) };
     }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    let handler = on_signal as *const () as usize;
+}
+
+/// Creates the wake pipe, then installs the `SIGTERM`/`SIGINT` handler
+/// that writes to it. Returns the pipe's read end.
+fn install_signal_handlers() -> io::Result<RawFd> {
+    const SIGINT: c_int = 2;
+    const SIGTERM: c_int = 15;
+    let mut fds = [0 as c_int; 2];
+    // SAFETY: pipe(2) writes two descriptors into the two-element array.
+    if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
+        return Err(io::Error::last_os_error());
+    }
+    WAKE_WRITE.store(fds[1], Ordering::SeqCst);
+    let handler = on_signal as extern "C" fn(c_int) as usize;
+    // SAFETY: the handler only touches atomics and calls write(2), all
+    // async-signal-safe, and the pipe it writes to exists already.
     unsafe {
         signal(SIGTERM, handler);
         signal(SIGINT, handler);
     }
+    Ok(fds[0])
+}
+
+/// Blocks until the listener has a connection waiting or the wake pipe
+/// is readable. A signal that interrupts the wait returns `Ok` too: the
+/// caller checks `SHUTDOWN` and accepts again either way.
+fn wait_for_connection(listener: RawFd, wake: RawFd) -> io::Result<()> {
+    let mut fds = [listener, wake].map(|fd| PollFd {
+        fd,
+        events: POLLIN,
+        revents: 0,
+    });
+    // SAFETY: `fds` is a live array of `fds.len()` pollfd structs.
+    if unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, -1) } < 0 {
+        let e = io::Error::last_os_error();
+        if e.kind() != io::ErrorKind::Interrupted {
+            return Err(e);
+        }
+    }
+    Ok(())
 }
 
 struct Options {
@@ -217,11 +277,36 @@ enum Outgoing {
     Metrics(String),
 }
 
-fn handle_connection(stream: TcpStream, service: Arc<MatchService>) {
+/// Serves one accepted connection on its own thread. The first bytes
+/// pick the protocol: exactly `GET ` is an HTTP scrape, anything else a
+/// binary wire session. A wire frame would need a little-endian length
+/// of 0x20544547 (~542 MB, far past `MAX_FRAME_LEN`) to start with
+/// `GET `, so there is no ambiguity. Reads until four bytes or EOF: a
+/// request head may trickle in byte by byte, and a session cut short
+/// inside its first length prefix still reaches the frame reader, which
+/// reports it.
+fn serve_connection(stream: TcpStream, service: Arc<MatchService>) {
     let peer = stream
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "<unknown>".to_string());
+    let mut prefix = Vec::with_capacity(4);
+    match (&stream).take(4).read_to_end(&mut prefix) {
+        // EOF before the first byte: nothing to serve.
+        Ok(0) => {}
+        Ok(_) if prefix == b"GET " => handle_http_scrape(&stream, prefix, &service),
+        Ok(_) => handle_wire_session(&stream, &prefix, &service, &peer),
+        Err(e) => eprintln!("revmatch-server: {peer}: read failed: {e}"),
+    }
+    // Full close, covering every clone of the socket (the accept loop
+    // holds one until it reaps this thread): the client sees EOF once
+    // the last reply has flushed.
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Runs a binary wire session whose first bytes, `prefix`, are already
+/// read.
+fn handle_wire_session(stream: &TcpStream, prefix: &[u8], service: &MatchService, peer: &str) {
     let write_half = match stream.try_clone() {
         Ok(s) => s,
         Err(e) => {
@@ -259,7 +344,7 @@ fn handle_connection(stream: TcpStream, service: Arc<MatchService>) {
         let _ = out.flush();
     });
 
-    let mut input = BufReader::new(stream);
+    let mut input = BufReader::new(prefix.chain(stream));
     loop {
         match read_client_frame(&mut input) {
             Ok(Some(ClientFrame::Submit {
@@ -303,43 +388,13 @@ fn handle_connection(stream: TcpStream, service: Arc<MatchService>) {
     }
     drop(tx);
     let _ = writer.join();
-    // Full close (covers every clone of the socket): the client's
-    // reader sees EOF once the last report has flushed.
-    let _ = input.into_inner().shutdown(Shutdown::Both);
 }
 
-/// Decides whether a fresh connection is an HTTP scrape (starts with
-/// exactly `GET `) or a binary wire session. Requires the full 4-byte
-/// match: a wire frame's little-endian length would need to be
-/// 0x20544547 (~542 MB, far past `MAX_FRAME_LEN`) to collide, so there
-/// is no ambiguity. Peeks in a short bounded loop in case the request
-/// head trickles in byte by byte.
-fn sniff_http(stream: &TcpStream) -> bool {
-    let mut first = [0u8; 4];
-    for _ in 0..50 {
-        match stream.peek(&mut first) {
-            Ok(0) => return false,
-            Ok(n) => {
-                if first[..n] != b"GET "[..n] {
-                    return false;
-                }
-                if n == 4 {
-                    return true;
-                }
-                // A strict prefix of "GET " so far; wait for more bytes.
-                thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => return false,
-        }
-    }
-    false
-}
-
-/// Answers one `GET /metrics` HTTP request and closes the connection.
-fn handle_http_scrape(mut stream: TcpStream, service: &MatchService) {
+/// Answers one `GET /metrics` HTTP request, whose first bytes are
+/// `head`.
+fn handle_http_scrape(mut stream: &TcpStream, mut head: Vec<u8>, service: &MatchService) {
     // Consume the request head (we only serve one route).
     let mut buf = [0u8; 4096];
-    let mut head = Vec::new();
     loop {
         match stream.read(&mut buf) {
             Ok(0) => break,
@@ -363,12 +418,24 @@ fn handle_http_scrape(mut stream: TcpStream, service: &MatchService) {
         body.len(),
     );
     let _ = stream.write_all(response.as_bytes());
-    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// An accepted connection: the thread serving it, and a clone of its
+/// socket whose read half the drain shuts down so the thread sees EOF.
+struct Connection {
+    read_half: TcpStream,
+    thread: thread::JoinHandle<()>,
 }
 
 fn main() -> ExitCode {
     let opts = parse_options();
-    install_signal_handlers();
+    let wake = match install_signal_handlers() {
+        Ok(fd) => fd,
+        Err(e) => {
+            eprintln!("revmatch-server: cannot create the wake pipe: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let service = Arc::new(build_service(&opts));
     let listener = match TcpListener::bind(&opts.addr) {
@@ -385,63 +452,47 @@ fn main() -> ExitCode {
     println!("listening on {local}");
     std::io::stdout().flush().expect("flush stdout");
 
-    // Read halves of open binary connections keyed by connection id,
-    // shut down on SIGTERM so their readers see EOF and the connections
-    // wind down gracefully. Entries are removed as connections close so
-    // a long-lived server doesn't leak descriptors.
-    let open_streams: Arc<Mutex<Vec<(u64, TcpStream)>>> = Arc::new(Mutex::new(Vec::new()));
-    let active: Arc<AtomicUsize> = Arc::new(AtomicUsize::new(0));
-    let mut next_conn_id: u64 = 0;
-
+    // Every accepted connection is registered, whatever it turns out to
+    // speak, so the drain can also free one whose client never sent
+    // anything.
+    let mut connections: Vec<Connection> = Vec::new();
     while !SHUTDOWN.load(Ordering::SeqCst) {
-        match listener.accept() {
+        let accepted = match listener.accept() {
             Ok((stream, _)) => {
-                if sniff_http(&stream) {
+                // Join the threads of closed connections, so a
+                // long-lived server keeps no descriptor for them.
+                for closed in connections.extract_if(.., |c| c.thread.is_finished()) {
+                    let _ = closed.thread.join();
+                }
+                stream.try_clone().map(|read_half| {
                     let service = Arc::clone(&service);
-                    thread::spawn(move || handle_http_scrape(stream, &service));
-                    continue;
-                }
-                let conn_id = next_conn_id;
-                next_conn_id += 1;
-                if let Ok(read_half) = stream.try_clone() {
-                    open_streams
-                        .lock()
-                        .expect("open_streams lock")
-                        .push((conn_id, read_half));
-                }
-                let service = Arc::clone(&service);
-                let active = Arc::clone(&active);
-                let open_streams = Arc::clone(&open_streams);
-                active.fetch_add(1, Ordering::SeqCst);
-                thread::spawn(move || {
-                    handle_connection(stream, service);
-                    open_streams
-                        .lock()
-                        .expect("open_streams lock")
-                        .retain(|(id, _)| *id != conn_id);
-                    active.fetch_sub(1, Ordering::SeqCst);
-                });
+                    let thread = thread::spawn(move || serve_connection(stream, service));
+                    connections.push(Connection { read_half, thread });
+                })
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(20));
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                wait_for_connection(listener.as_raw_fd(), wake)
             }
-            Err(e) => {
-                eprintln!("revmatch-server: accept failed: {e}");
-                thread::sleep(Duration::from_millis(100));
-            }
+            Err(e) => Err(e),
+        };
+        if let Err(e) = accepted {
+            // A real failure (EMFILE with a full descriptor table, say)
+            // would repeat at once: back off instead of spinning.
+            eprintln!("revmatch-server: accept failed: {e}");
+            thread::sleep(Duration::from_millis(100));
         }
     }
 
     // Graceful drain: stop reading from every open connection (their
-    // writers still flush pending reports), wait for connections to wind
-    // down, then drain the service itself.
+    // writers still flush pending reports), join the connection threads,
+    // then drain the service itself.
     eprintln!("revmatch-server: shutdown requested, draining");
     drop(listener);
-    for (_, stream) in open_streams.lock().expect("open_streams lock").drain(..) {
-        let _ = stream.shutdown(Shutdown::Read);
+    for conn in &connections {
+        let _ = conn.read_half.shutdown(Shutdown::Read);
     }
-    while active.load(Ordering::SeqCst) > 0 {
-        thread::sleep(Duration::from_millis(10));
+    for conn in connections {
+        let _ = conn.thread.join();
     }
     service.drain();
     eprintln!(

@@ -9,6 +9,7 @@
 use std::io::{BufRead, BufReader, BufWriter};
 use std::net::{Shutdown, TcpStream};
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 use rand::SeedableRng;
 use revmatch::{
@@ -250,6 +251,111 @@ fn http_metrics_scrape_on_same_port() {
     assert!(
         response.contains(&format!("revmatch_jobs_completed_total {}", jobs.len())),
         "scrape reflects the completed wire jobs"
+    );
+}
+
+/// Sends `GET /metrics` on a fresh connection and returns the reply. A
+/// server that does not answer within 5 s fails the test instead of
+/// hanging it.
+fn scrape(addr: &str) -> String {
+    use std::io::{Read as _, Write as _};
+    let mut stream = TcpStream::connect(addr).expect("connect for scrape");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set read timeout");
+    stream
+        .write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
+        .expect("write scrape");
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .expect("scrape answered within 5 s");
+    response
+}
+
+/// Sends SIGTERM and waits up to 5 s for the server to exit.
+fn terminate(guard: &mut ServerGuard) -> std::process::ExitStatus {
+    let status = Command::new("kill")
+        .args(["-TERM", &guard.0.id().to_string()])
+        .status()
+        .expect("send SIGTERM");
+    assert!(status.success());
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        if let Some(exit) = guard.0.try_wait().expect("poll revmatch-server") {
+            return exit;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the server was still running 5 s after SIGTERM"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// A client that connects and never sends a byte holds only its own
+/// connection: later scrapes and wire jobs are still served, and
+/// SIGTERM still drains to exit 0.
+#[test]
+fn silent_connection_blocks_neither_accept_nor_shutdown() {
+    let (job, seed) = seeded_jobs().remove(1);
+    let service = MatchService::start(ServiceConfig::default().with_shards(2));
+    let local = service.submit_wait_seeded(job.clone(), seed).wait();
+    service.shutdown();
+
+    let (mut guard, addr) = spawn_server(&[]);
+    let _silent = TcpStream::connect(&addr).expect("connect silent client");
+
+    let response = scrape(&addr);
+    assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+
+    let wire = submit_over_wire(&addr, &[(job, seed)]);
+    assert_reports_equal(&wire[0], &local, "job behind a silent connection");
+
+    let exit = terminate(&mut guard);
+    assert!(exit.success(), "graceful drain exits 0, got {exit:?}");
+}
+
+/// An HTTP request head that arrives in pieces, the first shorter than
+/// `GET `, is still recognised as a scrape.
+#[test]
+fn trickled_http_head_is_still_a_scrape() {
+    use std::io::{Read as _, Write as _};
+    let (_guard, addr) = spawn_server(&[]);
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream.set_nodelay(true).expect("set nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set read timeout");
+    stream.write_all(b"GE").expect("write first piece");
+    std::thread::sleep(Duration::from_millis(100));
+    stream
+        .write_all(b"T /metrics HTTP/1.0\r\n\r\n")
+        .expect("write second piece");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    assert!(response.starts_with("HTTP/1.1 200 OK"), "{response:?}");
+}
+
+/// A fresh server answers its first connection as soon as it arrives,
+/// not on the next tick of a polling accept loop.
+#[test]
+fn first_connection_is_answered_without_an_accept_poll() {
+    let fastest = (0..3)
+        .map(|_| {
+            let (_guard, addr) = spawn_server(&[]);
+            std::thread::sleep(Duration::from_millis(2));
+            let start = Instant::now();
+            let response = scrape(&addr);
+            let elapsed = start.elapsed();
+            assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+            elapsed
+        })
+        .min()
+        .expect("three servers");
+    assert!(
+        fastest < Duration::from_millis(10),
+        "fastest first answer took {fastest:?}"
     );
 }
 
