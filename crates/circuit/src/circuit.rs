@@ -66,7 +66,9 @@ impl Circuit {
                 max: crate::bits::MAX_WIDTH,
             });
         }
+        let gates = gates.into_iter();
         let mut c = Self::new(width);
+        c.gates.reserve(gates.size_hint().0);
         for g in gates {
             c.push(g)?;
         }

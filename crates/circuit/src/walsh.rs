@@ -38,57 +38,83 @@ use crate::truth_table::TruthTable;
 /// ```
 pub fn walsh_spectrum(table: &TruthTable, bit: usize) -> Vec<i64> {
     assert!(bit < table.width());
-    let size = table.len();
-    let mut spec: Vec<i64> = (0..size)
-        .map(|x| {
-            if (table.apply(x as u64) >> bit) & 1 == 1 {
-                -1
-            } else {
-                1
-            }
-        })
+    let mut spec: Vec<i64> = table
+        .entries()
+        .iter()
+        .map(|&y| 1 - 2 * ((y >> bit) & 1) as i64)
         .collect();
-    // In-place fast Walsh–Hadamard transform.
-    let mut h = 1;
-    while h < size {
-        let mut i = 0;
-        while i < size {
-            for j in i..i + h {
-                let (a, b) = (spec[j], spec[j + h]);
-                spec[j] = a + b;
-                spec[j + h] = a - b;
-            }
-            i += 2 * h;
-        }
-        h *= 2;
-    }
+    fwht(&mut spec);
     spec
 }
 
-/// A matching-invariant signature: per output bit, the sorted absolute
-/// Walsh spectrum; the per-bit signatures themselves sorted.
+/// In-place fast Walsh–Hadamard transform of a `2^n`-entry vector.
+fn fwht<T>(spec: &mut [T])
+where
+    T: Copy + std::ops::Add<Output = T> + std::ops::Sub<Output = T>,
+{
+    let mut h = 1;
+    while h < spec.len() {
+        for block in spec.chunks_exact_mut(2 * h) {
+            let (lo, hi) = block.split_at_mut(h);
+            for (a, b) in lo.iter_mut().zip(hi) {
+                (*a, *b) = (*a + *b, *a - *b);
+            }
+        }
+        h *= 2;
+    }
+}
+
+/// A matching-invariant signature: per output bit, the multiset of
+/// absolute Walsh coefficients `|W(ω)|`; the per-bit multisets
+/// themselves sorted.
 ///
 /// Two circuits equivalent under **any** X-Y condition have equal
 /// signatures, so unequal signatures refute every class at once.
+///
+/// Each multiset is kept as a value/count list, sorted by value: one
+/// `(|W|, count)` pair per *distinct* absolute coefficient, not one word
+/// per `ω`. Two sorted multisets are equal exactly when their value/count
+/// lists are, so equality means what it did for sorted spectra, while a
+/// signature's memory per output bit is the number of distinct `|W|`
+/// values (at most `2^(n−1) + 1`, and a handful for structured circuits)
+/// instead of `2^n` words.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MatchSignature {
-    spectra: Vec<Vec<u64>>,
+    spectra: Vec<Vec<(u64, u64)>>,
 }
 
 impl MatchSignature {
     /// Computes the signature of a truth table.
+    ///
+    /// All `n` spectra are transformed in one reused buffer filled
+    /// straight from the table's entries, and counted into one reused
+    /// histogram; nothing of size `2^n` is kept.
     pub fn of_table(table: &TruthTable) -> Self {
-        let mut spectra: Vec<Vec<u64>> = (0..table.width())
+        let entries = table.entries();
+        // |W| ≤ 2^n ≤ 2^24 fits an i32. For n ≥ 1 every coefficient
+        // W = 2^n − 2·wt(f ⊕ ω·x) is even, so |W| / 2 indexes a histogram
+        // of 2^(n−1) + 1 bins.
+        let mut spec = vec![0i32; entries.len()];
+        let mut counts = vec![0u32; entries.len() / 2 + 1];
+        let mut spectra: Vec<Vec<(u64, u64)>> = (0..table.width())
             .map(|bit| {
-                let mut abs: Vec<u64> = walsh_spectrum(table, bit)
-                    .into_iter()
-                    .map(|w| w.unsigned_abs())
-                    .collect();
-                abs.sort_unstable();
-                abs
+                for (w, &y) in spec.iter_mut().zip(entries) {
+                    *w = 1 - 2 * ((y >> bit) & 1) as i32;
+                }
+                fwht(&mut spec);
+                for &w in &spec {
+                    counts[(w.unsigned_abs() / 2) as usize] += 1;
+                }
+                // Reading a bin back empties it for the next bit.
+                counts
+                    .iter_mut()
+                    .enumerate()
+                    .filter(|(_, count)| **count > 0)
+                    .map(|(half, count)| (2 * half as u64, u64::from(std::mem::take(count))))
+                    .collect()
             })
             .collect();
-        spectra.sort();
+        spectra.sort_unstable();
         Self { spectra }
     }
 
@@ -102,8 +128,9 @@ impl MatchSignature {
         Ok(Self::of_table(&circuit.truth_table()?))
     }
 
-    /// The sorted per-output absolute spectra.
-    pub fn spectra(&self) -> &[Vec<u64>] {
+    /// The per-output `(|W|, count)` lists, each sorted by `|W|`, in
+    /// sorted order.
+    pub fn spectra(&self) -> &[Vec<(u64, u64)>] {
         &self.spectra
     }
 }
@@ -267,5 +294,84 @@ mod tests {
         // But a Toffoli is not.
         let toffoli = Circuit::from_gates(3, [Gate::toffoli(0, 1, 2)]).unwrap();
         assert_ne!(MatchSignature::of_circuit(&toffoli).unwrap(), id_sig);
+    }
+
+    /// The signature as sorted absolute spectra, one `2^n` vector per
+    /// output bit, the vectors themselves sorted.
+    fn sorted_spectra(table: &TruthTable) -> Vec<Vec<u64>> {
+        let mut spectra: Vec<Vec<u64>> = (0..table.width())
+            .map(|bit| {
+                let mut abs: Vec<u64> = walsh_spectrum(table, bit)
+                    .into_iter()
+                    .map(i64::unsigned_abs)
+                    .collect();
+                abs.sort_unstable();
+                abs
+            })
+            .collect();
+        spectra.sort();
+        spectra
+    }
+
+    #[test]
+    fn value_count_signature_agrees_with_sorted_spectra() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let relabel = |t: &TruthTable, t_in: &NpTransform, t_out: &NpTransform| {
+            TruthTable::from_fn(t.width(), |x| t_out.apply(t.apply(t_in.apply(x)))).unwrap()
+        };
+        for w in 1..=10 {
+            for _ in 0..4 {
+                let a = TruthTable::random(w, &mut rng);
+                let b = TruthTable::random(w, &mut rng);
+                let id = NpTransform::identity(w);
+                let negated = NpTransform::new(
+                    NegationMask::random(w, &mut rng),
+                    LinePermutation::identity(w),
+                )
+                .unwrap();
+                let permuted = NpTransform::new(
+                    NegationMask::identity(w),
+                    LinePermutation::random(w, &mut rng),
+                )
+                .unwrap();
+                let mut swapped = a.entries().to_vec();
+                swapped.swap(0, 1);
+                let pairs = [
+                    (a.clone(), a.clone()),
+                    (a.clone(), b),
+                    (a.clone(), TruthTable::new(w, swapped).unwrap()),
+                    (a.clone(), relabel(&a, &negated, &id)),
+                    (a.clone(), relabel(&a, &id, &permuted)),
+                    (
+                        a.clone(),
+                        relabel(
+                            &a,
+                            &NpTransform::random(w, &mut rng),
+                            &NpTransform::random(w, &mut rng),
+                        ),
+                    ),
+                ];
+                for (x, y) in &pairs {
+                    let (sx, sy) = (MatchSignature::of_table(x), MatchSignature::of_table(y));
+                    assert_eq!(
+                        sx == sy,
+                        sorted_spectra(x) == sorted_spectra(y),
+                        "w{w}: value/count equality differs from sorted-spectra equality"
+                    );
+                    // Each value/count list expands to its sorted spectrum.
+                    let mut expanded: Vec<Vec<u64>> = sx
+                        .spectra()
+                        .iter()
+                        .map(|list| {
+                            list.iter()
+                                .flat_map(|&(v, c)| std::iter::repeat_n(v, c as usize))
+                                .collect()
+                        })
+                        .collect();
+                    expanded.sort();
+                    assert_eq!(expanded, sorted_spectra(x), "w{w}");
+                }
+            }
+        }
     }
 }

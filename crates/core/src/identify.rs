@@ -12,17 +12,28 @@
 //! UNIQUE-SAT-hard classes are reached only through the brute-force
 //! matcher and only at widths where it is feasible — exactly the situation
 //! Theorems 2–3 say one cannot improve in general.
+//!
+//! Validation is white-box and costs no oracle query. Up to
+//! [`TruthTable::MAX_WIDTH`] lines the walk builds both circuits' truth
+//! tables once per job; the Walsh-signature prefilter, every
+//! [`VerifyMode::Exhaustive`] candidate check and every brute-force pass
+//! read those two tables. [`VerifyMode::Sampled`] keeps drawing fresh
+//! inputs for each candidate, so its RNG stream does not depend on the
+//! tables. Above that width no table exists, so an exhaustive walk
+//! returns [`CircuitError::WidthTooLarge`] before it spends a query.
 
 use rand::Rng;
 
-use crate::equivalence::Equivalence;
+use crate::equivalence::{Equivalence, Side};
 use crate::error::MatchError;
 use crate::lattice::classify;
-use crate::matchers::{brute_force_match, solve_promise, MatcherConfig, ProblemOracles};
+use crate::matchers::{
+    brute_force_match_tables, solve_promise, MatcherConfig, ProblemOracles, BRUTE_FORCE_MAX_WIDTH,
+};
 use crate::oracle::Oracle;
-use crate::verify::{check_witness, VerifyMode};
+use crate::verify::{check_witness, check_witness_tables, VerifyMode};
 use crate::witness::MatchWitness;
-use revmatch_circuit::Circuit;
+use revmatch_circuit::{Circuit, CircuitError, MatchSignature, TruthTable};
 
 /// Result of an identification run, with full walk accounting.
 #[derive(Debug, Clone)]
@@ -78,8 +89,10 @@ impl Default for IdentifyOptions {
 /// # Errors
 ///
 /// Returns [`MatchError::WidthMismatch`] if the circuits disagree on
-/// width; matcher-internal errors are treated as "this class does not
-/// match" and skipped.
+/// width, and [`MatchError::Circuit`] with [`CircuitError::WidthTooLarge`]
+/// for [`VerifyMode::Exhaustive`] above [`TruthTable::MAX_WIDTH`] lines
+/// (before any query); matcher-internal errors are treated as "this class
+/// does not match" and skipped.
 ///
 /// # Examples
 ///
@@ -137,19 +150,31 @@ pub fn identify_equivalence_with_oracles(
             right: c2.width(),
         });
     }
-    // Spectral prefilter (white-box, no oracle queries): a Walsh-signature
-    // mismatch refutes every X-Y class at once.
-    if n <= revmatch_circuit::TruthTable::MAX_WIDTH
-        && !revmatch_circuit::signatures_compatible(c1, c2)?
-    {
-        return Ok(None);
-    }
+    // White-box truth tables, built once per job: the spectral prefilter,
+    // every exhaustive candidate check and every brute-force pass read
+    // these two instead of re-simulating the circuits.
+    let tables = if n <= TruthTable::MAX_WIDTH {
+        let (t1, t2) = (c1.truth_table()?, c2.truth_table()?);
+        // Spectral prefilter (no oracle queries): a Walsh-signature
+        // mismatch refutes every X-Y class at once.
+        if MatchSignature::of_table(&t1) != MatchSignature::of_table(&t2) {
+            return Ok(None);
+        }
+        Some((t1, t2))
+    } else if options.verify == VerifyMode::Exhaustive {
+        return Err(CircuitError::WidthTooLarge {
+            width: n,
+            max: TruthTable::MAX_WIDTH,
+        }
+        .into());
+    } else {
+        None
+    };
     let oracles = ProblemOracles::with_inverses(o1, o2, o1_inv, o2_inv);
     let initial_queries = oracles.total_queries();
 
-    // Cheapest classes first; ties broken deterministically.
     let mut classes: Vec<Equivalence> = Equivalence::all().collect();
-    classes.sort_by_key(|e| (e.search_space(n.min(16)), e.to_string()));
+    classes.sort_by_cached_key(|&e| walk_key(e, n));
 
     let mut classes_tried = 0usize;
     for e in classes {
@@ -157,32 +182,56 @@ pub fn identify_equivalence_with_oracles(
         let candidate = if classify(e).is_tractable() {
             classes_tried += 1;
             solve_promise(e, &oracles, &options.config, rng).ok()
-        } else if options.allow_brute_force && n <= crate::matchers::BRUTE_FORCE_MAX_WIDTH {
+        } else if let Some((t1, t2)) = tables
+            .as_ref()
+            .filter(|_| options.allow_brute_force && n <= BRUTE_FORCE_MAX_WIDTH)
+        {
             classes_tried += 1;
-            brute_force_match(c1, c2, e)?
+            brute_force_match_tables(t1, t2, e)?
         } else {
             None
         };
-        if let Some(witness) = candidate {
-            if witness.conforms_to(e) && check_witness(c1, c2, &witness, options.verify, rng)? {
-                let total = oracles.total_queries();
-                return Ok(Some(Identification {
-                    equivalence: e,
-                    witness,
-                    queries: total - initial_queries,
-                    winner_queries: total - before,
-                    classes_tried,
-                }));
-            }
+        let Some(witness) = candidate.filter(|w| w.conforms_to(e)) else {
+            continue;
+        };
+        // `Sampled` draws fresh inputs for every candidate even when the
+        // tables exist: later matchers read the same RNG stream.
+        let holds = match (&tables, options.verify) {
+            (Some((t1, t2)), VerifyMode::Exhaustive) => check_witness_tables(t1, t2, &witness)?,
+            _ => check_witness(c1, c2, &witness, options.verify, rng)?,
+        };
+        if holds {
+            let total = oracles.total_queries();
+            return Ok(Some(Identification {
+                equivalence: e,
+                witness,
+                queries: total - initial_queries,
+                winner_queries: total - before,
+                classes_tried,
+            }));
         }
     }
     Ok(None)
 }
 
+/// The walk order: cheapest classes first, by search space at
+/// `min(n, 16)` lines, ties broken by class name (`e.to_string()`)
+/// without building the strings. Side names sort `I < N < NP < P` as
+/// strings (`"N-"` precedes `"NP"` because `'-' < 'P'`), which is not
+/// `Side`'s declaration order.
+fn walk_key(e: Equivalence, n: usize) -> (u128, u8, u8) {
+    let name_rank = |side| match side {
+        Side::I => 0,
+        Side::N => 1,
+        Side::Np => 2,
+        Side::P => 3,
+    };
+    (e.search_space(n.min(16)), name_rank(e.x), name_rank(e.y))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::equivalence::Side;
     use crate::promise::random_instance;
     use rand::SeedableRng;
 
@@ -311,6 +360,17 @@ mod tests {
                 &mut rng
             )
             .unwrap());
+        }
+    }
+
+    #[test]
+    fn walk_key_gives_the_string_order_at_every_width() {
+        for n in 1..=64 {
+            let mut by_key: Vec<Equivalence> = Equivalence::all().collect();
+            by_key.sort_by_key(|&e| walk_key(e, n));
+            let mut by_name: Vec<Equivalence> = Equivalence::all().collect();
+            by_name.sort_by_key(|e| (e.search_space(n.min(16)), e.to_string()));
+            assert_eq!(by_key, by_name, "width {n}");
         }
     }
 

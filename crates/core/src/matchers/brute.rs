@@ -11,9 +11,7 @@
 //! sizes, which is exactly how Theorems 2 and 3 predict the world must
 //! look.
 
-use revmatch_circuit::{
-    width_mask, Circuit, LinePermutation, NegationMask, NpTransform, TruthTable,
-};
+use revmatch_circuit::{Circuit, LinePermutation, NegationMask, NpTransform, TruthTable};
 
 use crate::equivalence::{Equivalence, Side};
 use crate::error::MatchError;
@@ -53,51 +51,83 @@ pub fn brute_force_match(
     c2: &Circuit,
     equivalence: Equivalence,
 ) -> Result<Option<MatchWitness>, MatchError> {
-    let n = c1.width();
-    if n != c2.width() {
-        return Err(MatchError::WidthMismatch {
-            left: n,
-            right: c2.width(),
-        });
-    }
-    if n > BRUTE_FORCE_MAX_WIDTH {
-        return Err(MatchError::BruteForceTooWide {
-            width: n,
-            max: BRUTE_FORCE_MAX_WIDTH,
-        });
-    }
-    let tt1 = c1.truth_table()?;
-    let tt2_inv = c2.truth_table()?.inverse();
+    check_width(c1.width(), c2.width())?;
+    brute_force_match_tables(&c1.truth_table()?, &c2.truth_table()?, equivalence)
+}
 
+/// [`brute_force_match`] over pre-extracted truth tables (avoids
+/// re-simulating the circuits; the identification walk passes the two
+/// tables it builds once per job).
+///
+/// # Errors
+///
+/// Same as [`brute_force_match`].
+pub fn brute_force_match_tables(
+    tt1: &TruthTable,
+    tt2: &TruthTable,
+    equivalence: Equivalence,
+) -> Result<Option<MatchWitness>, MatchError> {
+    check_width(tt1.width(), tt2.width())?;
     let mut result = None;
-    for_each_side_transform(equivalence.x, n, |input| {
-        let input_inv = input.inverse();
-        // Required output map: OUT(z) = C1(IN⁻¹(C2⁻¹(z))).
-        let required: Vec<u64> = (0..1u64 << n)
-            .map(|z| tt1.apply(input_inv.apply(tt2_inv.apply(z))))
-            .collect();
-        if let Some(output) = recognize_np_map(&required, n, equivalence.y) {
-            result = Some(MatchWitness {
-                input: input.clone(),
-                output,
-            });
-            return true; // stop
-        }
-        false
+    for_each_witness(tt1, tt2, equivalence, |witness| {
+        result = Some(witness);
+        true // stop
     });
     Ok(result)
 }
 
-/// Checks whether `map` (a full table over `2^n` entries) is of the form
+/// The width checks shared by the brute-force entry points, run before
+/// any table is built.
+fn check_width(left: usize, right: usize) -> Result<(), MatchError> {
+    if left != right {
+        return Err(MatchError::WidthMismatch { left, right });
+    }
+    if left > BRUTE_FORCE_MAX_WIDTH {
+        return Err(MatchError::BruteForceTooWide {
+            width: left,
+            max: BRUTE_FORCE_MAX_WIDTH,
+        });
+    }
+    Ok(())
+}
+
+/// Enumerates the input-side transforms of `equivalence.x` in order,
+/// solves each one's output side analytically, and calls `found` with
+/// every witness until it returns `true`.
+fn for_each_witness(
+    tt1: &TruthTable,
+    tt2: &TruthTable,
+    equivalence: Equivalence,
+    mut found: impl FnMut(MatchWitness) -> bool,
+) {
+    let n = tt1.width();
+    let tt2_inv = tt2.inverse();
+    for_each_side_transform(equivalence.x, n, |input| {
+        let input_inv = input.inverse();
+        // Required output map: OUT(z) = C1(IN⁻¹(C2⁻¹(z))).
+        let required = |z: u64| tt1.apply(input_inv.apply(tt2_inv.apply(z)));
+        recognize_np_map(n, equivalence.y, required).is_some_and(|output| {
+            found(MatchWitness {
+                input: input.clone(),
+                output,
+            })
+        })
+    });
+}
+
+/// Checks whether `map` (a function on `n`-bit patterns) is of the form
 /// `z ↦ π(z) ⊕ d` for a wire permutation `π`, and if so whether the
 /// corresponding `NpTransform` lies in class `side`. Returns the transform.
-fn recognize_np_map(map: &[u64], n: usize, side: Side) -> Option<NpTransform> {
-    let d = map[0];
+///
+/// `map` is evaluated lazily: its `n + 1` values at `0` and the unit
+/// vectors reject most candidates before the full `2^n` linearity check.
+fn recognize_np_map(n: usize, side: Side, map: impl Fn(u64) -> u64) -> Option<NpTransform> {
+    let d = map(0);
     // h(z) = map(z) ⊕ d must be linear over GF(2) and a bit permutation.
     let mut pi_map = vec![usize::MAX; n];
     let mut seen = 0u64;
-    for i in 0..n {
-        let h = map[1 << i] ^ d;
+    for (i, slot) in pi_map.iter_mut().enumerate() {
+        let h = map(1 << i) ^ d;
         if h.count_ones() != 1 {
             return None;
         }
@@ -106,16 +136,12 @@ fn recognize_np_map(map: &[u64], n: usize, side: Side) -> Option<NpTransform> {
             return None;
         }
         seen |= 1 << j;
-        pi_map[i] = j;
+        *slot = j;
     }
     let pi = LinePermutation::new(pi_map).ok()?;
     // Verify linearity on every entry.
-    let mask = width_mask(n);
-    for (z, &v) in map.iter().enumerate() {
-        let z = z as u64 & mask;
-        if pi.apply(z) ^ d != v {
-            return None;
-        }
+    if !(0..1u64 << n).all(|z| pi.apply(z) ^ d == map(z)) {
+        return None;
     }
     // map(z) = π(z) ⊕ d = π(z ⊕ π⁻¹(d)): negate-then-permute with
     // ν = π⁻¹(d).
@@ -200,30 +226,10 @@ pub fn count_witnesses(
     c2: &Circuit,
     equivalence: Equivalence,
 ) -> Result<u64, MatchError> {
-    let n = c1.width();
-    if n != c2.width() {
-        return Err(MatchError::WidthMismatch {
-            left: n,
-            right: c2.width(),
-        });
-    }
-    if n > BRUTE_FORCE_MAX_WIDTH {
-        return Err(MatchError::BruteForceTooWide {
-            width: n,
-            max: BRUTE_FORCE_MAX_WIDTH,
-        });
-    }
-    let tt1 = c1.truth_table()?;
-    let tt2_inv = c2.truth_table()?.inverse();
+    check_width(c1.width(), c2.width())?;
     let mut count = 0u64;
-    for_each_side_transform(equivalence.x, n, |input| {
-        let input_inv = input.inverse();
-        let required: Vec<u64> = (0..1u64 << n)
-            .map(|z| tt1.apply(input_inv.apply(tt2_inv.apply(z))))
-            .collect();
-        if recognize_np_map(&required, n, equivalence.y).is_some() {
-            count += 1;
-        }
+    for_each_witness(&c1.truth_table()?, &c2.truth_table()?, equivalence, |_| {
+        count += 1;
         false // keep enumerating
     });
     Ok(count)
@@ -256,49 +262,6 @@ fn for_each_permutation(n: usize, mut f: impl FnMut(&[usize]) -> bool) -> bool {
         }
     }
     false
-}
-
-/// [`brute_force_match`] over pre-extracted truth tables (avoids
-/// re-simulating large gate cascades such as the Fig. 5 encodings).
-///
-/// # Errors
-///
-/// Same as [`brute_force_match`].
-pub fn brute_force_match_tables(
-    tt1: &TruthTable,
-    tt2: &TruthTable,
-    equivalence: Equivalence,
-) -> Result<Option<MatchWitness>, MatchError> {
-    let n = tt1.width();
-    if n != tt2.width() {
-        return Err(MatchError::WidthMismatch {
-            left: n,
-            right: tt2.width(),
-        });
-    }
-    if n > BRUTE_FORCE_MAX_WIDTH {
-        return Err(MatchError::BruteForceTooWide {
-            width: n,
-            max: BRUTE_FORCE_MAX_WIDTH,
-        });
-    }
-    let tt2_inv = tt2.inverse();
-    let mut result = None;
-    for_each_side_transform(equivalence.x, n, |input| {
-        let input_inv = input.inverse();
-        let required: Vec<u64> = (0..1u64 << n)
-            .map(|z| tt1.apply(input_inv.apply(tt2_inv.apply(z))))
-            .collect();
-        if let Some(output) = recognize_np_map(&required, n, equivalence.y) {
-            result = Some(MatchWitness {
-                input: input.clone(),
-                output,
-            });
-            return true;
-        }
-        false
-    });
-    Ok(result)
 }
 
 #[cfg(test)]
@@ -344,18 +307,23 @@ mod tests {
         ));
     }
 
+    /// A full table as the lazy map `recognize_np_map` reads.
+    fn table(map: &[u64]) -> impl Fn(u64) -> u64 + '_ {
+        |z| map[z as usize]
+    }
+
     #[test]
     fn recognize_rejects_nonlinear_maps() {
         // A bijection that is not affine over GF(2): a CNOT-like map whose
         // h(e_1) = 3 is not one-hot.
         let map = vec![0u64, 1, 3, 2];
-        assert!(recognize_np_map(&map, 2, Side::Np).is_none());
+        assert!(recognize_np_map(2, Side::Np, table(&map)).is_none());
         // Swapping 0 and 3 only is not affine either: h(3) = 3 ^ d fails
         // the full-table linearity check.
         let map = vec![3u64, 1, 2, 0];
         // This one IS affine (π = bit swap, ν = 11) — document the
         // counterintuitive case by asserting it is recognized.
-        assert!(recognize_np_map(&map, 2, Side::Np).is_some());
+        assert!(recognize_np_map(2, Side::Np, table(&map)).is_some());
         // A genuinely nonlinear example on 3 lines: Toffoli.
         let toffoli: Vec<u64> = (0..8)
             .map(|z: u64| {
@@ -363,24 +331,24 @@ mod tests {
                 z ^ (t << 2)
             })
             .collect();
-        assert!(recognize_np_map(&toffoli, 3, Side::Np).is_none());
+        assert!(recognize_np_map(3, Side::Np, table(&toffoli)).is_none());
     }
 
     #[test]
     fn recognize_accepts_pure_classes() {
         // Identity.
         let id: Vec<u64> = (0..8).collect();
-        let t = recognize_np_map(&id, 3, Side::I).unwrap();
+        let t = recognize_np_map(3, Side::I, table(&id)).unwrap();
         assert!(t.is_identity());
         // Pure negation.
         let neg: Vec<u64> = (0..8).map(|z| z ^ 0b101).collect();
-        assert!(recognize_np_map(&neg, 3, Side::N).is_some());
-        assert!(recognize_np_map(&neg, 3, Side::P).is_none());
+        assert!(recognize_np_map(3, Side::N, table(&neg)).is_some());
+        assert!(recognize_np_map(3, Side::P, table(&neg)).is_none());
         // Pure permutation (swap bits 0,1).
         let pi = LinePermutation::new(vec![1, 0, 2]).unwrap();
         let perm: Vec<u64> = (0..8).map(|z| pi.apply(z)).collect();
-        assert!(recognize_np_map(&perm, 3, Side::P).is_some());
-        assert!(recognize_np_map(&perm, 3, Side::N).is_none());
+        assert!(recognize_np_map(3, Side::P, table(&perm)).is_some());
+        assert!(recognize_np_map(3, Side::N, table(&perm)).is_none());
     }
 
     #[test]

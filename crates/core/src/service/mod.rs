@@ -600,21 +600,30 @@ impl Shared {
     ) -> JobReport {
         let kind = JobKind::Identify;
         obs.detail = Detail::active_kernel();
-        let c1 = job.c1;
-        let c2 = job.c2;
+        let (c1_inv, c2_inv) = (job.c1.inverse(), job.c2.inverse());
+        // The oracles own the job's circuits; the walk reads them back
+        // through `circuit()` rather than from copies.
         let (o1, o2, o1_inv, o2_inv) = (
-            self.oracle(kind, c1.clone(), caches, obs),
-            self.oracle(kind, c2.clone(), caches, obs),
-            self.oracle(kind, c1.inverse(), caches, obs),
-            self.oracle(kind, c2.inverse(), caches, obs),
+            self.oracle(kind, job.c1, caches, obs),
+            self.oracle(kind, job.c2, caches, obs),
+            self.oracle(kind, c1_inv, caches, obs),
+            self.oracle(kind, c2_inv, caches, obs),
         );
         let options = IdentifyOptions {
             config: self.matcher.clone(),
             allow_brute_force: job.allow_brute_force,
             verify: VerifyMode::Exhaustive,
         };
-        let outcome =
-            identify_equivalence_with_oracles(&c1, &c2, &o1, &o2, &o1_inv, &o2_inv, &options, rng);
+        let outcome = identify_equivalence_with_oracles(
+            o1.circuit(),
+            o2.circuit(),
+            &o1,
+            &o2,
+            &o1_inv,
+            &o2_inv,
+            &options,
+            rng,
+        );
         self.adopt_tables(kind, [&o1, &o2, &o1_inv, &o2_inv], caches, obs);
         let spent = o1.queries() + o2.queries() + o1_inv.queries() + o2_inv.queries();
         let (witness, identified, rounds) = match outcome {

@@ -5,7 +5,7 @@
 //! equivalence checking validates them. This module is that round.
 
 use rand::Rng;
-use revmatch_circuit::{width_mask, Circuit};
+use revmatch_circuit::{width_mask, Circuit, TruthTable};
 
 use crate::error::MatchError;
 use crate::witness::MatchWitness;
@@ -13,7 +13,7 @@ use crate::witness::MatchWitness;
 /// How thoroughly to check a witness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerifyMode {
-    /// Check all `2^n` inputs (exact; `n <= 24`).
+    /// Check all `2^n` inputs (exact; `n <= 24`, the truth-table limit).
     Exhaustive,
     /// Check this many uniformly random inputs (Monte-Carlo; no false
     /// rejections, false acceptance probability `(1 - d)^k` for functions
@@ -23,9 +23,17 @@ pub enum VerifyMode {
 
 /// Checks whether `C1 = output ∘ C2 ∘ input` for the witness.
 ///
+/// [`VerifyMode::Exhaustive`] builds both circuits' truth tables
+/// (`2 · 2^n` words) and compares them entry by entry: the same
+/// comparison the identification walk runs on the two tables it builds
+/// once per job.
+///
 /// # Errors
 ///
-/// Returns [`MatchError::WidthMismatch`] if widths are inconsistent.
+/// Returns [`MatchError::WidthMismatch`] if widths are inconsistent, and
+/// [`MatchError::Circuit`] with
+/// [`CircuitError::WidthTooLarge`](revmatch_circuit::CircuitError::WidthTooLarge)
+/// for an exhaustive check above [`TruthTable::MAX_WIDTH`] lines.
 ///
 /// # Examples
 ///
@@ -47,39 +55,60 @@ pub fn check_witness(
     mode: VerifyMode,
     rng: &mut impl Rng,
 ) -> Result<bool, MatchError> {
-    if c1.width() != c2.width() {
-        return Err(MatchError::WidthMismatch {
-            left: c1.width(),
-            right: c2.width(),
-        });
-    }
-    if c1.width() != witness.width() {
-        return Err(MatchError::WidthMismatch {
-            left: c1.width(),
-            right: witness.width(),
-        });
-    }
-    let n = c1.width();
-    let inputs: Vec<u64> = match mode {
+    check_widths(c1.width(), c2.width(), witness.width())?;
+    match mode {
         VerifyMode::Exhaustive => {
-            assert!(n <= 24, "exhaustive verification limited to 24 lines");
-            (0..1u64 << n).collect()
+            check_witness_tables(&c1.truth_table()?, &c2.truth_table()?, witness)
         }
         VerifyMode::Sampled(k) => {
-            let mask = width_mask(n);
-            (0..k).map(|_| rng.gen::<u64>() & mask).collect()
+            let mask = width_mask(c1.width());
+            let inputs: Vec<u64> = (0..k).map(|_| rng.gen::<u64>() & mask).collect();
+            // Both sides run through the bit-sliced batch evaluator: C1
+            // directly, C2 inside the witness sandwich (input transform,
+            // C2, output transform are each cheap table/mask operations
+            // around the batch).
+            let lhs = c1.apply_batch(&inputs);
+            let transformed: Vec<u64> = inputs.iter().map(|&x| witness.input.apply(x)).collect();
+            let mid = c2.apply_batch(&transformed);
+            Ok(lhs
+                .iter()
+                .zip(&mid)
+                .all(|(&l, &m)| l == witness.output.apply(m)))
         }
-    };
-    // Both sides run through the bit-sliced batch evaluator: C1 directly,
-    // C2 inside the witness sandwich (input transform, C2, output
-    // transform are each cheap table/mask operations around the batch).
-    let lhs = c1.apply_batch(&inputs);
-    let transformed: Vec<u64> = inputs.iter().map(|&x| witness.input.apply(x)).collect();
-    let mid = c2.apply_batch(&transformed);
-    Ok(lhs
-        .iter()
-        .zip(&mid)
-        .all(|(&l, &m)| l == witness.output.apply(m)))
+    }
+}
+
+/// The exhaustive check on truth tables already built: whether
+/// `t1[x] = output(t2[input(x)])` for every `x`, stopping at the first
+/// input that differs.
+///
+/// # Errors
+///
+/// Returns [`MatchError::WidthMismatch`] if widths are inconsistent.
+pub(crate) fn check_witness_tables(
+    t1: &TruthTable,
+    t2: &TruthTable,
+    witness: &MatchWitness,
+) -> Result<bool, MatchError> {
+    check_widths(t1.width(), t2.width(), witness.width())?;
+    Ok(t1.entries().iter().enumerate().all(|(x, &y)| {
+        y == witness
+            .output
+            .apply(t2.apply(witness.input.apply(x as u64)))
+    }))
+}
+
+fn check_widths(left: usize, right: usize, witness: usize) -> Result<(), MatchError> {
+    if left != right {
+        return Err(MatchError::WidthMismatch { left, right });
+    }
+    if left != witness {
+        return Err(MatchError::WidthMismatch {
+            left,
+            right: witness,
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -154,6 +183,24 @@ mod tests {
         )
         .unwrap();
         assert!(!ok, "random witness accepted (astronomically unlikely)");
+    }
+
+    #[test]
+    fn exhaustive_above_the_table_limit_is_an_error() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let c = Circuit::new(25);
+        assert_eq!(
+            check_witness(
+                &c,
+                &c,
+                &MatchWitness::identity(25),
+                VerifyMode::Exhaustive,
+                &mut rng
+            ),
+            Err(MatchError::Circuit(
+                revmatch_circuit::CircuitError::WidthTooLarge { width: 25, max: 24 }
+            ))
+        );
     }
 
     #[test]

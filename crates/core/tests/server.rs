@@ -13,11 +13,12 @@ use std::time::{Duration, Instant};
 
 use rand::SeedableRng;
 use revmatch::{
-    job_seed, random_instance, read_server_frame, write_client_frame, ClientFrame, EngineJob,
-    EnumerateJob, Equivalence, IdentifyJob, JobReport, JobSpec, MatchService, QuantumAlgorithm,
-    QuantumPathJob, SatEquivalenceJob, ServerFrame, ServiceConfig, Side, SubmitOutcome,
-    WitnessFamily,
+    job_seed, random_instance, random_wide_instance, read_server_frame, write_client_frame,
+    ClientFrame, EngineJob, EnumerateJob, Equivalence, IdentifyJob, JobReport, JobSpec, MatchError,
+    MatchService, QuantumAlgorithm, QuantumPathJob, SatEquivalenceJob, ServerFrame, ServiceConfig,
+    Side, SubmitOutcome, WitnessFamily,
 };
+use revmatch_circuit::CircuitError;
 
 /// Kills the server on test panic so no orphan keeps the port.
 struct ServerGuard(Child);
@@ -445,4 +446,40 @@ fn shed_outcome_is_reachable_only_with_admission() {
     }
     service.drain();
     service.shutdown();
+}
+
+/// Identify jobs wider than the 24-line truth-table limit come back as
+/// the width error with no query spent, not as a lost worker.
+#[test]
+fn wide_identify_jobs_report_the_width_error() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x1D25);
+    let jobs: Vec<(JobSpec, u64)> = [25usize, 30]
+        .into_iter()
+        .enumerate()
+        .map(|(i, w)| {
+            let inst = random_wide_instance(Equivalence::new(Side::I, Side::N), w, 4 * w, &mut rng);
+            (
+                JobSpec::Identify(IdentifyJob::new(inst.c1, inst.c2)),
+                job_seed(0xB, i as u64),
+            )
+        })
+        .collect();
+    let (_guard, addr) = spawn_server(&[]);
+    let reports = submit_over_wire(&addr, &jobs);
+    for (report, w) in reports.iter().zip([25usize, 30]) {
+        assert_eq!(
+            report.witness,
+            Err(MatchError::Circuit(CircuitError::WidthTooLarge {
+                width: w,
+                max: 24
+            })),
+            "w{w}"
+        );
+        assert_eq!(report.queries, 0, "w{w}");
+    }
+    let metrics = scrape(&addr);
+    assert!(
+        metrics.contains("\nrevmatch_worker_lost_total 0\n"),
+        "no worker lost: {metrics}"
+    );
 }
