@@ -13,7 +13,7 @@
 //! repeat a kind to weight it):
 //!
 //! * `promise` — recover the planted witness (add `--sat-verify 1` to
-//!   prove each one by miter on the `--backend` solver);
+//!   prove each one by a CDCL miter);
 //! * `identify` — feed the pair *without* its promise and walk the
 //!   lattice for the minimal class (brute force off to stay
 //!   polynomial);
@@ -56,8 +56,8 @@ use revmatch::{
     chrome_trace_json, random_instance, read_server_frame, slowest_jobs, write_client_frame,
     AdmissionConfig, ClientFrame, EngineJob, EnumerateJob, Equivalence, IdentifyJob, JobKind,
     JobSpec, MatchError, MatchService, MatcherConfig, QuantumAlgorithm, QuantumPathJob,
-    SatEquivalenceJob, ServerFrame, ServiceConfig, Side, SolverBackend, Stage, SubmitOutcome,
-    TraceConfig, WitnessFamily,
+    SatEquivalenceJob, ServerFrame, ServiceConfig, Side, Stage, SubmitOutcome, TraceConfig,
+    WitnessFamily,
 };
 use revmatch_bench::{service_flags, Flags};
 use revmatch_quantum::QuantumBackend;
@@ -68,12 +68,12 @@ use rand::SeedableRng;
 const USAGE: &str = "usage: loadgen [--rate JOBS_PER_SEC] [--duration-ms MS] \
 [--shards N] [--queue-capacity N] [--widths CSV] [--mix CSV_EQUIVALENCES] \
 [--job-mix KIND[:KIND...]] [--seed N] [--epsilon F] [--sat-verify 0|1] \
-[--backend dpll|cdcl] [--sat-opts lbd,xor|all|none] \
+[--sat-opts lbd,xor|all|none] \
 [--quantum-backend dense|sparse|stabilizer] [--trace OUT.json] [--trace-sample N] \
 [--admission 0|1] [--overload-us N] [--expensive-us N] \
 [--connect HOST:PORT] [--connections N]";
 
-const KNOWN_FLAGS: [&str; 20] = [
+const KNOWN_FLAGS: [&str; 19] = [
     "rate",
     "duration-ms",
     "shards",
@@ -84,7 +84,6 @@ const KNOWN_FLAGS: [&str; 20] = [
     "seed",
     "epsilon",
     "sat-verify",
-    "backend",
     "sat-opts",
     "quantum-backend",
     "trace",
@@ -98,11 +97,10 @@ const KNOWN_FLAGS: [&str; 20] = [
 
 /// Flags that configure the in-process service: usage errors under
 /// `--connect`, where the server owns its configuration.
-const IN_PROCESS_FLAGS: [&str; 11] = [
+const IN_PROCESS_FLAGS: [&str; 10] = [
     "shards",
     "queue-capacity",
     "epsilon",
-    "backend",
     "sat-opts",
     "quantum-backend",
     "trace",
@@ -250,10 +248,6 @@ fn main() {
     let seed = flags.get_u64("seed", 0x10AD);
     let epsilon = flags.get_f64("epsilon", 1e-6);
     let sat_verify = flags.get_u64("sat-verify", 0) != 0;
-    let backend: SolverBackend = flags
-        .get_str("backend", "cdcl")
-        .parse()
-        .unwrap_or_else(|_| usage_error("--backend: expected dpll or cdcl"));
     // --trace OUT.json turns span recording on; --trace-sample N keeps
     // every N-th job (1 = all). Without --trace tracing stays off.
     let trace_path = flags.get_str("trace", "");
@@ -342,14 +336,13 @@ fn main() {
     let pool = build_pool(&widths, &mix, &kinds, seed, sat_verify, qbackend);
     // Settings are echoed only when they describe the service this run
     // drives: under --connect the server owns them.
-    let (target, verifier) = if connect.is_empty() {
+    let target = if connect.is_empty() {
         println!("sat opts: {sat_opts}");
         println!("oracle kernel: {}", revmatch_circuit::active_kernel_name());
         println!("quantum backend: {qbackend_name}");
-        let target = format!("over {shards} shards (lane capacity {capacity})");
-        (target, format!(" on {backend}"))
+        format!("over {shards} shards (lane capacity {capacity})")
     } else {
-        (format!("to {connect}"), String::new())
+        format!("to {connect}")
     };
     println!(
         "loadgen: {rate} jobs/s for {duration:?} {target}; \
@@ -363,9 +356,9 @@ fn main() {
             .collect::<Vec<_>>()
             .join(":"),
         if sat_verify {
-            format!("; promise jobs SAT-verified{verifier}")
+            "; promise jobs SAT-verified"
         } else {
-            String::new()
+            ""
         },
     );
 
@@ -381,7 +374,6 @@ fn main() {
         .with_shards(shards)
         .with_queue_capacity(capacity)
         .with_matcher(MatcherConfig::with_epsilon(epsilon))
-        .with_solver_backend(backend)
         .with_sat_opts(sat_opts)
         .with_seed(seed)
         .with_trace(trace_config);
@@ -484,7 +476,7 @@ fn main() {
             "every promise job (and sat job) must carry a SAT verdict"
         );
         println!(
-            "sat-verify [{backend}]: {} verdicts ({} unknown) | caches: {} solver hits, {} table hits",
+            "sat-verify: {} verdicts ({} unknown) | caches: {} solver hits, {} table hits",
             m.jobs_sat_verified(),
             m.sat_unknown(),
             m.solver_cache_hits(),

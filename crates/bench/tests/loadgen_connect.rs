@@ -27,7 +27,6 @@ fn in_process_flags_are_usage_errors_under_connect() {
         ("shards", "7"),
         ("queue-capacity", "8"),
         ("epsilon", "0.01"),
-        ("backend", "cdcl"),
         ("sat-opts", "none"),
         ("quantum-backend", "dense"),
         ("trace", "trace.json"),

@@ -38,8 +38,8 @@ use std::thread;
 use std::time::Duration;
 
 use revmatch::{
-    read_client_frame, write_server_frame, AdmissionConfig, ClientFrame, JobKind, JobReport,
-    JobTicket, MatchError, MatchService, ServerFrame, ServiceConfig, SubmitOutcome, TraceConfig,
+    read_client_frame, write_server_frame, AdmissionConfig, ClientFrame, JobReport, JobTicket,
+    MatchError, MatchService, ServerFrame, ServiceConfig, SubmitOutcome, TraceConfig,
 };
 
 const USAGE: &str = "\
@@ -251,22 +251,6 @@ fn build_service(opts: &Options) -> MatchService {
     MatchService::start(config)
 }
 
-/// The report a shed job resolves to: nothing ran, the witness slot
-/// carries the admission verdict.
-fn shed_report(kind: JobKind) -> JobReport {
-    JobReport {
-        kind,
-        witness: Err(MatchError::Overloaded),
-        queries: 0,
-        charged_queries: 0,
-        rounds: 0,
-        identified: None,
-        witness_count: None,
-        miter: None,
-        timing: Default::default(),
-    }
-}
-
 /// What the per-connection writer thread sends next, in FIFO order.
 enum Outgoing {
     /// A submitted job: block on the ticket, then write its report.
@@ -359,7 +343,9 @@ fn handle_wire_session(stream: &TcpStream, prefix: &[u8], service: &MatchService
                 let item = match outcome {
                     SubmitOutcome::Enqueued(ticket) => Outgoing::Pending(client_id, ticket),
                     SubmitOutcome::Shed(job) => {
-                        Outgoing::Ready(client_id, Box::new(shed_report(job.kind())))
+                        // Nothing ran: the witness slot carries the verdict.
+                        let report = JobReport::error(job.kind(), MatchError::Overloaded);
+                        Outgoing::Ready(client_id, Box::new(report))
                     }
                     SubmitOutcome::QueueFull(job) => {
                         // Blocking fallback: stalls only this connection.

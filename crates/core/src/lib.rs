@@ -59,13 +59,12 @@
 //!   the [`Matcher`] trait in a [`MatcherRegistry`] keyed by
 //!   `(Equivalence, InverseAvailability, Path)` and returning a uniform
 //!   [`MatchReport`];
-//! * [`engine`] — the job model ([`JobSpec`]: promise, identify,
-//!   quantum-path and SAT-equivalence jobs) plus the batch-shaped front
-//!   end solving a slice of promise instances with aggregate accounting;
-//! * [`service`] — the sharded serving layer underneath it: persistent
-//!   worker shards, a bounded intake queue with backpressure, per-job
-//!   completion tickets and Prometheus-style metrics with per-kind
-//!   counters and latency;
+//! * [`service`] — the sharded serving layer, the one way to run a job:
+//!   the job model in [`service::job`] ([`JobSpec`]: promise, identify,
+//!   quantum-path, SAT-equivalence and enumeration jobs, each resolving
+//!   to a [`JobReport`]), persistent worker shards, a bounded intake
+//!   queue with backpressure, per-job completion tickets and
+//!   Prometheus-style metrics with per-kind counters and latency;
 //! * [`observe`] — opt-in job tracing: lock-free per-shard span rings
 //!   over the `submit → queue_wait → … → execute → report` lifecycle,
 //!   drained to Chrome trace-event JSON, plus the per-job
@@ -106,13 +105,12 @@
 //! [`MatchService`] runs persistent worker shards behind a bounded
 //! intake queue with explicit backpressure, deterministic per-job
 //! seeding and a metrics registry — see its module docs for the
-//! serving-layer design. [`MatchEngine::solve_batch`] remains the
-//! slice-shaped wrapper over it.
+//! serving-layer design. Batches, streams and the network front end all
+//! submit to it.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod engine;
 pub mod enumerate;
 pub mod equivalence;
 pub mod error;
@@ -129,10 +127,6 @@ pub mod verify;
 pub mod wire;
 pub mod witness;
 
-pub use engine::{
-    random_job_batch, BatchOutcome, EngineJob, EnumerateJob, IdentifyJob, JobKind, JobReport,
-    JobSpec, MatchEngine, QuantumAlgorithm, QuantumPathJob, SatEquivalenceJob,
-};
 pub use enumerate::{
     count_witnesses_sat, enumerate_witnesses_sat, enumerate_witnesses_sat_with, sweep_family,
     EnumerationStrategy, FamilyMiter, WitnessEnumeration, WitnessFamily,
@@ -171,8 +165,9 @@ pub use oracle::{
 pub use promise::{random_instance, random_instance_from, random_wide_instance, PromiseInstance};
 pub use revmatch_sat::{SatOptions, SolverBackend};
 pub use service::{
-    job_seed, AdmissionConfig, Histogram, JobTicket, MatchService, Metrics, ServiceConfig,
-    SubmitOutcome, DEFAULT_MITER_BUDGET,
+    job_seed, AdmissionConfig, EngineJob, EnumerateJob, Histogram, IdentifyJob, JobKind, JobReport,
+    JobSpec, JobTicket, MatchService, Metrics, QuantumAlgorithm, QuantumPathJob, SatEquivalenceJob,
+    ServiceConfig, SubmitOutcome, DEFAULT_MITER_BUDGET,
 };
 pub use verify::{check_witness, VerifyMode};
 pub use wire::{

@@ -18,7 +18,7 @@
 //!   [`crate::matchers::solve_promise`] and the serving layer.
 //!
 //! New scenarios ship as one [`register`] call instead of a new code
-//! path: the engine's `JobSpec` kinds, the identification walk and the
+//! path: the service's `JobSpec` kinds, the identification walk and the
 //! bench drivers all dispatch through the same table.
 //!
 //! [`requires`]: Matcher::requires
@@ -225,7 +225,7 @@ impl Matcher for Entry {
 }
 
 /// The registry of matchers, in preference order — see the
-/// [module docs](self).
+/// [`matchers`](crate::matchers) module docs.
 #[derive(Debug)]
 pub struct MatcherRegistry {
     entries: Vec<Arc<dyn Matcher>>,

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::engine::JobKind;
+use crate::service::job::JobKind;
 
 use super::{SpanRecord, Stage};
 

@@ -49,11 +49,11 @@
 //!
 //! ## Recorder
 //!
-//! [`Tracer`] owns one [`ring::SpanRing`] per worker shard plus one for
+//! [`Tracer`] owns one `ring::SpanRing` per worker shard plus one for
 //! the submit side. Rings are fixed-capacity and overwrite-oldest;
-//! recording is lock-free and allocation-free (see [`ring`]). Sampling
-//! is deterministic by job id (`id % sample == 0`), so a re-run traces
-//! the same jobs.
+//! recording is lock-free and allocation-free (see the `ring` module).
+//! Sampling is deterministic by job id (`id % sample == 0`), so a re-run
+//! traces the same jobs.
 
 mod chrome;
 pub(crate) mod ring;
@@ -66,7 +66,7 @@ use std::time::{Duration, Instant};
 use revmatch_quantum::QuantumBackend;
 use revmatch_sat::SolverBackend;
 
-use crate::engine::JobKind;
+use crate::service::job::JobKind;
 use ring::SpanRing;
 
 /// The stable job-lifecycle span taxonomy — see the [module docs](self).

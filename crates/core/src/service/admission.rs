@@ -30,7 +30,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use crate::engine::JobKind;
+use crate::service::job::JobKind;
 
 use super::Request;
 

@@ -50,11 +50,11 @@ use std::sync::Arc;
 use revmatch_circuit::{Circuit, DenseTable, Gate};
 use revmatch_sat::{CdclSolver, Cnf, SatOptions, SolveStats};
 
-use crate::engine::JobKind;
 use crate::enumerate::{FamilyMiter, WitnessFamily};
 use crate::error::MatchError;
 use crate::miter::{MiterEncoding, MiterVerdict};
 use crate::oracle::Oracle;
+use crate::service::job::JobKind;
 use crate::witness::MatchWitness;
 
 /// Resident cost of one cached dense table (`2^width` entries of 8 B).
@@ -577,7 +577,7 @@ mod tests {
 
     #[test]
     fn verdicts_are_shared_across_job_kinds() {
-        use crate::engine::{EngineJob, JobSpec, SatEquivalenceJob};
+        use crate::service::job::{EngineJob, JobSpec, SatEquivalenceJob};
         use crate::service::{MatchService, ServiceConfig};
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let inst = random_instance(Equivalence::new(Side::N, Side::I), 5, &mut rng);

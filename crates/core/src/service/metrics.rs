@@ -19,7 +19,7 @@ use std::sync::Mutex;
 use revmatch_quantum::QuantumBackend;
 
 use super::ServiceConfig;
-use crate::engine::JobKind;
+use crate::service::job::JobKind;
 
 /// Number of [`JobKind`]s — sizes the dense per-kind metric arrays.
 const KINDS: usize = JobKind::ALL.len();

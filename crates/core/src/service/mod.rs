@@ -1,16 +1,15 @@
 //! The sharded serving layer: continuous matching under load.
 //!
-//! [`crate::engine`] solves a pre-built slice of jobs and returns; a
-//! production matcher faces the opposite shape — clients submit jobs over
+//! [`MatchService`] is the one way to run a job: clients submit jobs over
 //! time and expect explicit backpressure when they outrun the hardware.
-//! [`MatchService`] is that layer:
+//! The job model it executes lives in [`job`].
 //!
-//! * **One intake, four scenario families**: every [`JobSpec`] kind —
+//! * **One intake, five scenario families**: every [`JobSpec`] kind —
 //!   promise matching, non-promise identification, inverse-free
-//!   quantum-path jobs and direct SAT-equivalence verdicts — flows
-//!   through the same queue, worker shards, caches and metrics. A bare
-//!   [`EngineJob`] still submits directly (it converts to a promise
-//!   job). Matching algorithms are resolved through the
+//!   quantum-path jobs, direct SAT-equivalence verdicts and witness
+//!   enumeration — flows through the same queue, worker shards, caches
+//!   and metrics. A bare [`EngineJob`] submits directly (it converts to
+//!   a promise job). Matching algorithms are resolved through the
 //!   [`crate::matchers::MatcherRegistry`], so a newly registered
 //!   [`crate::matchers::Matcher`] is servable without touching this
 //!   module.
@@ -34,7 +33,7 @@
 //! * **Metrics**: every accept/reject/completion feeds an atomic
 //!   [`Metrics`] registry with a Prometheus-style text export
 //!   ([`MatchService::metrics_text`]), including per-kind completion
-//!   counters (`revmatch_jobs_{promise,identify,quantum,sat}_total`),
+//!   counters (`revmatch_jobs_{promise,identify,quantum,sat,enumerate}_total`),
 //!   `kind`-labeled latency and execute-stage histograms, queue-wait
 //!   decomposition, and per-shard jobs/steal/busy/idle introspection.
 //! * **Tracing** (opt-in, [`crate::observe`]): with tracing enabled by
@@ -44,18 +43,23 @@
 //!   (Chrome trace-event format). Every completed job carries a
 //!   [`JobTiming`] breakdown regardless.
 //!
-//! Determinism mirrors the engine contract: a job solved with seed `s`
-//! produces the same witness and query count whichever shard or worker
-//! count executes it ([`MatchService::submit_seeded`]); `submit` derives
-//! seeds from the service seed and the job's accept index, so a fixed
-//! submission order is reproducible end to end.
+//! Determinism: a job solved with seed `s` produces the same witness and
+//! query count whichever shard or worker count executes it
+//! ([`MatchService::submit_seeded`]); `submit` derives seeds from the
+//! service seed and the job's accept index, so a fixed submission order
+//! is reproducible end to end.
 //!
 //! ```
-//! use revmatch::{random_job_batch, Equivalence, MatchService, ServiceConfig, Side};
+//! use revmatch::{random_instance, EngineJob, Equivalence, MatchService, ServiceConfig, Side};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-//! let jobs = random_job_batch(Equivalence::new(Side::Np, Side::I), 5, 4, true, &mut rng);
+//! let jobs: Vec<EngineJob> = (0..4)
+//!     .map(|_| {
+//!         let inst = random_instance(Equivalence::new(Side::Np, Side::I), 5, &mut rng);
+//!         EngineJob::from_instance(&inst, true)
+//!     })
+//!     .collect();
 //! let service = MatchService::start(ServiceConfig::default().with_shards(2));
 //! let tickets: Vec<_> = jobs
 //!     .into_iter()
@@ -70,10 +74,15 @@
 
 mod admission;
 mod cache;
+pub mod job;
 mod metrics;
 mod queue;
 
 pub use admission::AdmissionConfig;
+pub use job::{
+    EngineJob, EnumerateJob, IdentifyJob, JobKind, JobReport, JobSpec, QuantumAlgorithm,
+    QuantumPathJob, SatEquivalenceJob,
+};
 pub use metrics::{Histogram, Metrics};
 
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -86,17 +95,13 @@ use std::time::Instant;
 use rand::SeedableRng;
 use revmatch_sat::{SatOptions, SolverBackend};
 
-use crate::engine::{
-    EngineJob, EnumerateJob, IdentifyJob, JobKind, JobReport, JobSpec, QuantumAlgorithm,
-    QuantumPathJob, SatEquivalenceJob,
-};
-use crate::enumerate::{sweep_family, sweep_family_dpll, FamilyMiter, WitnessFamily};
+use crate::enumerate::{sweep_family, WitnessFamily};
 use crate::error::MatchError;
 use crate::identify::{identify_equivalence_with_oracles, IdentifyOptions};
 use crate::matchers::{
     solve_promise_named, InverseAvailability, MatcherConfig, MatcherRegistry, Path, ProblemOracles,
 };
-use crate::miter::{check_witness_sat_budgeted_with, MiterVerdict};
+use crate::miter::MiterVerdict;
 use crate::observe::{Detail, JobTiming, SpanRecord, Stage, TraceConfig, Tracer};
 use crate::oracle::Oracle;
 use crate::verify::VerifyMode;
@@ -105,17 +110,17 @@ use admission::Admission;
 use cache::ShardCaches;
 use queue::ShardedQueue;
 
-/// SplitMix64 increment used to whiten per-job seed indices; shared with
-/// [`crate::engine`] so both paths derive identical seeds.
+/// SplitMix64 increment used to whiten per-job seed indices in
+/// [`job_seed`].
 const SEED_WHITENER: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Derives the RNG seed for the `index`-th job of a stream rooted at
 /// `base` — independent of shard placement and worker count.
 ///
-/// [`crate::MatchEngine::solve_batch`] seeds job `i` with
-/// `job_seed(batch_seed, i)`; submitting the same jobs through
-/// [`MatchService::submit_seeded`] with these seeds reproduces its
-/// witnesses and query counts exactly.
+/// [`MatchService::submit`] seeds the job it accepts `i`-th with
+/// `job_seed(config.seed, i)`; submitting the same jobs through
+/// [`MatchService::submit_seeded`] with these seeds, to a service of any
+/// shard count, reproduces their witnesses and query counts exactly.
 pub fn job_seed(base: u64, index: u64) -> u64 {
     base ^ index.wrapping_mul(SEED_WHITENER)
 }
@@ -133,11 +138,6 @@ pub struct ServiceConfig {
     pub matcher: MatcherConfig,
     /// Base seed for [`MatchService::submit`]'s derived per-job seeds.
     pub seed: u64,
-    /// SAT backend for jobs requesting miter verification
-    /// ([`EngineJob::with_sat_verification`]). CDCL (the default) gets
-    /// per-worker solver reuse; DPLL is stateless and kept for
-    /// differential runs.
-    pub solver_backend: SolverBackend,
     /// Decision + conflict budget per miter verification; exhausting it
     /// yields an explicit [`MiterVerdict::Unknown`] instead of stalling a
     /// worker shard.
@@ -172,7 +172,6 @@ impl Default for ServiceConfig {
             queue_capacity: 64,
             matcher: MatcherConfig::default(),
             seed: 0,
-            solver_backend: SolverBackend::default(),
             miter_budget: DEFAULT_MITER_BUDGET,
             sat_opts: SatOptions::ALL,
             trace: TraceConfig::off(),
@@ -208,13 +207,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Picks the SAT backend for miter-verified jobs.
-    #[must_use]
-    pub fn with_solver_backend(mut self, backend: SolverBackend) -> Self {
-        self.solver_backend = backend;
         self
     }
 
@@ -348,11 +340,6 @@ pub enum SubmitOutcome {
 }
 
 impl SubmitOutcome {
-    /// Whether the job was accepted.
-    pub fn is_enqueued(&self) -> bool {
-        matches!(self, Self::Enqueued(_))
-    }
-
     /// The ticket, if the job was accepted.
     pub fn ticket(self) -> Option<JobTicket> {
         match self {
@@ -416,7 +403,6 @@ struct Shared {
     intake: ShardedQueue<Request>,
     metrics: Metrics,
     matcher: MatcherConfig,
-    solver_backend: SolverBackend,
     miter_budget: usize,
     sat_opts: SatOptions,
     /// Span recorder; `None` when tracing is off, so the cold path costs
@@ -682,21 +668,11 @@ impl Shared {
         self.metrics.record_quantum_backend(backend);
         obs.detail = Detail::quantum(backend);
         let Some(matcher) = matcher else {
-            return JobReport {
-                kind,
-                witness: Err(MatchError::Intractable {
-                    equivalence: format!("{} on the quantum path ({:?})", job.equivalence, {
-                        job.algorithm
-                    }),
-                }),
-                queries: 0,
-                charged_queries: 0,
-                rounds: 0,
-                identified: None,
-                witness_count: None,
-                miter: None,
-                timing: JobTiming::default(),
-            };
+            let equivalence = format!(
+                "{} on the quantum path ({:?})",
+                job.equivalence, job.algorithm
+            );
+            return JobReport::error(kind, MatchError::Intractable { equivalence });
         };
         let c1 = self.oracle(kind, job.c1, caches, obs);
         let c2 = self.oracle(kind, job.c2, caches, obs);
@@ -720,15 +696,9 @@ impl Shared {
                 }
             }
             Err(e) => JobReport {
-                kind,
-                witness: Err(e),
                 queries: oracles.total_queries(),
                 charged_queries: oracles.total_queries(),
-                rounds: 0,
-                identified: None,
-                witness_count: None,
-                miter: None,
-                timing: JobTiming::default(),
+                ..JobReport::error(kind, e)
             },
         }
     }
@@ -743,40 +713,14 @@ impl Shared {
         obs: &mut JobObs,
     ) -> JobReport {
         let kind = JobKind::Sat;
-        obs.detail = Detail::solver(self.solver_backend);
+        obs.detail = Detail::solver(SolverBackend::Cdcl);
         let width = job.c1.width();
         let witness = job.witness.unwrap_or_else(|| MatchWitness::identity(width));
-        if job.c2.width() != width {
-            return JobReport {
-                kind,
-                witness: Err(MatchError::WidthMismatch {
-                    left: width,
-                    right: job.c2.width(),
-                }),
-                queries: 0,
-                charged_queries: 0,
-                rounds: 0,
-                identified: None,
-                witness_count: None,
-                miter: None,
-                timing: JobTiming::default(),
-            };
-        }
-        if witness.width() != width {
-            return JobReport {
-                kind,
-                witness: Err(MatchError::WidthMismatch {
-                    left: width,
-                    right: witness.width(),
-                }),
-                queries: 0,
-                charged_queries: 0,
-                rounds: 0,
-                identified: None,
-                witness_count: None,
-                miter: None,
-                timing: JobTiming::default(),
-            };
+        for right in [job.c2.width(), witness.width()] {
+            if right != width {
+                let err = MatchError::WidthMismatch { left: width, right };
+                return JobReport::error(kind, err);
+            }
         }
         let verdict = self.verify_witness(&job.c1, &job.c2, &witness, caches);
         let witness = match &verdict {
@@ -804,8 +748,7 @@ impl Shared {
     /// every candidate, without encoding the family again, so warm
     /// re-enumerations answer mostly by propagation. (Assumptions never
     /// poison the cache; this is why the service sweeps instead of
-    /// running blocking-clause mode.) The DPLL backend falls back to the
-    /// stateless per-candidate sweep for differential runs.
+    /// running blocking-clause mode.)
     fn execute_enumerate(
         &self,
         job: EnumerateJob,
@@ -813,30 +756,22 @@ impl Shared {
         obs: &mut JobObs,
     ) -> JobReport {
         let kind = JobKind::Enumerate;
-        obs.detail = Detail::solver(self.solver_backend);
+        obs.detail = Detail::solver(SolverBackend::Cdcl);
         let family = job.family;
-        let outcome = match self.solver_backend {
-            SolverBackend::Cdcl => {
-                let cached = caches.family_solver(&job.c1, &job.c2, family);
-                cached.and_then(|(solver, miter, hit)| {
-                    if hit {
-                        self.metrics.record_solver_cache_hit();
-                    }
-                    let xors0 = solver.xors_extracted();
-                    let swept = sweep_family(solver, miter, Some(self.miter_budget));
-                    self.metrics.record_sat_core(
-                        solver.glue_clauses() as u64,
-                        solver.num_learned() as u64,
-                        (solver.xors_extracted() - xors0) as u64,
-                    );
-                    swept
-                })
+        let cached = caches.family_solver(&job.c1, &job.c2, family);
+        let outcome = cached.and_then(|(solver, miter, hit)| {
+            if hit {
+                self.metrics.record_solver_cache_hit();
             }
-            // Stateless, but under the same per-solve budget: a hard
-            // family must surface as Inconclusive, not pin a shard.
-            SolverBackend::Dpll => FamilyMiter::build(&job.c1, &job.c2, family)
-                .and_then(|miter| sweep_family_dpll(&miter, Some(self.miter_budget))),
-        };
+            let xors0 = solver.xors_extracted();
+            let swept = sweep_family(solver, miter, Some(self.miter_budget));
+            self.metrics.record_sat_core(
+                solver.glue_clauses() as u64,
+                solver.num_learned() as u64,
+                (solver.xors_extracted() - xors0) as u64,
+            );
+            swept
+        });
         match outcome {
             Ok(found) => {
                 let count = found.count();
@@ -861,28 +796,18 @@ impl Shared {
                     timing: JobTiming::default(),
                 }
             }
-            Err(e) => JobReport {
-                kind,
-                witness: Err(e),
-                queries: 0,
-                charged_queries: 0,
-                rounds: 0,
-                identified: None,
-                witness_count: None,
-                miter: None,
-                timing: JobTiming::default(),
-            },
+            Err(e) => JobReport::error(kind, e),
         }
     }
 
     /// Proves (or refutes) a recovered witness. A worker that has
     /// decided the miter of the same `(c1, c2, witness)` before answers
-    /// from its verdict memo, on either backend, before any encoding.
-    /// Otherwise the miter is solved on the configured backend — CDCL
-    /// resuming warm when an earlier budget-exhausted solve parked its
-    /// solver — and a decided verdict is memoized, while an `Unknown`
-    /// parks the CDCL solver for a warm retry. The job kind is in no
-    /// key: a sat job and a sat-verified promise job share verdicts.
+    /// from its verdict memo, before any encoding. Otherwise the miter
+    /// is solved on CDCL — resuming warm when an earlier
+    /// budget-exhausted solve parked its solver — and a decided verdict
+    /// is memoized, while an `Unknown` parks the solver for a warm
+    /// retry. The job kind is in no key: a sat job and a sat-verified
+    /// promise job share verdicts.
     fn verify_witness(
         &self,
         c1: &revmatch_circuit::Circuit,
@@ -894,33 +819,22 @@ impl Shared {
             self.metrics.record_solver_cache_hit();
             verdict
         } else {
-            let verdict = match self.solver_backend {
-                SolverBackend::Dpll => {
-                    check_witness_sat_budgeted_with(c1, c2, witness, self.miter_budget, {
-                        SolverBackend::Dpll
-                    })
-                    .expect("a solved job's circuits share a width")
-                }
-                SolverBackend::Cdcl => {
-                    let (mut miter, hit) = caches
-                        .take_miter_solver(c1, c2, witness)
-                        .expect("a solved job's circuits share a width");
-                    if hit {
-                        self.metrics.record_solver_cache_hit();
-                    }
-                    let xors0 = miter.solver.xors_extracted();
-                    let verdict = miter.solve(self.miter_budget);
-                    self.metrics.record_sat_core(
-                        miter.solver.glue_clauses() as u64,
-                        miter.solver.num_learned() as u64,
-                        (miter.solver.xors_extracted() - xors0) as u64,
-                    );
-                    if verdict.is_unknown() {
-                        caches.park(c1, c2, witness, miter);
-                    }
-                    verdict
-                }
-            };
+            let (mut miter, hit) = caches
+                .take_miter_solver(c1, c2, witness)
+                .expect("a solved job's circuits share a width");
+            if hit {
+                self.metrics.record_solver_cache_hit();
+            }
+            let xors0 = miter.solver.xors_extracted();
+            let verdict = miter.solve(self.miter_budget);
+            self.metrics.record_sat_core(
+                miter.solver.glue_clauses() as u64,
+                miter.solver.num_learned() as u64,
+                (miter.solver.xors_extracted() - xors0) as u64,
+            );
+            if verdict.is_unknown() {
+                caches.park(c1, c2, witness, miter);
+            }
             caches.remember(c1, c2, witness, &verdict);
             verdict
         };
@@ -1046,7 +960,7 @@ impl Shared {
                 // rebuild it rather than trust it.
                 *caches = ShardCaches::new(self.sat_opts);
                 self.metrics.record_worker_lost();
-                (worker_lost_report(kind), true)
+                (JobReport::error(kind, MatchError::WorkerLost), true)
             }
         };
         report.timing = JobTiming {
@@ -1125,23 +1039,6 @@ impl Shared {
     }
 }
 
-/// The clean report a job receives when its worker panicked mid-execute:
-/// the job never completed, so every result field is empty and the error
-/// is [`MatchError::WorkerLost`].
-fn worker_lost_report(kind: JobKind) -> JobReport {
-    JobReport {
-        kind,
-        witness: Err(MatchError::WorkerLost),
-        queries: 0,
-        charged_queries: 0,
-        rounds: 0,
-        identified: None,
-        witness_count: None,
-        miter: None,
-        timing: JobTiming::default(),
-    }
-}
-
 /// The stable per-entry metric name of an enumeration family. Four of
 /// the five match the registry's `*/sat-enumerate` promise-path entries
 /// by name; `n-n/sat-enumerate` follows the same convention but has no
@@ -1201,7 +1098,6 @@ impl MatchService {
             intake: ShardedQueue::new(shards, config.queue_capacity.max(1)),
             metrics: Metrics::new(&config),
             matcher: config.matcher,
-            solver_backend: config.solver_backend,
             miter_budget: config.miter_budget.max(1),
             sat_opts: config.sat_opts,
             tracer: config
@@ -1297,15 +1193,6 @@ impl MatchService {
             .admission
             .as_ref()
             .map_or(0, Admission::deferred_len)
-    }
-
-    /// The admission cost model's current estimate for a `(kind, width)`
-    /// job in µs (the static seed estimate with admission off).
-    pub fn admission_estimate_us(&self, kind: JobKind, width: usize) -> u64 {
-        match &self.shared.admission {
-            Some(adm) => adm.estimate_us(kind, width),
-            None => 0,
-        }
     }
 
     /// Allocates the next submit index and builds the request/ticket pair.

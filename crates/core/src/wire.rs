@@ -36,15 +36,15 @@ use std::io::{self, Read, Write};
 use revmatch_circuit::{Circuit, CircuitError, Gate, LinePermutation, NegationMask, NpTransform};
 use revmatch_quantum::QuantumError;
 
-use crate::engine::{
-    EngineJob, EnumerateJob, IdentifyJob, JobKind, JobReport, JobSpec, QuantumAlgorithm,
-    QuantumPathJob, SatEquivalenceJob,
-};
 use crate::enumerate::WitnessFamily;
 use crate::equivalence::{Equivalence, Side};
 use crate::error::MatchError;
 use crate::miter::MiterVerdict;
 use crate::observe::JobTiming;
+use crate::service::job::{
+    EngineJob, EnumerateJob, IdentifyJob, JobKind, JobReport, JobSpec, QuantumAlgorithm,
+    QuantumPathJob, SatEquivalenceJob,
+};
 use crate::witness::MatchWitness;
 
 /// Hard cap on one frame's payload (opcode + body): 16 MiB, orders of

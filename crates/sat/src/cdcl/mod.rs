@@ -9,11 +9,11 @@
 //! * **Two-watched-literal propagation** — each clause is watched by two
 //!   literals; assignments only touch clauses whose watch just became
 //!   false, so propagation cost tracks the number of *relevant* clauses,
-//!   not the formula size ([`CdclSolver::propagate`]).
+//!   not the formula size (`CdclSolver::propagate`).
 //! * **First-UIP conflict analysis** with **basic learned-clause
 //!   minimization** — every conflict is resolved back to the first unique
 //!   implication point and self-subsumed literals are stripped before the
-//!   clause is learned ([`CdclSolver::analyze`]).
+//!   clause is learned (`CdclSolver::analyze`).
 //! * **EVSIDS decisions with phase saving** — variable activities decay
 //!   exponentially (bump/decay, rescaled at 1e100) and each variable
 //!   remembers its last polarity, so the search resumes where it left off
@@ -577,7 +577,7 @@ impl CdclSolver {
     ///
     /// Assumptions are placed as the first decision levels; first-UIP
     /// analysis runs unchanged above them. When propagation refutes an
-    /// assumption, [`CdclSolver::analyze_final`] walks the implication
+    /// assumption, `CdclSolver::analyze_final` walks the implication
     /// graph to a **conflict core** — the subset of assumptions that is
     /// already inconsistent with the formula ([`AssumedSolve::Unsat`]).
     /// Ignores any configured budget.

@@ -3,10 +3,10 @@
 
 use rand::SeedableRng;
 use revmatch::{
-    classify, job_seed, random_instance, random_wide_instance, EngineJob, EnumerateJob,
-    Equivalence, JobReport, JobSpec, JobTicket, MatchEngine, MatchService, MatcherConfig,
-    MiterVerdict, QuantumAlgorithm, QuantumPathJob, SatEquivalenceJob, ServiceConfig, Side,
-    SolverBackend, SubmitOutcome, WitnessFamily,
+    check_witness, classify, job_seed, random_instance, random_wide_instance, EngineJob,
+    EnumerateJob, Equivalence, JobReport, JobSpec, JobTicket, MatchError, MatchService,
+    MatcherConfig, MiterVerdict, QuantumAlgorithm, QuantumPathJob, SatEquivalenceJob,
+    ServiceConfig, Side, SubmitOutcome, VerifyMode, WitnessFamily,
 };
 use revmatch_quantum::QuantumBackend;
 
@@ -38,56 +38,82 @@ fn assert_reports_identical(a: &[JobReport], b: &[JobReport], label: &str) {
     }
 }
 
-/// Identical seed ⇒ identical witnesses and query counts for 1, 2 and
-/// `available_parallelism` workers, through `solve_batch`.
+/// Solves `jobs` on a fresh `shards`-shard service, seeding job `i` with
+/// `job_seed(seed, i)`, and returns the reports in job order.
+fn solve_on_shards(jobs: &[EngineJob], shards: usize, seed: u64) -> Vec<JobReport> {
+    let service = MatchService::start(
+        ServiceConfig::default()
+            .with_shards(shards)
+            .with_matcher(MatcherConfig::with_epsilon(1e-6)),
+    );
+    let tickets: Vec<JobTicket> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, job)| service.submit_wait_seeded(job.clone(), job_seed(seed, i as u64)))
+        .collect();
+    let reports = tickets.into_iter().map(JobTicket::wait).collect();
+    service.shutdown();
+    reports
+}
+
+/// A mixed pool of tractable jobs on a 4-shard service: every job is
+/// solved, the pool spends queries, and every recovered witness holds on
+/// every input.
 #[test]
-fn solve_batch_deterministic_across_worker_counts() {
-    let jobs = tractable_jobs(5, 1);
-    let engine = MatchEngine::new(MatcherConfig::with_epsilon(1e-6));
-    let parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let baseline = engine.clone().with_workers(1).solve_batch(&jobs, 0xCAFE);
-    for workers in [2, parallelism] {
-        let outcome = engine
-            .clone()
-            .with_workers(workers)
-            .solve_batch(&jobs, 0xCAFE);
-        assert_reports_identical(
-            &baseline.reports,
-            &outcome.reports,
-            &format!("{workers} workers"),
+fn service_solves_mixed_pool_and_witnesses_verify() {
+    let jobs = tractable_jobs(5, 2);
+    let reports = solve_on_shards(&jobs, 4, 99);
+    assert_eq!(reports.len(), jobs.len());
+    assert!(reports.iter().map(|r| r.queries).sum::<u64>() > 0);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    for (job, report) in jobs.iter().zip(&reports) {
+        let w = report.witness.as_ref().expect("tractable job solved");
+        assert!(
+            check_witness(&job.c1, &job.c2, w, VerifyMode::Exhaustive, &mut rng).unwrap(),
+            "{}",
+            job.equivalence
         );
     }
 }
 
-/// The same jobs submitted straight to a `MatchService` with the batch
-/// seeds reproduce `solve_batch` exactly, at every shard count.
+/// Identical seeds ⇒ identical witnesses and query counts on 1, 2 and
+/// `available_parallelism` shards.
 #[test]
-fn service_path_matches_solve_batch() {
-    let jobs = tractable_jobs(4, 1);
-    let seed = 0xBEEF;
-    let batch = MatchEngine::new(MatcherConfig::with_epsilon(1e-6))
-        .with_workers(2)
-        .solve_batch(&jobs, seed);
+fn service_deterministic_across_shard_counts() {
+    let jobs = tractable_jobs(5, 1);
+    let baseline = solve_on_shards(&jobs, 1, 0xCAFE);
     let parallelism = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    for shards in [1, 2, parallelism] {
-        let service = MatchService::start(
-            ServiceConfig::default()
-                .with_shards(shards)
-                .with_matcher(MatcherConfig::with_epsilon(1e-6)),
-        );
-        let tickets: Vec<JobTicket> = jobs
-            .iter()
-            .enumerate()
-            .map(|(i, job)| service.submit_wait_seeded(job.clone(), job_seed(seed, i as u64)))
-            .collect();
-        let reports: Vec<JobReport> = tickets.into_iter().map(JobTicket::wait).collect();
-        assert_reports_identical(&batch.reports, &reports, &format!("{shards} shards"));
-        service.shutdown();
+    for shards in [2, parallelism] {
+        let reports = solve_on_shards(&jobs, shards, 0xCAFE);
+        assert_reports_identical(&baseline, &reports, &format!("{shards} shards"));
     }
+}
+
+/// An intractable promise job (N-N) resolves to `Err(Intractable)`
+/// without losing its worker, and the same shard goes on to solve the
+/// next job.
+#[test]
+fn intractable_jobs_report_errors_and_the_shard_keeps_serving() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    let hard = random_instance(Equivalence::new(Side::N, Side::N), 3, &mut rng);
+    let easy = random_instance(Equivalence::new(Side::Np, Side::I), 3, &mut rng);
+    let service = MatchService::start(ServiceConfig::default().with_shards(1));
+    let report = service
+        .submit_wait(EngineJob::from_instance(&hard, false))
+        .wait();
+    assert!(
+        matches!(report.witness, Err(MatchError::Intractable { .. })),
+        "{:?}",
+        report.witness
+    );
+    assert_eq!(service.metrics().workers_lost(), 0);
+    let next = service
+        .submit_wait(EngineJob::from_instance(&easy, true))
+        .wait();
+    assert!(next.witness.is_ok(), "{:?}", next.witness);
+    service.shutdown();
 }
 
 /// A full intake rejects with `QueueFull` and hands the job back; every
@@ -253,64 +279,52 @@ fn metrics_export_matches_counters() {
 }
 
 /// SAT-verified jobs come back with a complete `Equivalent` proof for
-/// every recovered witness, on both backends, and the warm (cached)
-/// passes over a repeated pool hit the per-shard solver and table
-/// caches.
+/// every recovered witness, and the warm (cached) pass over a repeated
+/// pool hits the per-shard solver and table caches.
 #[test]
 fn sat_verified_jobs_prove_their_witnesses() {
     let jobs: Vec<EngineJob> = tractable_jobs(5, 1)
         .into_iter()
         .map(EngineJob::with_sat_verification)
         .collect();
-    for backend in SolverBackend::ALL {
-        // One shard: every job hits the same worker-local caches, so the
-        // warm-pass assertions below are deterministic (with more shards,
-        // work stealing may move a repeated job to a cold cache — still
-        // correct, just not guaranteed to hit).
-        let service = MatchService::start(
-            ServiceConfig::default()
-                .with_shards(1)
-                .with_solver_backend(backend)
-                .with_seed(11),
-        );
-        // Two passes over the same pool: the second is the warm one.
-        for pass in 0..2 {
-            let tickets: Vec<JobTicket> = jobs
-                .iter()
-                .enumerate()
-                .map(|(i, job)| service.submit_wait_seeded(job.clone(), job_seed(11, i as u64)))
-                .collect();
-            for (i, t) in tickets.into_iter().enumerate() {
-                let report = t.wait();
-                assert!(report.witness.is_ok(), "{backend} pass {pass} job {i}");
-                match report.miter {
-                    Some(MiterVerdict::Equivalent) => {}
-                    other => panic!(
-                        "{backend} pass {pass} job {i}: expected a complete proof, got {other:?}"
-                    ),
-                }
+    // One shard: every job hits the same worker-local caches, so the
+    // warm-pass assertions below are deterministic (with more shards,
+    // work stealing may move a repeated job to a cold cache — still
+    // correct, just not guaranteed to hit).
+    let service = MatchService::start(ServiceConfig::default().with_shards(1).with_seed(11));
+    // Two passes over the same pool: the second is the warm one.
+    for pass in 0..2 {
+        let tickets: Vec<JobTicket> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, job)| service.submit_wait_seeded(job.clone(), job_seed(11, i as u64)))
+            .collect();
+        for (i, t) in tickets.into_iter().enumerate() {
+            let report = t.wait();
+            assert!(report.witness.is_ok(), "pass {pass} job {i}");
+            match report.miter {
+                Some(MiterVerdict::Equivalent) => {}
+                other => panic!("pass {pass} job {i}: expected a complete proof, got {other:?}"),
             }
         }
-        let m = service.metrics();
-        assert_eq!(m.jobs_sat_verified(), 2 * jobs.len() as u64, "{backend}");
-        assert_eq!(m.sat_unknown(), 0, "{backend}");
-        assert_eq!(m.jobs_failed(), 0, "{backend}");
-        if backend == SolverBackend::Cdcl {
-            assert!(
-                m.solver_cache_hits() >= jobs.len() as u64,
-                "warm pass must re-enter cached miter solvers \
-                 (hits: {})",
-                m.solver_cache_hits()
-            );
-        }
-        assert!(
-            m.table_cache_hits() > 0,
-            "{backend}: repeated circuits must reuse dense tables"
-        );
-        let text = service.metrics_text();
-        assert!(text.contains("revmatch_jobs_sat_verified_total"));
-        service.shutdown();
     }
+    let m = service.metrics();
+    assert_eq!(m.jobs_sat_verified(), 2 * jobs.len() as u64);
+    assert_eq!(m.sat_unknown(), 0);
+    assert_eq!(m.jobs_failed(), 0);
+    assert!(
+        m.solver_cache_hits() >= jobs.len() as u64,
+        "warm pass must re-enter cached miter solvers \
+         (hits: {})",
+        m.solver_cache_hits()
+    );
+    assert!(
+        m.table_cache_hits() > 0,
+        "repeated circuits must reuse dense tables"
+    );
+    let text = service.metrics_text();
+    assert!(text.contains("revmatch_jobs_sat_verified_total"));
+    service.shutdown();
 }
 
 /// The served pool's SAT shape — 24 planted sat jobs interleaved with
