@@ -56,8 +56,8 @@ use revmatch::{
     chrome_trace_json, random_instance, read_server_frame, slowest_jobs, write_client_frame,
     AdmissionConfig, ClientFrame, EngineJob, EnumerateJob, Equivalence, IdentifyJob, JobKind,
     JobSpec, MatchError, MatchService, MatcherConfig, QuantumAlgorithm, QuantumPathJob,
-    SatEquivalenceJob, ServerFrame, ServiceConfig, Side, Stage, SubmitOutcome, TraceConfig,
-    WitnessFamily,
+    SatEquivalenceJob, Scalar, ServerFrame, ServiceConfig, ShardCounter, Side, Stage,
+    SubmitOutcome, TraceConfig, WitnessFamily,
 };
 use revmatch_bench::{service_flags, Flags};
 use revmatch_quantum::QuantumBackend;
@@ -417,10 +417,10 @@ fn main() {
     let drained_elapsed = start.elapsed();
 
     let m = service.metrics();
-    let accepted = m.jobs_submitted();
-    let rejected = m.jobs_rejected();
-    let shed = m.jobs_shed();
-    let completed = m.jobs_completed();
+    let accepted = m.get(Scalar::JobsSubmitted);
+    let rejected = m.get(Scalar::JobsRejected);
+    let shed = m.get(Scalar::JobsShed);
+    let completed = m.get(Scalar::JobsCompleted);
     assert_eq!(
         offered,
         accepted + rejected + shed,
@@ -428,7 +428,7 @@ fn main() {
     );
     assert_eq!(completed, accepted, "drain completed every accepted job");
     assert_eq!(
-        m.jobs_failed(),
+        m.get(Scalar::JobsFailed),
         0,
         "planted instances must all solve (and no witness may be refuted)"
     );
@@ -459,40 +459,40 @@ fn main() {
     if kinds.contains(&JobKind::Enumerate) {
         let done = m.jobs_completed_of(JobKind::Enumerate);
         assert!(
-            done == 0 || m.enumerated_witnesses() >= done,
+            done == 0 || m.get(Scalar::EnumeratedWitnesses) >= done,
             "every planted enumeration job finds at least its planted witness"
         );
         println!(
             "enumerate: {} jobs found {} family witnesses | {} solver cache hits",
             done,
-            m.enumerated_witnesses(),
-            m.solver_cache_hits(),
+            m.get(Scalar::EnumeratedWitnesses),
+            m.get(Scalar::SolverCacheHits),
         );
     }
     if sat_verify {
         assert_eq!(
-            m.jobs_sat_verified(),
+            m.get(Scalar::JobsSatVerified),
             m.jobs_completed_of(JobKind::Promise) + m.jobs_completed_of(JobKind::Sat),
             "every promise job (and sat job) must carry a SAT verdict"
         );
         println!(
             "sat-verify: {} verdicts ({} unknown) | caches: {} solver hits, {} table hits",
-            m.jobs_sat_verified(),
-            m.sat_unknown(),
-            m.solver_cache_hits(),
-            m.table_cache_hits(),
+            m.get(Scalar::JobsSatVerified),
+            m.get(Scalar::SatUnknown),
+            m.get(Scalar::SolverCacheHits),
+            m.get(Scalar::TableCacheHits),
         );
     }
 
     // SAT-core introspection: whenever a CDCL solver ran (verification,
     // direct sat jobs, or enumeration sweeps), report the feature set
     // and what the options did. Mirrors the revmatch_sat_* metrics.
-    if m.jobs_sat_verified() > 0 || m.jobs_completed_of(JobKind::Enumerate) > 0 {
+    if m.get(Scalar::JobsSatVerified) > 0 || m.jobs_completed_of(JobKind::Enumerate) > 0 {
         println!(
             "sat core [{sat_opts}]: glue kept {} | learned db {} | xors extracted {}",
-            m.sat_glue_kept(),
-            m.sat_learned_db_size(),
-            m.sat_xors_extracted(),
+            m.get(Scalar::SatGlueKept),
+            m.get(Scalar::SatLearnedDbSize),
+            m.get(Scalar::SatXorsExtracted),
         );
     }
 
@@ -509,8 +509,8 @@ fn main() {
     if admission {
         println!(
             "admission: shed {} | requeued {} | backlog {}µs at drain",
-            m.jobs_shed(),
-            m.jobs_requeued(),
+            m.get(Scalar::JobsShed),
+            m.get(Scalar::JobsRequeued),
             service.admission_backlog_us(),
         );
     }
@@ -520,7 +520,7 @@ fn main() {
     println!(
         "RESULT mode=local offered={offered} accepted={accepted} rejected={rejected} \
          shed={shed} requeued={} completed={completed} throughput_jps={:.1}",
-        m.jobs_requeued(),
+        m.get(Scalar::JobsRequeued),
         completed as f64 / drained_elapsed.as_secs_f64(),
     );
     for kind in JobKind::ALL {
@@ -541,7 +541,7 @@ fn main() {
          latency mean {:.1}ms p50 {} p99 {}",
         drained_elapsed.as_secs_f64(),
         completed as f64 / drained_elapsed.as_secs_f64(),
-        m.oracle_queries(),
+        m.get(Scalar::OracleQueries),
         m.latency().sum() as f64 / m.latency().count().max(1) as f64 / 1000.0,
         p(0.50),
         p(0.99),
@@ -558,7 +558,7 @@ fn main() {
         "table compiles: {} cold, {:.2}ms total, p99 {tc_p99} | {} table cache hits",
         tc.count(),
         tc.sum() as f64 / 1000.0,
-        m.table_cache_hits(),
+        m.get(Scalar::TableCacheHits),
     );
 
     // Per-kind accept→completion latency from the kind-labelled
@@ -596,15 +596,15 @@ fn main() {
     );
     let mut steals_total = 0u64;
     for s in 0..m.shards() {
-        steals_total += m.shard_steals(s);
+        steals_total += m.shard(ShardCounter::Steals, s);
         println!(
             "  {:<6} {:>7} {:>7} {:>7} {:>9.2}s {:>9.2}s",
             s,
-            m.shard_jobs_executed(s),
-            m.shard_steals(s),
-            m.shard_stolen_from(s),
-            m.shard_busy_micros(s) as f64 / 1e6,
-            m.shard_idle_micros(s) as f64 / 1e6,
+            m.shard(ShardCounter::JobsExecuted, s),
+            m.shard(ShardCounter::Steals, s),
+            m.shard(ShardCounter::StolenFrom, s),
+            m.shard(ShardCounter::BusyMicros, s) as f64 / 1e6,
+            m.shard(ShardCounter::IdleMicros, s) as f64 / 1e6,
         );
     }
     println!("  steals total: {steals_total}");

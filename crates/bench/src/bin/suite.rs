@@ -18,7 +18,7 @@
 
 use revmatch::{
     check_witness, identify_equivalence, EngineJob, Equivalence, IdentifyOptions, JobTicket,
-    MatchService, MatcherConfig, ServiceConfig, Side, VerifyMode,
+    MatchService, MatcherConfig, Scalar, ServiceConfig, Side, VerifyMode,
 };
 use revmatch_bench::{harness_rng, service_flags, Flags, SERVICE_FLAGS};
 use revmatch_circuit::{
@@ -205,7 +205,7 @@ fn main() {
         if shards == 1 { "" } else { "s" },
         elapsed.as_secs_f64() * 1e3,
         pairs.len() as f64 / elapsed.as_secs_f64(),
-        service.metrics().oracle_queries(),
+        service.metrics().get(Scalar::OracleQueries),
     );
     service.shutdown();
 }

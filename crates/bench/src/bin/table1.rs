@@ -12,7 +12,9 @@
 //! Run with: `cargo run --release -p revmatch-bench --bin table1 -- \
 //!   [--shards N] [--queue-capacity N]`
 
-use revmatch::{EngineJob, Equivalence, JobTicket, MatchService, MatcherConfig, ServiceConfig};
+use revmatch::{
+    EngineJob, Equivalence, JobTicket, MatchService, MatcherConfig, Scalar, ServiceConfig,
+};
 use revmatch_bench::{harness_rng, median, service_flags, Flags, SERVICE_FLAGS};
 
 const USAGE: &str = "usage: table1 [--shards N] [--queue-capacity N]";
@@ -182,7 +184,7 @@ fn main() {
         "solved on {} worker shard{} (lane capacity {capacity}), {} jobs total\n",
         shards,
         if shards == 1 { "" } else { "s" },
-        service.metrics().jobs_completed(),
+        service.metrics().get(Scalar::JobsCompleted),
     );
     println!(
         "{:<14} {:<6} {:<10} {:<22} measured queries per n",

@@ -219,7 +219,8 @@ impl Circuit {
             });
         }
         let inputs: Vec<u64> = (0..1u64 << self.width).collect();
-        TruthTable::new(self.width, self.apply_batch(&inputs))
+        let outputs = self.apply_batch(&inputs);
+        Ok(TruthTable::from_bijection(self.width, outputs))
     }
 
     /// Whether the circuit computes the identity function.

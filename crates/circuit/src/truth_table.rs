@@ -55,15 +55,20 @@ impl TruthTable {
                 right: size,
             });
         }
-        let mut seen = vec![false; size];
-        for &y in &table {
-            let y = y as usize;
-            if y >= size || seen[y] {
-                return Err(CircuitError::NotBijective);
-            }
-            seen[y] = true;
+        if !is_permutation(&table) {
+            return Err(CircuitError::NotBijective);
         }
         Ok(Self { width, table })
+    }
+
+    /// A table from outputs the caller knows to be a permutation of
+    /// `0..2^width`, such as a gate cascade's, which is a bijection by
+    /// construction. Skips [`TruthTable::new`]'s `2^width` bijectivity
+    /// pass; debug builds still run it.
+    pub(crate) fn from_bijection(width: usize, table: Vec<u64>) -> Self {
+        debug_assert!(width <= Self::MAX_WIDTH && table.len() == 1 << width);
+        debug_assert!(is_permutation(&table), "outputs are not a bijection");
+        Self { width, table }
     }
 
     /// The identity function on `width` lines.
@@ -234,6 +239,15 @@ impl TruthTable {
         let transpositions = self.table.len() - self.cycle_lengths().len();
         transpositions.is_multiple_of(2)
     }
+}
+
+/// Whether `table` is a permutation of `0..table.len()`.
+fn is_permutation(table: &[u64]) -> bool {
+    let mut seen = vec![false; table.len()];
+    table.iter().all(|&y| {
+        let y = y as usize;
+        y < seen.len() && !std::mem::replace(&mut seen[y], true)
+    })
 }
 
 impl fmt::Debug for TruthTable {

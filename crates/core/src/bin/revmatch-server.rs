@@ -39,7 +39,7 @@ use std::time::Duration;
 
 use revmatch::{
     read_client_frame, write_server_frame, AdmissionConfig, ClientFrame, JobReport, JobTicket,
-    MatchError, MatchService, ServerFrame, ServiceConfig, SubmitOutcome, TraceConfig,
+    MatchError, MatchService, Scalar, ServerFrame, ServiceConfig, SubmitOutcome, TraceConfig,
 };
 
 const USAGE: &str = "\
@@ -483,9 +483,9 @@ fn main() -> ExitCode {
     service.drain();
     eprintln!(
         "revmatch-server: drained ({} submitted, {} completed, {} shed)",
-        service.metrics().jobs_submitted(),
-        service.metrics().jobs_completed(),
-        service.metrics().jobs_shed(),
+        service.metrics().get(Scalar::JobsSubmitted),
+        service.metrics().get(Scalar::JobsCompleted),
+        service.metrics().get(Scalar::JobsShed),
     );
     ExitCode::SUCCESS
 }

@@ -55,8 +55,8 @@
 //!   XOR-oracle form used by Simon-style algorithms);
 //! * [`matchers`] — every algorithm of Table 1, the classical collision
 //!   baseline of Theorem 1, the Simon-style hidden-shift matcher, a
-//!   brute-force matcher and witness counting — all registered behind
-//!   the [`Matcher`] trait in a [`MatcherRegistry`] keyed by
+//!   brute-force matcher and witness counting — each a [`Matcher`]
+//!   entry of the fixed Table-1 [`MatcherRegistry`] keyed by
 //!   `(Equivalence, InverseAvailability, Path)` and returning a uniform
 //!   [`MatchReport`];
 //! * [`service`] — the sharded serving layer, the one way to run a job:
@@ -167,7 +167,7 @@ pub use revmatch_sat::{SatOptions, SolverBackend};
 pub use service::{
     job_seed, AdmissionConfig, EngineJob, EnumerateJob, Histogram, IdentifyJob, JobKind, JobReport,
     JobSpec, JobTicket, MatchService, Metrics, QuantumAlgorithm, QuantumPathJob, SatEquivalenceJob,
-    ServiceConfig, SubmitOutcome, DEFAULT_MITER_BUDGET,
+    Scalar, ServiceConfig, ShardCounter, SubmitOutcome, DEFAULT_MITER_BUDGET,
 };
 pub use verify::{check_witness, VerifyMode};
 pub use wire::{

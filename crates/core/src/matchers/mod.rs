@@ -19,7 +19,7 @@
 //! UNIQUE-SAT-hard ones) at tiny widths.
 //!
 //! Dispatch runs through the [`MatcherRegistry`]: every algorithm is
-//! registered as a [`Matcher`] keyed by `(Equivalence,
+//! one [`Matcher`] entry keyed by `(Equivalence,
 //! InverseAvailability, Path)` and returns a uniform [`MatchReport`];
 //! [`solve_promise`] and [`solve_promise_report`] are thin wrappers over
 //! [`MatcherRegistry::global`].
@@ -215,27 +215,6 @@ pub fn solve_promise_report(
     rng: &mut impl Rng,
 ) -> Result<MatchReport, MatchError> {
     MatcherRegistry::global().solve(equivalence, oracles, config, rng as &mut dyn rand::RngCore)
-}
-
-/// [`solve_promise_report`] returning the selected registry entry's
-/// stable name alongside the report — the serving layer's hook for
-/// per-registry-entry metrics.
-///
-/// # Errors
-///
-/// Same as [`solve_promise`].
-pub fn solve_promise_named(
-    equivalence: Equivalence,
-    oracles: &ProblemOracles<'_>,
-    config: &MatcherConfig,
-    rng: &mut impl Rng,
-) -> Result<(&'static str, MatchReport), MatchError> {
-    MatcherRegistry::global().solve_named(
-        equivalence,
-        oracles,
-        config,
-        rng as &mut dyn rand::RngCore,
-    )
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-//! The [`Matcher`] trait and the Table-1 [`MatcherRegistry`].
+//! The Table-1 [`MatcherRegistry`] of [`Matcher`] entries.
 //!
 //! Every algorithm in [`crate::matchers`] used to be reachable only as a
 //! free function with its own return shape (`LinePermutation`,
 //! `NpTransform`, `(π, ν)` tuples, collision/Simon outcome structs). The
-//! registry normalizes them behind one trait:
+//! registry normalizes them into one table:
 //!
 //! * a [`Matcher`] solves exactly one [`Equivalence`] along one execution
 //!   [`Path`] (classical probes, quantum probes, or a white-box SAT
@@ -17,18 +17,17 @@
 //!   policy), and [`solve`] is the end-to-end promise solver used by
 //!   [`crate::matchers::solve_promise`] and the serving layer.
 //!
-//! New scenarios ship as one [`register`] call instead of a new code
-//! path: the service's `JobSpec` kinds, the identification walk and the
-//! bench drivers all dispatch through the same table.
+//! The set of entries is fixed: the service's `JobSpec` kinds, the
+//! identification walk and the bench drivers all dispatch through the
+//! same built-in table.
 //!
 //! [`requires`]: Matcher::requires
 //! [`lookup`]: MatcherRegistry::lookup
 //! [`select`]: MatcherRegistry::select
 //! [`solve`]: MatcherRegistry::solve
-//! [`register`]: MatcherRegistry::register
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use rand::RngCore;
 
@@ -149,40 +148,18 @@ pub struct MatchReport {
     pub verdict: Verdict,
 }
 
-/// One matching algorithm, normalized for registry dispatch.
-///
-/// Implementations must be deterministic given the supplied `rng` — the
-/// serving layer relies on a fixed `(job, seed)` reproducing the same
-/// report under any worker count.
-pub trait Matcher: fmt::Debug + Send + Sync {
-    /// Stable identifier, e.g. `"n-i/algorithm1"`.
-    fn name(&self) -> &'static str;
-    /// The equivalence type this matcher solves.
-    fn equivalence(&self) -> Equivalence;
-    /// The execution paradigm.
-    fn path(&self) -> Path;
-    /// The inverse oracles this matcher needs.
-    fn requires(&self) -> InverseAvailability;
-    /// Runs the matcher on a promised instance.
-    ///
-    /// # Errors
-    ///
-    /// [`MatchError::InverseRequired`] when a needed inverse is missing,
-    /// plus the algorithm's own width/promise/randomized errors.
-    fn run(
-        &self,
-        oracles: &ProblemOracles<'_>,
-        config: &MatcherConfig,
-        rng: &mut dyn RngCore,
-    ) -> Result<MatchReport, MatchError>;
-}
-
-/// Signature of a built-in registry entry body.
+/// Signature of a registry entry body.
 type MatcherFn =
     fn(&ProblemOracles<'_>, &MatcherConfig, &mut dyn RngCore) -> Result<MatchReport, MatchError>;
 
-/// A built-in entry: static metadata plus a function pointer.
-struct Entry {
+/// One matching algorithm, normalized for registry dispatch: static
+/// metadata plus the function that runs it.
+///
+/// Every entry is deterministic given the supplied `rng` — the serving
+/// layer relies on a fixed `(job, seed)` reproducing the same report
+/// under any worker count.
+#[derive(Debug)]
+pub struct Matcher {
     name: &'static str,
     equivalence: Equivalence,
     path: Path,
@@ -190,31 +167,34 @@ struct Entry {
     run: MatcherFn,
 }
 
-impl fmt::Debug for Entry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Entry")
-            .field("name", &self.name)
-            .field("equivalence", &self.equivalence.to_string())
-            .field("path", &self.path)
-            .field("requires", &self.requires)
-            .finish()
-    }
-}
-
-impl Matcher for Entry {
-    fn name(&self) -> &'static str {
+impl Matcher {
+    /// Stable identifier, e.g. `"n-i/algorithm1"`.
+    pub fn name(&self) -> &'static str {
         self.name
     }
-    fn equivalence(&self) -> Equivalence {
+
+    /// The equivalence type this matcher solves.
+    pub fn equivalence(&self) -> Equivalence {
         self.equivalence
     }
-    fn path(&self) -> Path {
+
+    /// The execution paradigm.
+    pub fn path(&self) -> Path {
         self.path
     }
-    fn requires(&self) -> InverseAvailability {
+
+    /// The inverse oracles this matcher needs.
+    pub fn requires(&self) -> InverseAvailability {
         self.requires
     }
-    fn run(
+
+    /// Runs the matcher on a promised instance.
+    ///
+    /// # Errors
+    ///
+    /// [`MatchError::InverseRequired`] when a needed inverse is missing,
+    /// plus the algorithm's own width/promise/randomized errors.
+    pub fn run(
         &self,
         oracles: &ProblemOracles<'_>,
         config: &MatcherConfig,
@@ -228,17 +208,10 @@ impl Matcher for Entry {
 /// [`matchers`](crate::matchers) module docs.
 #[derive(Debug)]
 pub struct MatcherRegistry {
-    entries: Vec<Arc<dyn Matcher>>,
+    entries: Vec<Matcher>,
 }
 
 impl MatcherRegistry {
-    /// An empty registry (for custom matcher sets).
-    pub fn empty() -> Self {
-        Self {
-            entries: Vec::new(),
-        }
-    }
-
     /// The full Table-1 registry: every built-in algorithm, ordered so
     /// that [`select`](Self::select) reproduces the paper's dispatch
     /// policy (inverse-assisted `O(log n)` variants first, then the
@@ -246,23 +219,15 @@ impl MatcherRegistry {
     /// the Simon-style sampler, the collision baseline and the SAT
     /// miter).
     pub fn with_table1() -> Self {
-        let mut r = Self::empty();
-        for entry in builtin_entries() {
-            r.entries.push(Arc::new(entry));
+        Self {
+            entries: builtin_entries(),
         }
-        r
     }
 
     /// The process-wide default registry (built once, never mutated).
     pub fn global() -> &'static MatcherRegistry {
         static GLOBAL: OnceLock<MatcherRegistry> = OnceLock::new();
         GLOBAL.get_or_init(Self::with_table1)
-    }
-
-    /// Appends a matcher; earlier entries win ties in
-    /// [`select`](Self::select) and [`lookup`](Self::lookup).
-    pub fn register(&mut self, matcher: Arc<dyn Matcher>) {
-        self.entries.push(matcher);
     }
 
     /// Number of registered matchers.
@@ -276,8 +241,8 @@ impl MatcherRegistry {
     }
 
     /// Iterates over every registered matcher in preference order.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn Matcher> {
-        self.entries.iter().map(AsRef::as_ref)
+    pub fn iter(&self) -> impl Iterator<Item = &Matcher> {
+        self.entries.iter()
     }
 
     /// The preferred matcher for `(equivalence, availability, path)` —
@@ -287,14 +252,14 @@ impl MatcherRegistry {
         equivalence: Equivalence,
         availability: InverseAvailability,
         path: Path,
-    ) -> Option<&dyn Matcher> {
+    ) -> Option<&Matcher> {
         self.iter().find(|m| {
             m.equivalence() == equivalence && m.path() == path && availability.covers(m.requires())
         })
     }
 
     /// The matcher with the given stable [`Matcher::name`].
-    pub fn lookup_named(&self, name: &str) -> Option<&dyn Matcher> {
+    pub fn lookup_named(&self, name: &str) -> Option<&Matcher> {
         self.iter().find(|m| m.name() == name)
     }
 
@@ -304,7 +269,7 @@ impl MatcherRegistry {
         &self,
         equivalence: Equivalence,
         availability: InverseAvailability,
-    ) -> Option<&dyn Matcher> {
+    ) -> Option<&Matcher> {
         self.iter()
             .find(|m| m.equivalence() == equivalence && availability.covers(m.requires()))
     }
@@ -448,12 +413,12 @@ fn run_enumeration_entry(
     })
 }
 
-fn builtin_entries() -> Vec<Entry> {
+fn builtin_entries() -> Vec<Matcher> {
     use Side::{Np, I, N, P};
     let e = Equivalence::new;
     vec![
         // --- I-I ---------------------------------------------------------
-        Entry {
+        Matcher {
             name: "i-i/trivial",
             equivalence: e(I, I),
             path: Path::Classical,
@@ -469,7 +434,7 @@ fn builtin_entries() -> Vec<Entry> {
             },
         },
         // --- I-N ---------------------------------------------------------
-        Entry {
+        Matcher {
             name: "i-n/zero-probe",
             equivalence: e(I, N),
             path: Path::Classical,
@@ -483,7 +448,7 @@ fn builtin_entries() -> Vec<Entry> {
             },
         },
         // --- I-P ---------------------------------------------------------
-        Entry {
+        Matcher {
             name: "i-p/c2-inverse",
             equivalence: e(I, P),
             path: Path::Classical,
@@ -497,7 +462,7 @@ fn builtin_entries() -> Vec<Entry> {
                 })
             },
         },
-        Entry {
+        Matcher {
             name: "i-p/c1-inverse",
             equivalence: e(I, P),
             path: Path::Classical,
@@ -511,7 +476,7 @@ fn builtin_entries() -> Vec<Entry> {
                 })
             },
         },
-        Entry {
+        Matcher {
             name: "i-p/randomized",
             equivalence: e(I, P),
             path: Path::Classical,
@@ -533,7 +498,7 @@ fn builtin_entries() -> Vec<Entry> {
             },
         },
         // --- I-NP --------------------------------------------------------
-        Entry {
+        Matcher {
             name: "i-np/c2-inverse",
             equivalence: e(I, Np),
             path: Path::Classical,
@@ -547,7 +512,7 @@ fn builtin_entries() -> Vec<Entry> {
                 })
             },
         },
-        Entry {
+        Matcher {
             name: "i-np/c1-inverse",
             equivalence: e(I, Np),
             path: Path::Classical,
@@ -561,7 +526,7 @@ fn builtin_entries() -> Vec<Entry> {
                 })
             },
         },
-        Entry {
+        Matcher {
             name: "i-np/randomized",
             equivalence: e(I, Np),
             path: Path::Classical,
@@ -583,7 +548,7 @@ fn builtin_entries() -> Vec<Entry> {
             },
         },
         // --- P-I ---------------------------------------------------------
-        Entry {
+        Matcher {
             name: "p-i/c2-inverse",
             equivalence: e(P, I),
             path: Path::Classical,
@@ -597,7 +562,7 @@ fn builtin_entries() -> Vec<Entry> {
                 })
             },
         },
-        Entry {
+        Matcher {
             name: "p-i/c1-inverse",
             equivalence: e(P, I),
             path: Path::Classical,
@@ -611,7 +576,7 @@ fn builtin_entries() -> Vec<Entry> {
                 })
             },
         },
-        Entry {
+        Matcher {
             name: "p-i/one-hot",
             equivalence: e(P, I),
             path: Path::Classical,
@@ -625,7 +590,7 @@ fn builtin_entries() -> Vec<Entry> {
             },
         },
         // --- N-I ---------------------------------------------------------
-        Entry {
+        Matcher {
             name: "n-i/c2-inverse",
             equivalence: e(N, I),
             path: Path::Classical,
@@ -639,7 +604,7 @@ fn builtin_entries() -> Vec<Entry> {
                 })
             },
         },
-        Entry {
+        Matcher {
             name: "n-i/c1-inverse",
             equivalence: e(N, I),
             path: Path::Classical,
@@ -653,7 +618,7 @@ fn builtin_entries() -> Vec<Entry> {
                 })
             },
         },
-        Entry {
+        Matcher {
             name: "n-i/algorithm1",
             equivalence: e(N, I),
             path: Path::Quantum,
@@ -670,7 +635,7 @@ fn builtin_entries() -> Vec<Entry> {
                 })
             },
         },
-        Entry {
+        Matcher {
             name: "n-i/simon",
             equivalence: e(N, I),
             path: Path::Quantum,
@@ -679,7 +644,7 @@ fn builtin_entries() -> Vec<Entry> {
                 match_n_i_simon_with(oracles.c1, oracles.c2, config.simon_backend(), &mut rng)
             },
         },
-        Entry {
+        Matcher {
             name: "n-i/collision",
             equivalence: e(N, I),
             path: Path::Classical,
@@ -687,7 +652,7 @@ fn builtin_entries() -> Vec<Entry> {
             run: |oracles, _config, mut rng| match_n_i_collision(oracles.c1, oracles.c2, &mut rng),
         },
         // --- NP-I --------------------------------------------------------
-        Entry {
+        Matcher {
             name: "np-i/c2-inverse",
             equivalence: e(Np, I),
             path: Path::Classical,
@@ -701,7 +666,7 @@ fn builtin_entries() -> Vec<Entry> {
                 })
             },
         },
-        Entry {
+        Matcher {
             name: "np-i/c1-inverse",
             equivalence: e(Np, I),
             path: Path::Classical,
@@ -715,7 +680,7 @@ fn builtin_entries() -> Vec<Entry> {
                 })
             },
         },
-        Entry {
+        Matcher {
             name: "np-i/quantum",
             equivalence: e(Np, I),
             path: Path::Quantum,
@@ -733,7 +698,7 @@ fn builtin_entries() -> Vec<Entry> {
             },
         },
         // --- P-N ---------------------------------------------------------
-        Entry {
+        Matcher {
             name: "p-n/c2-inverse",
             equivalence: e(P, N),
             path: Path::Classical,
@@ -750,7 +715,7 @@ fn builtin_entries() -> Vec<Entry> {
                 })
             },
         },
-        Entry {
+        Matcher {
             name: "p-n/c1-inverse",
             equivalence: e(P, N),
             path: Path::Classical,
@@ -767,7 +732,7 @@ fn builtin_entries() -> Vec<Entry> {
                 })
             },
         },
-        Entry {
+        Matcher {
             name: "p-n/one-hot",
             equivalence: e(P, N),
             path: Path::Classical,
@@ -780,7 +745,7 @@ fn builtin_entries() -> Vec<Entry> {
             },
         },
         // --- N-P ---------------------------------------------------------
-        Entry {
+        Matcher {
             name: "n-p/via-inverses",
             equivalence: e(N, P),
             path: Path::Classical,
@@ -799,7 +764,7 @@ fn builtin_entries() -> Vec<Entry> {
         // (deterministic candidate order), and a zero count refutes the
         // promise outright. Registered after the classical entries so
         // `select` still prefers the O(1)/O(log n) query algorithms.
-        Entry {
+        Matcher {
             name: "n-i/sat-enumerate",
             equivalence: e(N, I),
             path: Path::Sat,
@@ -808,7 +773,7 @@ fn builtin_entries() -> Vec<Entry> {
                 run_enumeration_entry(oracles, crate::enumerate::WitnessFamily::InputNegation)
             },
         },
-        Entry {
+        Matcher {
             name: "i-n/sat-enumerate",
             equivalence: e(I, N),
             path: Path::Sat,
@@ -817,7 +782,7 @@ fn builtin_entries() -> Vec<Entry> {
                 run_enumeration_entry(oracles, crate::enumerate::WitnessFamily::OutputNegation)
             },
         },
-        Entry {
+        Matcher {
             name: "p-i/sat-enumerate",
             equivalence: e(P, I),
             path: Path::Sat,
@@ -826,7 +791,7 @@ fn builtin_entries() -> Vec<Entry> {
                 run_enumeration_entry(oracles, crate::enumerate::WitnessFamily::InputPermutation)
             },
         },
-        Entry {
+        Matcher {
             name: "i-p/sat-enumerate",
             equivalence: e(I, P),
             path: Path::Sat,
@@ -836,7 +801,7 @@ fn builtin_entries() -> Vec<Entry> {
             },
         },
         // --- I-I via SAT (white box, complete) ---------------------------
-        Entry {
+        Matcher {
             name: "i-i/sat-miter",
             equivalence: e(I, I),
             path: Path::Sat,

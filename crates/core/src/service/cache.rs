@@ -578,14 +578,14 @@ mod tests {
     #[test]
     fn verdicts_are_shared_across_job_kinds() {
         use crate::service::job::{EngineJob, JobSpec, SatEquivalenceJob};
-        use crate::service::{MatchService, ServiceConfig};
+        use crate::service::{MatchService, Scalar, ServiceConfig};
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let inst = random_instance(Equivalence::new(Side::N, Side::I), 5, &mut rng);
         let service = MatchService::start(ServiceConfig::default().with_shards(1));
         let promise = EngineJob::from_instance(&inst, true).with_sat_verification();
         let first = service.submit_wait(promise).wait();
         assert_eq!(first.miter, Some(MiterVerdict::Equivalent));
-        assert_eq!(service.metrics().solver_cache_hits(), 0);
+        assert_eq!(service.metrics().get(Scalar::SolverCacheHits), 0);
         // A sat job on the promise job's inputs answers from its verdict.
         let sat = JobSpec::SatEquivalence(SatEquivalenceJob {
             c1: inst.c1.clone(),
@@ -594,7 +594,7 @@ mod tests {
         });
         let second = service.submit_wait(sat).wait();
         assert_eq!(second.miter, Some(MiterVerdict::Equivalent));
-        assert_eq!(service.metrics().solver_cache_hits(), 1);
+        assert_eq!(service.metrics().get(Scalar::SolverCacheHits), 1);
         service.shutdown();
     }
 

@@ -1,18 +1,27 @@
 //! Lock-free serving metrics with a Prometheus-style text export.
 //!
-//! [`Metrics`] is a fixed registry for the serving layer: monotonic
-//! counters for job and query totals, one queue-depth gauge per shard, and
-//! two histograms (job latency, intake depth at submit). Everything is
-//! plain atomics — recording a sample is a handful of `fetch_add`s, cheap
-//! enough to leave on in production. The one exception is the
-//! per-registry-entry counter map, whose label set is dynamic (any
-//! registered matcher name): it takes a mutex once per completed job,
-//! far off any hot path. [`Metrics::render`] serializes
-//! the whole registry in the Prometheus text exposition format (`# HELP`
-//! / `# TYPE` headers, `_bucket{le="…"}` cumulative histogram rows), so
-//! the output can be scraped or diffed as-is.
+//! [`Metrics`] is a fixed registry for the serving layer. Each
+//! single-valued series is a [`Scalar`] and each per-shard counter a
+//! [`ShardCounter`]: one table row declares its name, type and help, and
+//! its value is a slot in one atomic array, read back with
+//! [`Metrics::get`] / [`Metrics::shard`]. Alongside sit the per-kind and
+//! per-backend job counters, one queue-depth gauge per shard, and the
+//! latency, intake-depth, table-compile, queue-wait and execute-stage
+//! histograms. Everything is plain atomics — recording a sample is a
+//! handful of `fetch_add`s, cheap enough to leave on in production. The
+//! one exception is the per-registry-entry counter map, whose label set
+//! is whichever Table-1 entries have run: it takes a mutex once per
+//! completed job, far off any hot path.
+//!
+//! [`Metrics::render`] serializes the whole registry in the Prometheus
+//! text exposition format through one writer per family type: a counter
+//! or gauge family is a `# HELP` / `# TYPE` header and one
+//! `name{labels} value` line per series; a histogram family is the header
+//! and, per series, cumulative `_bucket{le="…"}` rows, `_sum` and
+//! `_count`. The output can be scraped or diffed as-is.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -26,6 +35,180 @@ const KINDS: usize = JobKind::ALL.len();
 
 /// Number of [`QuantumBackend`]s — sizes the per-backend job counters.
 const QBACKENDS: usize = QuantumBackend::ALL.len();
+
+/// A single-valued series of [`Metrics`], read with [`Metrics::get`]:
+/// fourteen counters (monotonic totals since service start), then two
+/// gauges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scalar {
+    /// Jobs accepted into the intake queue.
+    JobsSubmitted,
+    /// Jobs rejected with `QueueFull`.
+    JobsRejected,
+    /// Jobs fully executed (their ticket is resolved).
+    JobsCompleted,
+    /// Jobs shed by admission control under overload (never executed).
+    JobsShed,
+    /// Jobs deferred (re-queued) by admission control under overload.
+    JobsRequeued,
+    /// Worker panics converted into `WorkerLost` reports.
+    WorkersLost,
+    /// Completed jobs whose matcher returned an error.
+    JobsFailed,
+    /// Total oracle queries spent across completed jobs.
+    OracleQueries,
+    /// Jobs whose recovered witness was checked against a SAT miter.
+    JobsSatVerified,
+    /// SAT verifications that exhausted their budget (inconclusive).
+    SatUnknown,
+    /// XOR constraints extracted across all solver builds.
+    SatXorsExtracted,
+    /// Dense-table cache hits across all workers.
+    TableCacheHits,
+    /// SAT jobs answered from a worker's cached verdict or warm solver,
+    /// across all workers.
+    SolverCacheHits,
+    /// Family witnesses found across completed enumeration jobs.
+    EnumeratedWitnesses,
+    /// Gauge: glue (LBD ≤ 2) clauses held by the most recently sampled
+    /// solver.
+    SatGlueKept,
+    /// Gauge: learned-DB size of the most recently sampled solver.
+    SatLearnedDbSize,
+}
+
+/// `(name, type, help)` of every [`Scalar`], indexed by `Scalar as usize`.
+/// [`Metrics::render`] writes the counters first and the gauges after the
+/// histograms, each in table order.
+const SCALARS: [(&str, &str, &str); 16] = [
+    (
+        "revmatch_jobs_submitted_total",
+        "counter",
+        "Jobs accepted into the intake queue.",
+    ),
+    (
+        "revmatch_jobs_rejected_total",
+        "counter",
+        "Jobs rejected because every intake lane was full.",
+    ),
+    (
+        "revmatch_jobs_completed_total",
+        "counter",
+        "Jobs executed to completion.",
+    ),
+    (
+        "revmatch_admission_shed_total",
+        "counter",
+        "Jobs shed by admission control under overload (never executed).",
+    ),
+    (
+        "revmatch_admission_requeued_total",
+        "counter",
+        "Jobs deferred by admission control until the backlog drained.",
+    ),
+    (
+        "revmatch_worker_lost_total",
+        "counter",
+        "Worker panics converted into WorkerLost job reports.",
+    ),
+    (
+        "revmatch_jobs_failed_total",
+        "counter",
+        "Completed jobs whose matcher returned an error.",
+    ),
+    (
+        "revmatch_oracle_queries_total",
+        "counter",
+        "Oracle queries spent across completed jobs.",
+    ),
+    (
+        "revmatch_jobs_sat_verified_total",
+        "counter",
+        "Jobs whose recovered witness was checked against a SAT miter.",
+    ),
+    (
+        "revmatch_sat_unknown_total",
+        "counter",
+        "SAT verifications that exhausted their budget.",
+    ),
+    (
+        "revmatch_sat_xors_extracted_total",
+        "counter",
+        "XOR constraints extracted across all solver builds.",
+    ),
+    (
+        "revmatch_table_cache_hits_total",
+        "counter",
+        "Worker dense-table cache hits.",
+    ),
+    (
+        "revmatch_solver_cache_hits_total",
+        "counter",
+        "SAT jobs answered from a worker's cached verdict or warm solver.",
+    ),
+    (
+        "revmatch_enumerated_witnesses_total",
+        "counter",
+        "Family witnesses found across completed enumeration jobs.",
+    ),
+    (
+        "revmatch_sat_glue_kept",
+        "gauge",
+        "Glue (low-LBD) clauses held by the most recently sampled solver.",
+    ),
+    (
+        "revmatch_sat_learned_db_size",
+        "gauge",
+        "Learned-clause DB size of the most recently sampled solver.",
+    ),
+];
+
+/// A per-shard counter of [`Metrics`], read with [`Metrics::shard`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardCounter {
+    /// Jobs the shard executed (counted for the shard that ran them, not
+    /// the lane they were queued on).
+    JobsExecuted,
+    /// Jobs the shard pulled from other shards' lanes (steals performed).
+    Steals,
+    /// Jobs pulled out of the shard's lane by other shards.
+    StolenFrom,
+    /// Microseconds the shard has spent executing jobs (dequeue → report).
+    BusyMicros,
+    /// Microseconds the shard has spent parked waiting for work.
+    IdleMicros,
+}
+
+/// `(name, help, unit divisor)` of every [`ShardCounter`], indexed by
+/// `ShardCounter as usize`. A divisor above 1 exports the count in a
+/// larger unit as a decimal (microseconds as seconds).
+const SHARD_COUNTERS: [(&str, &str, u64); 5] = [
+    (
+        "revmatch_shard_jobs_total",
+        "Jobs executed per worker shard.",
+        1,
+    ),
+    (
+        "revmatch_shard_steals_total",
+        "Jobs a shard pulled from another shard's lane.",
+        1,
+    ),
+    (
+        "revmatch_shard_stolen_from_total",
+        "Jobs pulled out of a shard's lane by other shards.",
+        1,
+    ),
+    (
+        "revmatch_shard_busy_seconds_total",
+        "Seconds a shard has spent executing jobs.",
+        1_000_000,
+    ),
+    (
+        "revmatch_shard_idle_seconds_total",
+        "Seconds a shard has spent parked waiting for work.",
+        1_000_000,
+    ),
+];
 
 /// A fixed-bucket cumulative histogram over `u64` samples.
 ///
@@ -150,38 +333,81 @@ impl Histogram {
         )
     }
 
-    /// Renders the histogram as Prometheus text. `denom` converts the raw
-    /// `u64` samples into the exported unit by division (e.g. `1e6` for
-    /// µs → s; powers of ten divide cleanly, keeping `le` labels short).
-    /// The header is emitted by the caller when several labeled series
-    /// share one metric family.
-    fn render(&self, out: &mut String, name: &str, help: &str, denom: f64) {
-        use std::fmt::Write;
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        self.render_series(out, name, "", denom);
-    }
-
-    /// Renders the bucket/sum/count rows with an optional extra label
-    /// (e.g. `kind=\"promise\",`) spliced before `le`.
-    fn render_series(&self, out: &mut String, name: &str, label: &str, denom: f64) {
-        use std::fmt::Write;
+    /// Writes the bucket/sum/count rows of one series. `labels` (e.g.
+    /// `kind="promise"`, empty for an unlabelled series) is spliced before
+    /// `le`; `denom` converts the raw `u64` samples into the exported unit
+    /// by division (e.g. `1e6` for µs → s; powers of ten divide cleanly,
+    /// keeping `le` labels short).
+    fn render_series(&self, out: &mut String, name: &str, labels: &str, denom: f64) {
+        let sep = if labels.is_empty() { "" } else { "," };
         let mut cumulative = 0u64;
         for (bound, bucket) in self.bounds.iter().zip(&self.buckets) {
             cumulative += bucket.load(Ordering::Relaxed);
             let le = *bound as f64 / denom;
-            let _ = writeln!(out, "{name}_bucket{{{label}le=\"{le}\"}} {cumulative}");
+            let _ = writeln!(
+                out,
+                "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {cumulative}"
+            );
         }
         cumulative += self.overflow.load(Ordering::Relaxed);
-        let _ = writeln!(out, "{name}_bucket{{{label}le=\"+Inf\"}} {cumulative}");
-        if label.is_empty() {
-            let _ = writeln!(out, "{name}_sum {}", self.sum() as f64 / denom);
-            let _ = writeln!(out, "{name}_count {}", self.count());
-        } else {
-            let series = label.trim_end_matches(',');
-            let _ = writeln!(out, "{name}_sum{{{series}}} {}", self.sum() as f64 / denom);
-            let _ = writeln!(out, "{name}_count{{{series}}} {}", self.count());
-        }
+        let _ = writeln!(
+            out,
+            "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {cumulative}"
+        );
+        let series = braced(labels);
+        let _ = writeln!(out, "{name}_sum{series} {}", self.sum() as f64 / denom);
+        let _ = writeln!(out, "{name}_count{series} {}", self.count());
+    }
+}
+
+/// `{labels}`, or nothing for an empty label set.
+fn braced(labels: &str) -> String {
+    if labels.is_empty() {
+        String::new()
+    } else {
+        format!("{{{labels}}}")
+    }
+}
+
+/// Writes a family's `# HELP` / `# TYPE` header.
+fn write_header(out: &mut String, name: &str, kind: &str, help: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+/// Writes one counter or gauge family: the header, then one
+/// `name{labels} value` line per `(labels, value)` series.
+fn write_family<V: fmt::Display>(
+    out: &mut String,
+    name: &str,
+    kind: &str,
+    help: &str,
+    series: impl IntoIterator<Item = (String, V)>,
+) {
+    write_header(out, name, kind, help);
+    for (labels, value) in series {
+        let _ = writeln!(out, "{name}{} {value}", braced(&labels));
+    }
+}
+
+/// The `kind`-labelled series of a per-[`JobKind`] histogram array.
+fn by_kind(histograms: &[Histogram; KINDS]) -> [(String, &Histogram); KINDS] {
+    JobKind::ALL.map(|kind| (format!("kind=\"{kind}\""), &histograms[kind.index()]))
+}
+
+/// Writes one histogram family: the header, then the rows of every
+/// `(labels, histogram)` series. `denom` is as in
+/// [`Histogram::render_series`].
+fn write_histograms<'a>(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    denom: f64,
+    series: impl IntoIterator<Item = (String, &'a Histogram)>,
+) {
+    write_header(out, name, "histogram", help);
+    for (labels, histogram) in series {
+        histogram.render_series(out, name, &labels, denom);
     }
 }
 
@@ -226,33 +452,12 @@ fn compile_bounds() -> Vec<u64> {
 /// Metrics registry for one [`super::MatchService`].
 ///
 /// All counters are monotonic totals since service start; gauges track the
-/// live per-shard intake depth. See [`Metrics::render`] for the export.
+/// live per-shard intake depth and the last sampled SAT solver. See
+/// [`Metrics::render`] for the export.
 #[derive(Debug)]
 pub struct Metrics {
-    submitted: AtomicU64,
-    rejected: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    /// Jobs shed by admission control under overload (never executed).
-    admission_shed: AtomicU64,
-    /// Jobs deferred (re-queued) by admission control under overload.
-    admission_requeued: AtomicU64,
-    /// Worker panics converted into `WorkerLost` reports.
-    worker_lost: AtomicU64,
-    queries: AtomicU64,
-    sat_verified: AtomicU64,
-    sat_unknown: AtomicU64,
-    /// Glue (LBD ≤ 2) clauses held by the most recently sampled cached
-    /// solver — a gauge, not a total: it tracks working-set quality.
-    sat_glue_kept: AtomicU64,
-    /// Learned-DB size of the most recently sampled cached solver.
-    sat_learned_db: AtomicU64,
-    /// XOR constraints extracted across all solver builds.
-    sat_xors_extracted: AtomicU64,
-    table_cache_hits: AtomicU64,
-    solver_cache_hits: AtomicU64,
-    /// Family witnesses found across completed enumeration jobs.
-    enumerated_witnesses: AtomicU64,
+    /// One slot per [`Scalar`], indexed by `Scalar as usize`.
+    scalars: [AtomicU64; SCALARS.len()],
     /// Completions per [`JobKind`], indexed by `JobKind::index`.
     completed_by_kind: [AtomicU64; KINDS],
     /// Failures per [`JobKind`], indexed by `JobKind::index`.
@@ -263,22 +468,14 @@ pub struct Metrics {
     /// `QuantumBackend::index`.
     quantum_by_backend: [AtomicU64; QBACKENDS],
     /// Completions per registry entry (keyed by the entry's stable
-    /// [`crate::matchers::Matcher::name`]). The label set is dynamic, so
-    /// this is the registry's one mutex — taken once per completed job
-    /// that ran a named matcher, far off any hot path.
+    /// [`crate::matchers::Matcher::name`]). The label set is whichever
+    /// entries have run, so this is the registry's one mutex — taken
+    /// once per completed job that ran a named matcher, far off any hot
+    /// path.
     entry_completions: Mutex<BTreeMap<&'static str, u64>>,
     shard_depth: Vec<AtomicU64>,
-    /// Jobs executed per worker shard (by the shard that ran them, not
-    /// the lane they were queued on).
-    shard_jobs: Vec<AtomicU64>,
-    /// Jobs a shard pulled from another shard's lane (steals performed).
-    shard_steals: Vec<AtomicU64>,
-    /// Jobs pulled *out of* a shard's lane by other shards (stolen-from).
-    shard_stolen_from: Vec<AtomicU64>,
-    /// Microseconds each shard spent executing jobs (dequeue → report).
-    shard_busy_us: Vec<AtomicU64>,
-    /// Microseconds each shard spent parked waiting for work.
-    shard_idle_us: Vec<AtomicU64>,
+    /// One slot per [`ShardCounter`] for each worker shard.
+    shard_counters: Vec<[AtomicU64; SHARD_COUNTERS.len()]>,
     latency: Histogram,
     intake_depth: Histogram,
     /// Latency of the dense-table compiles jobs' probes bought (cache
@@ -300,35 +497,18 @@ impl Metrics {
     /// shard series per worker shard, and info gauges naming the
     /// config's quantum backend and SAT options.
     pub fn new(config: &ServiceConfig) -> Self {
-        let shards = config.shards;
+        let shards = config.shards.max(1);
         Self {
-            submitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            admission_shed: AtomicU64::new(0),
-            admission_requeued: AtomicU64::new(0),
-            worker_lost: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
-            sat_verified: AtomicU64::new(0),
-            sat_unknown: AtomicU64::new(0),
-            sat_glue_kept: AtomicU64::new(0),
-            sat_learned_db: AtomicU64::new(0),
-            sat_xors_extracted: AtomicU64::new(0),
-            table_cache_hits: AtomicU64::new(0),
-            solver_cache_hits: AtomicU64::new(0),
-            enumerated_witnesses: AtomicU64::new(0),
+            scalars: std::array::from_fn(|_| AtomicU64::new(0)),
             completed_by_kind: std::array::from_fn(|_| AtomicU64::new(0)),
             failed_by_kind: std::array::from_fn(|_| AtomicU64::new(0)),
             latency_by_kind: std::array::from_fn(|_| Histogram::new(latency_bounds())),
             quantum_by_backend: std::array::from_fn(|_| AtomicU64::new(0)),
             entry_completions: Mutex::new(BTreeMap::new()),
-            shard_depth: (0..shards.max(1)).map(|_| AtomicU64::new(0)).collect(),
-            shard_jobs: (0..shards.max(1)).map(|_| AtomicU64::new(0)).collect(),
-            shard_steals: (0..shards.max(1)).map(|_| AtomicU64::new(0)).collect(),
-            shard_stolen_from: (0..shards.max(1)).map(|_| AtomicU64::new(0)).collect(),
-            shard_busy_us: (0..shards.max(1)).map(|_| AtomicU64::new(0)).collect(),
-            shard_idle_us: (0..shards.max(1)).map(|_| AtomicU64::new(0)).collect(),
+            shard_depth: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            shard_counters: (0..shards)
+                .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
+                .collect(),
             latency: Histogram::new(latency_bounds()),
             intake_depth: Histogram::new(depth_bounds()),
             table_compile: Histogram::new(compile_bounds()),
@@ -342,38 +522,25 @@ impl Metrics {
         }
     }
 
+    /// Adds `n` to a [`Scalar`] counter.
+    pub(crate) fn add(&self, scalar: Scalar, n: u64) {
+        self.scalars[scalar as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The current value of a [`Scalar`].
+    pub fn get(&self, scalar: Scalar) -> u64 {
+        self.scalars[scalar as usize].load(Ordering::Relaxed)
+    }
+
     /// Counts an accepted job. Called from the queue's `on_accept` hook,
     /// i.e. **under the lane lock with the job not yet poppable**: the
     /// counter stays monotonic and a concurrent scrape can never observe
     /// `completed > submitted`. `depth_after` is exact for the same
     /// reason.
     pub(crate) fn record_accept(&self, shard: usize, depth_after: usize) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
+        self.add(Scalar::JobsSubmitted, 1);
         self.shard_depth[shard].store(depth_after as u64, Ordering::Relaxed);
         self.intake_depth.observe(depth_after as u64);
-    }
-
-    pub(crate) fn record_reject(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a job shed by admission control (rejected for cost under
-    /// overload, never executed).
-    pub(crate) fn record_admission_shed(&self) {
-        self.admission_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a job deferred by admission control: accepted, but parked
-    /// in the deferral buffer until the backlog drains.
-    pub(crate) fn record_admission_requeued(&self) {
-        self.admission_requeued.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a job accepted straight into the deferral buffer: it is
-    /// submitted (its ticket will resolve) but sits in no lane yet, so
-    /// the depth gauges move only at re-injection.
-    pub(crate) fn record_defer_accept(&self) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Re-entry of a deferred job into an intake lane: only the depth
@@ -382,11 +549,6 @@ impl Metrics {
     pub(crate) fn record_requeue_accept(&self, shard: usize, depth_after: usize) {
         self.shard_depth[shard].store(depth_after as u64, Ordering::Relaxed);
         self.intake_depth.observe(depth_after as u64);
-    }
-
-    /// Counts one worker panic converted into a `WorkerLost` report.
-    pub(crate) fn record_worker_lost(&self) {
-        self.worker_lost.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Called from the queue's `on_pop` hook (under the lane lock), so
@@ -402,13 +564,13 @@ impl Metrics {
         queries: u64,
         latency_micros: u64,
     ) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.add(Scalar::JobsCompleted, 1);
         self.completed_by_kind[kind.index()].fetch_add(1, Ordering::Relaxed);
         if failed {
-            self.failed.fetch_add(1, Ordering::Relaxed);
+            self.add(Scalar::JobsFailed, 1);
             self.failed_by_kind[kind.index()].fetch_add(1, Ordering::Relaxed);
         }
-        self.queries.fetch_add(queries, Ordering::Relaxed);
+        self.add(Scalar::OracleQueries, queries);
         self.latency.observe(latency_micros);
         self.latency_by_kind[kind.index()].observe(latency_micros);
     }
@@ -421,35 +583,40 @@ impl Metrics {
         self.exec_by_kind[kind.index()].observe(exec_us);
     }
 
+    /// Adds `n` to one shard's [`ShardCounter`].
+    fn add_shard(&self, counter: ShardCounter, shard: usize, n: u64) {
+        self.shard_counters[shard][counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Attributes one executed job to the shard that ran it. `lane` is
     /// the intake lane it was popped from — a differing lane means the
     /// job was stolen, counted for the thief (`shard`) and the victim
     /// (`lane`) both.
     pub(crate) fn record_execution(&self, shard: usize, lane: usize) {
-        self.shard_jobs[shard].fetch_add(1, Ordering::Relaxed);
+        self.add_shard(ShardCounter::JobsExecuted, shard, 1);
         if lane != shard {
-            self.shard_steals[shard].fetch_add(1, Ordering::Relaxed);
-            self.shard_stolen_from[lane].fetch_add(1, Ordering::Relaxed);
+            self.add_shard(ShardCounter::Steals, shard, 1);
+            self.add_shard(ShardCounter::StolenFrom, lane, 1);
         }
     }
 
     /// Adds executing time (dequeue → ticket resolved) to a shard's busy
     /// counter.
     pub(crate) fn record_shard_busy(&self, shard: usize, micros: u64) {
-        self.shard_busy_us[shard].fetch_add(micros, Ordering::Relaxed);
+        self.add_shard(ShardCounter::BusyMicros, shard, micros);
     }
 
     /// Adds parked-waiting-for-work time to a shard's idle counter.
     pub(crate) fn record_shard_idle(&self, shard: usize, micros: u64) {
-        self.shard_idle_us[shard].fetch_add(micros, Ordering::Relaxed);
+        self.add_shard(ShardCounter::IdleMicros, shard, micros);
     }
 
     /// Counts one SAT miter verification of a recovered witness;
     /// `unknown` records a budget-exhausted (inconclusive) verdict.
     pub(crate) fn record_sat_verify(&self, unknown: bool) {
-        self.sat_verified.fetch_add(1, Ordering::Relaxed);
+        self.add(Scalar::JobsSatVerified, 1);
         if unknown {
-            self.sat_unknown.fetch_add(1, Ordering::Relaxed);
+            self.add(Scalar::SatUnknown, 1);
         }
     }
 
@@ -458,21 +625,9 @@ impl Metrics {
     /// describe the solver the service just ran), while the XOR figure
     /// is a delta accumulated into a total.
     pub(crate) fn record_sat_core(&self, glue_kept: u64, learned_db: u64, xors_delta: u64) {
-        self.sat_glue_kept.store(glue_kept, Ordering::Relaxed);
-        self.sat_learned_db.store(learned_db, Ordering::Relaxed);
-        self.sat_xors_extracted
-            .fetch_add(xors_delta, Ordering::Relaxed);
-    }
-
-    /// Counts dense-table cache hits in a worker's oracle setup.
-    pub(crate) fn record_table_cache_hits(&self, hits: u64) {
-        self.table_cache_hits.fetch_add(hits, Ordering::Relaxed);
-    }
-
-    /// Counts one SAT job answered from a worker's cached verdict or
-    /// warm solver.
-    pub(crate) fn record_solver_cache_hit(&self) {
-        self.solver_cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.scalars[Scalar::SatGlueKept as usize].store(glue_kept, Ordering::Relaxed);
+        self.scalars[Scalar::SatLearnedDbSize as usize].store(learned_db, Ordering::Relaxed);
+        self.add(Scalar::SatXorsExtracted, xors_delta);
     }
 
     /// Records one dense-table compile an on-demand oracle bought (a
@@ -487,12 +642,6 @@ impl Metrics {
         self.quantum_by_backend[backend.index()].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts the witnesses found by one completed enumeration job.
-    pub(crate) fn record_enumeration(&self, witnesses: u64) {
-        self.enumerated_witnesses
-            .fetch_add(witnesses, Ordering::Relaxed);
-    }
-
     /// Counts one successful run of a named registry entry.
     pub(crate) fn record_entry_completion(&self, entry: &'static str) {
         *self
@@ -501,36 +650,6 @@ impl Metrics {
             .expect("entry metrics lock")
             .entry(entry)
             .or_insert(0) += 1;
-    }
-
-    /// Jobs accepted into the intake queue.
-    pub fn jobs_submitted(&self) -> u64 {
-        self.submitted.load(Ordering::Relaxed)
-    }
-
-    /// Jobs rejected with `QueueFull`.
-    pub fn jobs_rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
-    }
-
-    /// Jobs shed by admission control under overload.
-    pub fn jobs_shed(&self) -> u64 {
-        self.admission_shed.load(Ordering::Relaxed)
-    }
-
-    /// Jobs deferred (re-queued) by admission control under overload.
-    pub fn jobs_requeued(&self) -> u64 {
-        self.admission_requeued.load(Ordering::Relaxed)
-    }
-
-    /// Worker panics converted into `WorkerLost` reports.
-    pub fn workers_lost(&self) -> u64 {
-        self.worker_lost.load(Ordering::Relaxed)
-    }
-
-    /// Jobs fully executed (their ticket is resolved).
-    pub fn jobs_completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
     }
 
     /// Jobs of one [`JobKind`] executed to completion.
@@ -548,60 +667,9 @@ impl Metrics {
         &self.latency_by_kind[kind.index()]
     }
 
-    /// Completed jobs whose matcher returned an error.
-    pub fn jobs_failed(&self) -> u64 {
-        self.failed.load(Ordering::Relaxed)
-    }
-
-    /// Total oracle queries spent across completed jobs.
-    pub fn oracle_queries(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
-    }
-
-    /// Jobs whose recovered witness was checked against a SAT miter.
-    pub fn jobs_sat_verified(&self) -> u64 {
-        self.sat_verified.load(Ordering::Relaxed)
-    }
-
-    /// SAT verifications that exhausted their budget (inconclusive).
-    pub fn sat_unknown(&self) -> u64 {
-        self.sat_unknown.load(Ordering::Relaxed)
-    }
-
-    /// Glue (LBD ≤ 2) clauses held by the most recently sampled solver.
-    pub fn sat_glue_kept(&self) -> u64 {
-        self.sat_glue_kept.load(Ordering::Relaxed)
-    }
-
-    /// Learned-DB size of the most recently sampled solver.
-    pub fn sat_learned_db_size(&self) -> u64 {
-        self.sat_learned_db.load(Ordering::Relaxed)
-    }
-
-    /// XOR constraints extracted across all solver builds.
-    pub fn sat_xors_extracted(&self) -> u64 {
-        self.sat_xors_extracted.load(Ordering::Relaxed)
-    }
-
-    /// Dense-table cache hits across all workers.
-    pub fn table_cache_hits(&self) -> u64 {
-        self.table_cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// SAT jobs answered from a worker's cached verdict or warm solver,
-    /// across all workers.
-    pub fn solver_cache_hits(&self) -> u64 {
-        self.solver_cache_hits.load(Ordering::Relaxed)
-    }
-
     /// Quantum-path jobs executed on one simulation backend.
     pub fn quantum_jobs_of_backend(&self, backend: QuantumBackend) -> u64 {
         self.quantum_by_backend[backend.index()].load(Ordering::Relaxed)
-    }
-
-    /// Family witnesses found across completed enumeration jobs.
-    pub fn enumerated_witnesses(&self) -> u64 {
-        self.enumerated_witnesses.load(Ordering::Relaxed)
     }
 
     /// Completions of one registry entry (by its stable matcher name),
@@ -616,25 +684,9 @@ impl Metrics {
             .unwrap_or(0)
     }
 
-    /// Every registry entry that completed at least one job, with its
-    /// count, in stable (sorted-by-name) order.
-    pub fn entry_completions(&self) -> Vec<(&'static str, u64)> {
-        self.entry_completions
-            .lock()
-            .expect("entry metrics lock")
-            .iter()
-            .map(|(&name, &count)| (name, count))
-            .collect()
-    }
-
     /// The job-latency histogram (accept → completion, microseconds).
     pub fn latency(&self) -> &Histogram {
         &self.latency
-    }
-
-    /// The intake-depth-at-submit histogram.
-    pub fn intake_depth(&self) -> &Histogram {
-        &self.intake_depth
     }
 
     /// The dense-table compile histogram (microseconds).
@@ -642,299 +694,139 @@ impl Metrics {
         &self.table_compile
     }
 
-    /// The accept-to-dequeue queue-wait histogram (microseconds).
-    pub fn queue_wait(&self) -> &Histogram {
-        &self.queue_wait
-    }
-
-    /// The execute-stage latency histogram of one [`JobKind`]
-    /// (microseconds; the `execute_*` body alone).
-    pub fn exec_of(&self, kind: JobKind) -> &Histogram {
-        &self.exec_by_kind[kind.index()]
-    }
-
     /// Worker-shard count this registry was sized for.
     pub fn shards(&self) -> usize {
         self.shard_depth.len()
     }
 
-    /// Jobs executed by one worker shard.
-    pub fn shard_jobs_executed(&self, shard: usize) -> u64 {
-        self.shard_jobs[shard].load(Ordering::Relaxed)
+    /// One worker shard's value of a [`ShardCounter`].
+    pub fn shard(&self, counter: ShardCounter, shard: usize) -> u64 {
+        self.shard_counters[shard][counter as usize].load(Ordering::Relaxed)
     }
 
-    /// Jobs one shard pulled from other shards' lanes (steals performed).
-    pub fn shard_steals(&self, shard: usize) -> u64 {
-        self.shard_steals[shard].load(Ordering::Relaxed)
-    }
-
-    /// Jobs pulled out of one shard's lane by other shards.
-    pub fn shard_stolen_from(&self, shard: usize) -> u64 {
-        self.shard_stolen_from[shard].load(Ordering::Relaxed)
-    }
-
-    /// Microseconds one shard has spent executing jobs.
-    pub fn shard_busy_micros(&self, shard: usize) -> u64 {
-        self.shard_busy_us[shard].load(Ordering::Relaxed)
-    }
-
-    /// Microseconds one shard has spent parked waiting for work.
-    pub fn shard_idle_micros(&self, shard: usize) -> u64 {
-        self.shard_idle_us[shard].load(Ordering::Relaxed)
+    /// Writes the family of every [`Scalar`] of one type (`counter` or
+    /// `gauge`), in table order.
+    fn write_scalars(&self, out: &mut String, kind: &str) {
+        for (slot, &(name, ty, help)) in self.scalars.iter().zip(&SCALARS) {
+            if ty == kind {
+                let value = slot.load(Ordering::Relaxed);
+                write_family(out, name, ty, help, [(String::new(), value)]);
+            }
+        }
     }
 
     /// Serializes every metric in the Prometheus text exposition format.
     pub fn render(&self) -> String {
-        use std::fmt::Write;
         let mut out = String::new();
-        let counters = [
-            (
-                "revmatch_jobs_submitted_total",
-                "Jobs accepted into the intake queue.",
-                self.jobs_submitted(),
-            ),
-            (
-                "revmatch_jobs_rejected_total",
-                "Jobs rejected because every intake lane was full.",
-                self.jobs_rejected(),
-            ),
-            (
-                "revmatch_jobs_completed_total",
-                "Jobs executed to completion.",
-                self.jobs_completed(),
-            ),
-            (
-                "revmatch_admission_shed_total",
-                "Jobs shed by admission control under overload (never executed).",
-                self.jobs_shed(),
-            ),
-            (
-                "revmatch_admission_requeued_total",
-                "Jobs deferred by admission control until the backlog drained.",
-                self.jobs_requeued(),
-            ),
-            (
-                "revmatch_worker_lost_total",
-                "Worker panics converted into WorkerLost job reports.",
-                self.workers_lost(),
-            ),
-            (
-                "revmatch_jobs_failed_total",
-                "Completed jobs whose matcher returned an error.",
-                self.jobs_failed(),
-            ),
-            (
-                "revmatch_oracle_queries_total",
-                "Oracle queries spent across completed jobs.",
-                self.oracle_queries(),
-            ),
-            (
-                "revmatch_jobs_sat_verified_total",
-                "Jobs whose recovered witness was checked against a SAT miter.",
-                self.jobs_sat_verified(),
-            ),
-            (
-                "revmatch_sat_unknown_total",
-                "SAT verifications that exhausted their budget.",
-                self.sat_unknown(),
-            ),
-            (
-                "revmatch_sat_xors_extracted_total",
-                "XOR constraints extracted across all solver builds.",
-                self.sat_xors_extracted(),
-            ),
-            (
-                "revmatch_table_cache_hits_total",
-                "Worker dense-table cache hits.",
-                self.table_cache_hits(),
-            ),
-            (
-                "revmatch_solver_cache_hits_total",
-                "SAT jobs answered from a worker's cached verdict or warm solver.",
-                self.solver_cache_hits(),
-            ),
-            (
-                "revmatch_enumerated_witnesses_total",
-                "Family witnesses found across completed enumeration jobs.",
-                self.enumerated_witnesses(),
-            ),
-        ];
-        for (name, help, value) in counters {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
-        }
+        self.write_scalars(&mut out, "counter");
         // Per-kind completion/failure counters: one metric per kind so
         // dashboards can alert on a single scenario family.
         for kind in JobKind::ALL {
-            let name = format!("revmatch_jobs_{kind}_total");
-            let _ = writeln!(out, "# HELP {name} Completed {kind} jobs.");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {}", self.jobs_completed_of(kind));
-            let name = format!("revmatch_jobs_{kind}_failed_total");
-            let _ = writeln!(out, "# HELP {name} Failed {kind} jobs.");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {}", self.jobs_failed_of(kind));
+            for (suffix, what, counts) in [
+                ("", "Completed", &self.completed_by_kind),
+                ("_failed", "Failed", &self.failed_by_kind),
+            ] {
+                let name = format!("revmatch_jobs_{kind}{suffix}_total");
+                let help = format!("{what} {kind} jobs.");
+                let series = [(String::new(), counts[kind.index()].load(Ordering::Relaxed))];
+                write_family(&mut out, &name, "counter", &help, series);
+            }
         }
-        // Per-backend quantum-path dispatch counters: always emitted for
-        // all three backends so dashboards see explicit zeroes.
-        let name = "revmatch_quantum_backend_jobs_total";
-        let _ = writeln!(
-            out,
-            "# HELP {name} Quantum-path jobs dispatched per simulation backend."
+        // Always emitted for all three backends so dashboards see
+        // explicit zeroes.
+        write_family(
+            &mut out,
+            "revmatch_quantum_backend_jobs_total",
+            "counter",
+            "Quantum-path jobs dispatched per simulation backend.",
+            QuantumBackend::ALL
+                .map(|b| (format!("backend=\"{b}\""), self.quantum_jobs_of_backend(b))),
         );
-        let _ = writeln!(out, "# TYPE {name} counter");
-        for backend in QuantumBackend::ALL {
-            let _ = writeln!(
-                out,
-                "{name}{{backend=\"{backend}\"}} {}",
-                self.quantum_jobs_of_backend(backend)
-            );
-        }
-        // Per-registry-entry completions: one labeled series per matcher
-        // that actually ran, so dashboards can watch a single algorithm.
-        let entries = self.entry_completions();
+        // One labeled series per entry that actually ran, so dashboards
+        // can watch a single algorithm; no family before the first.
+        let entries: Vec<_> = self
+            .entry_completions
+            .lock()
+            .expect("entry metrics lock")
+            .iter()
+            .map(|(entry, &count)| (format!("entry=\"{}\"", escape_label(entry)), count))
+            .collect();
         if !entries.is_empty() {
-            let name = "revmatch_registry_entry_jobs_total";
-            let _ = writeln!(
-                out,
-                "# HELP {name} Completed jobs per algorithm entry (registry matcher names; \
-                 enumeration families use their */sat-enumerate name)."
+            write_family(
+                &mut out,
+                "revmatch_registry_entry_jobs_total",
+                "counter",
+                "Completed jobs per algorithm entry (registry matcher names; \
+                 enumeration families use their */sat-enumerate name).",
+                entries,
             );
-            let _ = writeln!(out, "# TYPE {name} counter");
-            for (entry, count) in entries {
-                let _ = writeln!(out, "{name}{{entry=\"{}\"}} {count}", escape_label(entry));
-            }
         }
-        let _ = writeln!(
-            out,
-            "# HELP revmatch_shard_queue_depth Live intake depth per worker shard."
+        write_family(
+            &mut out,
+            "revmatch_shard_queue_depth",
+            "gauge",
+            "Live intake depth per worker shard.",
+            self.shard_depth
+                .iter()
+                .enumerate()
+                .map(|(i, depth)| (format!("shard=\"{i}\""), depth.load(Ordering::Relaxed))),
         );
-        let _ = writeln!(out, "# TYPE revmatch_shard_queue_depth gauge");
-        for (i, d) in self.shard_depth.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "revmatch_shard_queue_depth{{shard=\"{i}\"}} {}",
-                d.load(Ordering::Relaxed)
-            );
-        }
-        // Per-shard runtime introspection: executed jobs, steal flow in
-        // both directions, and busy/idle seconds — enough to spot a hot
-        // shard.
-        let shard_counters: [(&str, &str, &Vec<AtomicU64>); 5] = [
-            (
-                "revmatch_shard_jobs_total",
-                "Jobs executed per worker shard.",
-                &self.shard_jobs,
-            ),
-            (
-                "revmatch_shard_steals_total",
-                "Jobs a shard pulled from another shard's lane.",
-                &self.shard_steals,
-            ),
-            (
-                "revmatch_shard_stolen_from_total",
-                "Jobs pulled out of a shard's lane by other shards.",
-                &self.shard_stolen_from,
-            ),
-            (
-                "revmatch_shard_busy_seconds_total",
-                "Seconds a shard has spent executing jobs.",
-                &self.shard_busy_us,
-            ),
-            (
-                "revmatch_shard_idle_seconds_total",
-                "Seconds a shard has spent parked waiting for work.",
-                &self.shard_idle_us,
-            ),
-        ];
-        for (name, help, values) in shard_counters {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let seconds = name.ends_with("_seconds_total");
-            for (i, v) in values.iter().enumerate() {
-                let v = v.load(Ordering::Relaxed);
-                if seconds {
-                    let _ = writeln!(out, "{name}{{shard=\"{i}\"}} {}", v as f64 / 1e6);
+        for (c, &(name, help, divisor)) in SHARD_COUNTERS.iter().enumerate() {
+            let series = self.shard_counters.iter().enumerate().map(|(i, slots)| {
+                let v = slots[c].load(Ordering::Relaxed);
+                let value = if divisor == 1 {
+                    v.to_string()
                 } else {
-                    let _ = writeln!(out, "{name}{{shard=\"{i}\"}} {v}");
-                }
-            }
+                    (v as f64 / divisor as f64).to_string()
+                };
+                (format!("shard=\"{i}\""), value)
+            });
+            write_family(&mut out, name, "counter", help, series);
         }
-        self.latency.render(
+        let unlabelled = |histogram| [(String::new(), histogram)];
+        write_histograms(
             &mut out,
             "revmatch_job_latency_seconds",
             "Job latency from intake accept to completion.",
             1e6,
+            unlabelled(&self.latency),
         );
-        // Per-kind latency as one labeled histogram family.
-        let name = "revmatch_job_kind_latency_seconds";
-        let _ = writeln!(
-            out,
-            "# HELP {name} Job latency from intake accept to completion, by job kind."
+        write_histograms(
+            &mut out,
+            "revmatch_job_kind_latency_seconds",
+            "Job latency from intake accept to completion, by job kind.",
+            1e6,
+            by_kind(&self.latency_by_kind),
         );
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        for kind in JobKind::ALL {
-            self.latency_by_kind[kind.index()].render_series(
-                &mut out,
-                name,
-                &format!("kind=\"{kind}\","),
-                1e6,
-            );
-        }
-        self.intake_depth.render(
+        write_histograms(
             &mut out,
             "revmatch_intake_depth",
             "Intake-lane depth observed at each accepted submit.",
             1.0,
+            unlabelled(&self.intake_depth),
         );
-        self.table_compile.render(
+        write_histograms(
             &mut out,
             "revmatch_table_compile_seconds",
             "Latency of the dense-table compiles bought by job probes.",
             1e6,
+            unlabelled(&self.table_compile),
         );
-        self.queue_wait.render(
+        write_histograms(
             &mut out,
             "revmatch_queue_wait_seconds",
             "Job wait from intake accept to worker dequeue.",
             1e6,
+            unlabelled(&self.queue_wait),
         );
-        // Per-kind execute-stage latency as one labeled histogram family
-        // (the execute_* body alone; queue wait reported above).
-        let name = "revmatch_exec_seconds";
-        let _ = writeln!(
-            out,
-            "# HELP {name} Execute-stage latency by job kind (queue wait excluded)."
+        write_histograms(
+            &mut out,
+            "revmatch_exec_seconds",
+            "Execute-stage latency by job kind (queue wait excluded).",
+            1e6,
+            by_kind(&self.exec_by_kind),
         );
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        for kind in JobKind::ALL {
-            self.exec_by_kind[kind.index()].render_series(
-                &mut out,
-                name,
-                &format!("kind=\"{kind}\","),
-                1e6,
-            );
-        }
-        // SAT-core introspection: the live clause-database shape as
-        // gauges.
-        let sat_gauges = [
-            (
-                "revmatch_sat_glue_kept",
-                "Glue (low-LBD) clauses held by the most recently sampled solver.",
-                self.sat_glue_kept(),
-            ),
-            (
-                "revmatch_sat_learned_db_size",
-                "Learned-clause DB size of the most recently sampled solver.",
-                self.sat_learned_db_size(),
-            ),
-        ];
-        for (name, help, value) in sat_gauges {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {value}");
-        }
+        self.write_scalars(&mut out, "gauge");
         // Info-style gauges (value always 1; the label carries the
         // setting): the kernel the batch entry points dispatch to (e.g.
         // wide256-avx2), and this service's quantum backend pin ("auto"
@@ -960,9 +852,8 @@ impl Metrics {
             ),
         ];
         for (name, help, key, value) in infos {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name}{{{key}=\"{}\"}} 1", escape_label(value));
+            let series = [(format!("{key}=\"{}\"", escape_label(value)), 1)];
+            write_family(&mut out, name, "gauge", help, series);
         }
         out
     }
@@ -981,7 +872,7 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 556);
         let mut out = String::new();
-        h.render(&mut out, "t", "test", 1.0);
+        h.render_series(&mut out, "t", "", 1.0);
         assert!(out.contains("t_bucket{le=\"1\"} 2"));
         assert!(out.contains("t_bucket{le=\"10\"} 3"));
         assert!(out.contains("t_bucket{le=\"100\"} 4"));
@@ -1064,75 +955,52 @@ mod tests {
         );
     }
 
+    /// Pins the whole exposition byte for byte against a fixture: every
+    /// family below is touched (both shards, a steal, a failed job past
+    /// the last latency bound, entry names recorded out of sort order, a
+    /// deferred accept and its requeue). The host-dependent kernel label
+    /// is replaced by a placeholder before comparing.
     #[test]
     fn render_includes_every_family() {
         let m = Metrics::new(&ServiceConfig::default().with_shards(2));
-        m.record_accept(1, 3);
+        m.add(Scalar::JobsSubmitted, 1); // accepted into the deferral buffer
+        m.add(Scalar::JobsRequeued, 1);
+        m.record_requeue_accept(1, 3); // the deferred job re-enters lane 1
+        m.record_dequeue(0, 2);
         m.record_completion(JobKind::Promise, false, 12, 250);
-        m.record_completion(JobKind::Identify, true, 3, 100);
-        m.record_reject();
+        m.record_completion(JobKind::Identify, true, 3, 60_000_000); // past the last bound
+        m.add(Scalar::JobsRejected, 1);
         m.record_sat_verify(false);
         m.record_sat_verify(true);
         m.record_sat_core(3, 17, 2);
         m.record_sat_core(5, 20, 0);
-        m.record_table_cache_hits(4);
-        m.record_solver_cache_hit();
+        m.add(Scalar::TableCacheHits, 4);
+        m.add(Scalar::SolverCacheHits, 1);
         m.record_table_compile(7);
         m.record_quantum_backend(QuantumBackend::Stabilizer);
         m.record_stage_timing(JobKind::Promise, 40, 210);
         m.record_execution(0, 0);
         m.record_execution(0, 1); // shard 0 steals from lane 1
+        m.record_execution(1, 1);
         m.record_shard_busy(0, 250);
+        m.record_shard_busy(1, 1_500_000);
         m.record_shard_idle(1, 1_000);
-        m.record_admission_shed();
-        m.record_admission_requeued();
-        m.record_worker_lost();
-        let text = m.render();
-        for needle in [
-            "revmatch_jobs_submitted_total 1",
-            "revmatch_jobs_rejected_total 1",
-            "revmatch_jobs_completed_total 2",
-            "revmatch_admission_shed_total 1",
-            "revmatch_admission_requeued_total 1",
-            "revmatch_worker_lost_total 1",
-            "revmatch_jobs_failed_total 1",
-            "revmatch_oracle_queries_total 15",
-            "revmatch_jobs_sat_verified_total 2",
-            "revmatch_sat_unknown_total 1",
-            "revmatch_table_cache_hits_total 4",
-            "revmatch_solver_cache_hits_total 1",
-            "revmatch_sat_glue_kept 5",
-            "revmatch_sat_learned_db_size 20",
-            "revmatch_sat_xors_extracted_total 2",
-            "revmatch_sat_opts_info{opts=\"",
-            "revmatch_jobs_promise_total 1",
-            "revmatch_jobs_identify_total 1",
-            "revmatch_jobs_identify_failed_total 1",
-            "revmatch_jobs_quantum_total 0",
-            "revmatch_jobs_sat_total 0",
-            "revmatch_shard_queue_depth{shard=\"1\"} 3",
-            "revmatch_job_latency_seconds_bucket",
-            "revmatch_job_kind_latency_seconds_bucket{kind=\"promise\",le=",
-            "revmatch_job_kind_latency_seconds_count{kind=\"identify\"} 1",
-            "revmatch_intake_depth_count 1",
-            "revmatch_table_compile_seconds_count 1",
-            "revmatch_kernel_info{kernel=\"",
-            "revmatch_quantum_backend_jobs_total{backend=\"dense\"} 0",
-            "revmatch_quantum_backend_jobs_total{backend=\"stabilizer\"} 1",
-            "revmatch_quantum_backend_info{backend=\"",
-            "revmatch_shard_jobs_total{shard=\"0\"} 2",
-            "revmatch_shard_steals_total{shard=\"0\"} 1",
-            "revmatch_shard_steals_total{shard=\"1\"} 0",
-            "revmatch_shard_stolen_from_total{shard=\"1\"} 1",
-            "revmatch_shard_busy_seconds_total{shard=\"0\"} 0.00025",
-            "revmatch_shard_idle_seconds_total{shard=\"1\"} 0.001",
-            "revmatch_queue_wait_seconds_count 1",
-            "revmatch_exec_seconds_bucket{kind=\"promise\",le=",
-            "revmatch_exec_seconds_count{kind=\"promise\"} 1",
-            "revmatch_exec_seconds_count{kind=\"quantum\"} 0",
-        ] {
-            assert!(text.contains(needle), "missing {needle}\n{text}");
+        m.add(Scalar::JobsShed, 1);
+        m.add(Scalar::WorkersLost, 1);
+        m.add(Scalar::EnumeratedWitnesses, 3);
+        m.record_entry_completion("p-i/one-hot");
+        m.record_entry_completion("i-p/randomized");
+        m.record_entry_completion("p-i/one-hot");
+        let kernel = format!(
+            "kernel=\"{}\"",
+            escape_label(revmatch_circuit::active_kernel_name())
+        );
+        let text = m.render().replace(&kernel, "kernel=\"KERNEL\"");
+        let golden = include_str!("../../tests/data/metrics.golden");
+        for (i, (got, want)) in text.lines().zip(golden.lines()).enumerate() {
+            assert_eq!(got, want, "exposition line {} differs", i + 1);
         }
+        assert_eq!(text, golden, "exposition length differs");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!   enumeration — flows through the same queue, worker shards, caches
 //!   and metrics. A bare [`EngineJob`] submits directly (it converts to
 //!   a promise job). Matching algorithms are resolved through the
-//!   [`crate::matchers::MatcherRegistry`], so a newly registered
-//!   [`crate::matchers::Matcher`] is servable without touching this
-//!   module.
+//!   Table-1 [`crate::matchers::MatcherRegistry`], and the name of the
+//!   [`crate::matchers::Matcher`] that answered keys the per-entry
+//!   metrics.
 //! * **N persistent worker shards** (`std::thread`, no external runtime),
 //!   each owning one lane of a bounded MPMC intake queue. Jobs are routed
 //!   by a hash of `(width, kind, equivalence)` so same-shaped work lands
@@ -32,10 +32,13 @@
 //!   the backlog, and joins the workers.
 //! * **Metrics**: every accept/reject/completion feeds an atomic
 //!   [`Metrics`] registry with a Prometheus-style text export
-//!   ([`MatchService::metrics_text`]), including per-kind completion
-//!   counters (`revmatch_jobs_{promise,identify,quantum,sat,enumerate}_total`),
-//!   `kind`-labeled latency and execute-stage histograms, queue-wait
-//!   decomposition, and per-shard jobs/steal/busy/idle introspection.
+//!   ([`MatchService::metrics_text`]). Totals and SAT-core gauges are
+//!   [`Scalar`]s read with [`Metrics::get`], per-shard
+//!   jobs/steal/busy/idle introspection is [`ShardCounter`]s read with
+//!   [`Metrics::shard`]; per-kind completion counters
+//!   (`revmatch_jobs_{promise,identify,quantum,sat,enumerate}_total`),
+//!   `kind`-labeled latency and execute-stage histograms and the
+//!   queue-wait decomposition sit alongside.
 //! * **Tracing** (opt-in, [`crate::observe`]): with tracing enabled by
 //!   [`ServiceConfig::with_trace`], sampled jobs record lifecycle spans
 //!   into lock-free per-shard rings, drained via
@@ -50,7 +53,9 @@
 //! is reproducible end to end.
 //!
 //! ```
-//! use revmatch::{random_instance, EngineJob, Equivalence, MatchService, ServiceConfig, Side};
+//! use revmatch::{
+//!     random_instance, EngineJob, Equivalence, MatchService, Scalar, ServiceConfig, Side,
+//! };
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(9);
@@ -68,7 +73,7 @@
 //! for t in tickets {
 //!     assert!(t.wait().witness.is_ok());
 //! }
-//! assert_eq!(service.metrics().jobs_completed(), 4);
+//! assert_eq!(service.metrics().get(Scalar::JobsCompleted), 4);
 //! service.shutdown();
 //! ```
 
@@ -83,7 +88,7 @@ pub use job::{
     EngineJob, EnumerateJob, IdentifyJob, JobKind, JobReport, JobSpec, QuantumAlgorithm,
     QuantumPathJob, SatEquivalenceJob,
 };
-pub use metrics::{Histogram, Metrics};
+pub use metrics::{Histogram, Metrics, Scalar, ShardCounter};
 
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -98,9 +103,7 @@ use revmatch_sat::{SatOptions, SolverBackend};
 use crate::enumerate::{sweep_family, WitnessFamily};
 use crate::error::MatchError;
 use crate::identify::{identify_equivalence_with_oracles, IdentifyOptions};
-use crate::matchers::{
-    solve_promise_named, InverseAvailability, MatcherConfig, MatcherRegistry, Path, ProblemOracles,
-};
+use crate::matchers::{InverseAvailability, MatcherConfig, MatcherRegistry, Path, ProblemOracles};
 use crate::miter::MiterVerdict;
 use crate::observe::{Detail, JobTiming, SpanRecord, Stage, TraceConfig, Tracer};
 use crate::oracle::Oracle;
@@ -513,7 +516,7 @@ impl Shared {
             JobSpec::SatEquivalence(job) => self.execute_sat(job, caches, obs),
             JobSpec::Enumerate(job) => self.execute_enumerate(job, caches, obs),
         };
-        self.metrics.record_table_cache_hits(obs.table_hits);
+        self.metrics.add(Scalar::TableCacheHits, obs.table_hits);
         report
     }
 
@@ -545,7 +548,8 @@ impl Shared {
             c1_inv: c1_inv.as_ref(),
             c2_inv: c2_inv.as_ref(),
         };
-        let report = solve_promise_named(equivalence, &oracles, &self.matcher, rng);
+        let report =
+            MatcherRegistry::global().solve_named(equivalence, &oracles, &self.matcher, rng);
         self.adopt_tables(kind, oracles.iter(), caches, obs);
         let (witness, rounds) = match report {
             Ok((entry, r)) => {
@@ -761,7 +765,7 @@ impl Shared {
         let cached = caches.family_solver(&job.c1, &job.c2, family);
         let outcome = cached.and_then(|(solver, miter, hit)| {
             if hit {
-                self.metrics.record_solver_cache_hit();
+                self.metrics.add(Scalar::SolverCacheHits, 1);
             }
             let xors0 = solver.xors_extracted();
             let swept = sweep_family(solver, miter, Some(self.miter_budget));
@@ -776,7 +780,7 @@ impl Shared {
             Ok(found) => {
                 let count = found.count();
                 let solves = found.solves;
-                self.metrics.record_enumeration(count);
+                self.metrics.add(Scalar::EnumeratedWitnesses, count);
                 self.metrics
                     .record_entry_completion(enumeration_entry_name(family));
                 let witness = found
@@ -816,14 +820,14 @@ impl Shared {
         caches: &mut ShardCaches,
     ) -> MiterVerdict {
         let verdict = if let Some(verdict) = caches.verdict(c1, c2, witness) {
-            self.metrics.record_solver_cache_hit();
+            self.metrics.add(Scalar::SolverCacheHits, 1);
             verdict
         } else {
             let (mut miter, hit) = caches
                 .take_miter_solver(c1, c2, witness)
                 .expect("a solved job's circuits share a width");
             if hit {
-                self.metrics.record_solver_cache_hit();
+                self.metrics.add(Scalar::SolverCacheHits, 1);
             }
             let xors0 = miter.solver.xors_extracted();
             let verdict = miter.solve(self.miter_budget);
@@ -959,7 +963,7 @@ impl Shared {
                 // state (dense tables, miter solvers) mid-mutation —
                 // rebuild it rather than trust it.
                 *caches = ShardCaches::new(self.sat_opts);
-                self.metrics.record_worker_lost();
+                self.metrics.add(Scalar::WorkersLost, 1);
                 (JobReport::error(kind, MatchError::WorkerLost), true)
             }
         };
@@ -1273,8 +1277,9 @@ impl MatchService {
             if request.cost_us >= adm.config().expensive_us && adm.overloaded() {
                 return match adm.defer(request) {
                     None => {
-                        self.shared.metrics.record_defer_accept();
-                        self.shared.metrics.record_admission_requeued();
+                        // Submitted, but in no lane yet: depth gauges move at re-injection.
+                        self.shared.metrics.add(Scalar::JobsSubmitted, 1);
+                        self.shared.metrics.add(Scalar::JobsRequeued, 1);
                         // If the backlog collapsed between the overload
                         // check and the park (workers drained it and are
                         // now blocked in pop), nobody would wake to
@@ -1285,7 +1290,7 @@ impl MatchService {
                     }
                     Some(request) => {
                         self.uncount_in_flight();
-                        self.shared.metrics.record_admission_shed();
+                        self.shared.metrics.add(Scalar::JobsShed, 1);
                         SubmitOutcome::Shed(request.job)
                     }
                 };
@@ -1312,7 +1317,7 @@ impl MatchService {
             }
             Err(request) => {
                 self.uncount_in_flight();
-                self.shared.metrics.record_reject();
+                self.shared.metrics.add(Scalar::JobsRejected, 1);
                 SubmitOutcome::QueueFull(request.job)
             }
         }

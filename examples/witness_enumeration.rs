@@ -17,7 +17,7 @@
 use rand::SeedableRng;
 use revmatch::{
     enumerate_witnesses_sat_with, random_instance, EnumerateJob, EnumerationStrategy, Equivalence,
-    JobKind, MatchService, ServiceConfig, Side, SolverBackend, WitnessFamily,
+    JobKind, MatchService, Scalar, ServiceConfig, Side, SolverBackend, WitnessFamily,
 };
 
 fn main() {
@@ -80,11 +80,14 @@ fn main() {
     println!(
         "service: {} enumerate jobs, {} witnesses counted, {} solver cache hit(s)",
         m.jobs_completed_of(JobKind::Enumerate),
-        m.enumerated_witnesses(),
-        m.solver_cache_hits()
+        m.get(Scalar::EnumeratedWitnesses),
+        m.get(Scalar::SolverCacheHits)
     );
     assert_eq!(m.jobs_completed_of(JobKind::Enumerate), 2);
-    assert!(m.solver_cache_hits() >= 1, "second sweep must run warm");
+    assert!(
+        m.get(Scalar::SolverCacheHits) >= 1,
+        "second sweep must run warm"
+    );
     service.shutdown();
     println!("all three paths agree.");
 }

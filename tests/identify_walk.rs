@@ -14,7 +14,7 @@ use revmatch::{
     brute_force_match, check_witness, classify, identify_equivalence,
     identify_equivalence_with_oracles, job_seed, random_instance, random_wide_instance,
     solve_promise, Equivalence, Identification, IdentifyJob, IdentifyOptions, JobKind, MatchError,
-    MatchService, Oracle, ProblemOracles, ServiceConfig, Side, VerifyMode,
+    MatchService, Oracle, ProblemOracles, Scalar, ServiceConfig, Side, VerifyMode,
 };
 use revmatch_circuit::{
     random_function_circuit, signatures_compatible, Circuit, CircuitError, TruthTable,
@@ -266,6 +266,6 @@ fn served_wide_identify_jobs_report_the_width_error() {
         assert_eq!(report.queries, 0, "w{w}");
         assert_eq!(report.identified, None, "w{w}");
     }
-    assert_eq!(service.metrics().workers_lost(), 0);
+    assert_eq!(service.metrics().get(Scalar::WorkersLost), 0);
     service.shutdown();
 }

@@ -10,7 +10,7 @@ use revmatch::{
     check_witness, identify_equivalence, job_seed, match_n_i_simon_with, random_instance,
     EngineJob, EnumerateJob, Equivalence, IdentifyJob, IdentifyOptions, JobKind, JobReport,
     JobSpec, JobTicket, MatchError, MatchService, MatcherConfig, MiterVerdict, Oracle,
-    QuantumAlgorithm, QuantumPathJob, SatEquivalenceJob, ServiceConfig, Side, VerifyMode,
+    QuantumAlgorithm, QuantumPathJob, SatEquivalenceJob, Scalar, ServiceConfig, Side, VerifyMode,
     WitnessFamily,
 };
 
@@ -142,9 +142,9 @@ fn all_five_kinds_bit_identical_across_worker_counts() {
     assert_eq!(m.jobs_completed_of(JobKind::Quantum), 2);
     assert_eq!(m.jobs_completed_of(JobKind::Sat), 1);
     assert_eq!(m.jobs_completed_of(JobKind::Enumerate), 1);
-    assert_eq!(m.jobs_failed(), 0);
+    assert_eq!(m.get(Scalar::JobsFailed), 0);
     assert!(
-        m.enumerated_witnesses() >= 1,
+        m.get(Scalar::EnumeratedWitnesses) >= 1,
         "the enumeration job's witnesses feed the counter"
     );
     // Per-registry-entry counters (not just per-kind): the NP-I promise
@@ -213,7 +213,7 @@ fn enumerate_jobs_reuse_solvers_and_report_clean_negatives() {
         "warm re-enumeration is bit-identical"
     );
     assert!(
-        svc.metrics().solver_cache_hits() >= 1,
+        svc.metrics().get(Scalar::SolverCacheHits) >= 1,
         "the second sweep must re-enter the cached family solver"
     );
 
@@ -226,7 +226,7 @@ fn enumerate_jobs_reuse_solvers_and_report_clean_negatives() {
     if report.witness_count == Some(0) {
         assert!(matches!(report.witness, Err(MatchError::NoEquivalence)));
         assert_eq!(
-            svc.metrics().jobs_failed(),
+            svc.metrics().get(Scalar::JobsFailed),
             0,
             "a zero count is a complete answer, not a failure"
         );
@@ -257,7 +257,11 @@ fn sat_jobs_report_counterexamples_without_failing() {
         other => panic!("expected a counterexample, got {other:?}"),
     }
     assert!(matches!(report.witness, Err(MatchError::PromiseViolated)));
-    assert_eq!(svc.metrics().jobs_failed(), 0, "a verdict is not a failure");
+    assert_eq!(
+        svc.metrics().get(Scalar::JobsFailed),
+        0,
+        "a verdict is not a failure"
+    );
     assert_eq!(svc.metrics().jobs_failed_of(JobKind::Sat), 0);
     svc.shutdown();
 }
@@ -273,7 +277,7 @@ fn identify_jobs_report_no_equivalence_cleanly() {
     assert!(matches!(report.witness, Err(MatchError::NoEquivalence)));
     assert!(report.identified.is_none());
     assert_eq!(
-        svc.metrics().jobs_failed(),
+        svc.metrics().get(Scalar::JobsFailed),
         0,
         "a clean negative answer is not a failure"
     );

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use revmatch::{
     match_n_i_simon_with, random_instance, random_wide_instance, Equivalence, JobKind, JobSpec,
-    MatchError, MatchService, Oracle, QuantumAlgorithm, QuantumOracle, QuantumPathJob,
+    MatchError, MatchService, Oracle, QuantumAlgorithm, QuantumOracle, QuantumPathJob, Scalar,
     ServiceConfig, Side,
 };
 use revmatch_quantum::{ProductState, QuantumBackend, QuantumError, Qubit};
@@ -136,7 +136,7 @@ fn service_pins_backends_and_stays_deterministic_across_shards() {
                 assert_eq!(witness.nu_x(), inst.witness.nu_x(), "{backend}");
             }
             let m = svc.metrics();
-            assert_eq!(m.jobs_failed(), 0);
+            assert_eq!(m.get(Scalar::JobsFailed), 0);
             assert_eq!(m.quantum_jobs_of_backend(backend), insts.len() as u64);
             for other in QuantumBackend::ALL {
                 if other != backend {
@@ -193,7 +193,11 @@ fn oversized_jobs_fail_cleanly_and_do_not_wedge_the_service() {
         }
         let m = svc.metrics();
         assert_eq!(m.jobs_completed_of(JobKind::Quantum), 1);
-        assert_eq!(m.jobs_failed(), 1, "{backend}: capacity miss counts failed");
+        assert_eq!(
+            m.get(Scalar::JobsFailed),
+            1,
+            "{backend}: capacity miss counts failed"
+        );
         // The shard is still alive: an in-capacity job completes next.
         let small = ni_instance(4, 0x600D);
         let report = svc.submit_wait_seeded(simon_job(&small), 2).wait();
@@ -227,7 +231,7 @@ fn wide_simon_jobs_complete_through_the_service_on_the_stabilizer() {
         assert_eq!(report.charged_queries, 2 * report.rounds);
     }
     let m = svc.metrics();
-    assert_eq!(m.jobs_failed(), 0);
+    assert_eq!(m.get(Scalar::JobsFailed), 0);
     assert_eq!(
         m.quantum_jobs_of_backend(QuantumBackend::Stabilizer),
         insts.len() as u64,

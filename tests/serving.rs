@@ -5,7 +5,7 @@ use rand::SeedableRng;
 use revmatch::{
     check_witness, classify, job_seed, random_instance, random_wide_instance, EngineJob,
     EnumerateJob, Equivalence, JobReport, JobSpec, JobTicket, MatchError, MatchService,
-    MatcherConfig, MiterVerdict, QuantumAlgorithm, QuantumPathJob, SatEquivalenceJob,
+    MatcherConfig, MiterVerdict, QuantumAlgorithm, QuantumPathJob, SatEquivalenceJob, Scalar,
     ServiceConfig, Side, SubmitOutcome, VerifyMode, WitnessFamily,
 };
 use revmatch_quantum::QuantumBackend;
@@ -108,7 +108,7 @@ fn intractable_jobs_report_errors_and_the_shard_keeps_serving() {
         "{:?}",
         report.witness
     );
-    assert_eq!(service.metrics().workers_lost(), 0);
+    assert_eq!(service.metrics().get(Scalar::WorkersLost), 0);
     let next = service
         .submit_wait(EngineJob::from_instance(&easy, true))
         .wait();
@@ -144,13 +144,16 @@ fn full_queue_rejects_without_dropping_accepted_jobs() {
     }
     assert_eq!(tickets.len(), capacity, "accepts exactly the capacity");
     assert_eq!(rejected, jobs.len() - capacity);
-    assert_eq!(service.metrics().jobs_rejected(), rejected as u64);
+    assert_eq!(service.metrics().get(Scalar::JobsRejected), rejected as u64);
     assert_eq!(service.queue_depth(), capacity);
 
     service.resume();
     service.drain();
     assert_eq!(service.queue_depth(), 0);
-    assert_eq!(service.metrics().jobs_completed(), capacity as u64);
+    assert_eq!(
+        service.metrics().get(Scalar::JobsCompleted),
+        capacity as u64
+    );
     for t in tickets {
         assert!(t.is_done(), "accepted job lost");
         assert!(t.wait().witness.is_ok());
@@ -180,10 +183,13 @@ fn drain_completes_every_accepted_job() {
     for t in &tickets {
         assert!(t.is_done(), "drain returned before a job finished");
     }
-    assert_eq!(service.metrics().jobs_completed(), jobs.len() as u64);
     assert_eq!(
-        service.metrics().jobs_submitted(),
-        service.metrics().jobs_completed()
+        service.metrics().get(Scalar::JobsCompleted),
+        jobs.len() as u64
+    );
+    assert_eq!(
+        service.metrics().get(Scalar::JobsSubmitted),
+        service.metrics().get(Scalar::JobsCompleted)
     );
     service.shutdown();
 }
@@ -228,8 +234,8 @@ fn no_result_lost_under_concurrent_submitters() {
         }
         assert_eq!(solved, total, "every accepted job resolves with a witness");
     });
-    assert_eq!(service.metrics().jobs_completed(), total as u64);
-    assert_eq!(service.metrics().jobs_rejected(), 0);
+    assert_eq!(service.metrics().get(Scalar::JobsCompleted), total as u64);
+    assert_eq!(service.metrics().get(Scalar::JobsRejected), 0);
     service.shutdown();
 }
 
@@ -309,17 +315,17 @@ fn sat_verified_jobs_prove_their_witnesses() {
         }
     }
     let m = service.metrics();
-    assert_eq!(m.jobs_sat_verified(), 2 * jobs.len() as u64);
-    assert_eq!(m.sat_unknown(), 0);
-    assert_eq!(m.jobs_failed(), 0);
+    assert_eq!(m.get(Scalar::JobsSatVerified), 2 * jobs.len() as u64);
+    assert_eq!(m.get(Scalar::SatUnknown), 0);
+    assert_eq!(m.get(Scalar::JobsFailed), 0);
     assert!(
-        m.solver_cache_hits() >= jobs.len() as u64,
+        m.get(Scalar::SolverCacheHits) >= jobs.len() as u64,
         "warm pass must re-enter cached miter solvers \
          (hits: {})",
-        m.solver_cache_hits()
+        m.get(Scalar::SolverCacheHits)
     );
     assert!(
-        m.table_cache_hits() > 0,
+        m.get(Scalar::TableCacheHits) > 0,
         "repeated circuits must reuse dense tables"
     );
     let text = service.metrics_text();
@@ -378,7 +384,7 @@ fn repeated_sat_pool_answers_from_worker_caches() {
             .map(|(i, job)| service.submit_wait_seeded(job.clone(), job_seed(5, i as u64)))
             .map(JobTicket::wait)
             .collect();
-        hits.push(service.metrics().solver_cache_hits());
+        hits.push(service.metrics().get(Scalar::SolverCacheHits));
         passes.push(reports);
     }
     assert!(
@@ -397,7 +403,7 @@ fn repeated_sat_pool_answers_from_worker_caches() {
         assert_eq!(first.rounds, second.rounds, "job {i} rounds");
         assert_eq!(first.queries, second.queries, "job {i} queries");
     }
-    assert_eq!(service.metrics().jobs_failed(), 0);
+    assert_eq!(service.metrics().get(Scalar::JobsFailed), 0);
     service.shutdown();
 }
 
@@ -413,7 +419,7 @@ fn sat_verification_is_opt_in() {
         .map(JobTicket::wait)
         .collect();
     assert!(reports.iter().all(|r| r.miter.is_none()));
-    assert_eq!(service.metrics().jobs_sat_verified(), 0);
+    assert_eq!(service.metrics().get(Scalar::JobsSatVerified), 0);
 
     // An intractable job requesting verification: matcher errors, no
     // miter runs.
@@ -427,7 +433,7 @@ fn sat_verification_is_opt_in() {
     let report = service.submit_wait(job).wait();
     assert!(report.witness.is_err());
     assert!(report.miter.is_none());
-    assert_eq!(service.metrics().jobs_sat_verified(), 0);
+    assert_eq!(service.metrics().get(Scalar::JobsSatVerified), 0);
     service.shutdown();
 }
 
@@ -452,8 +458,8 @@ fn miter_budget_exhaustion_is_explicit() {
         }
     }
     let m = service.metrics();
-    assert_eq!(m.jobs_sat_verified(), jobs.len() as u64);
-    assert_eq!(m.jobs_failed(), 0);
+    assert_eq!(m.get(Scalar::JobsSatVerified), jobs.len() as u64);
+    assert_eq!(m.get(Scalar::JobsFailed), 0);
     service.shutdown();
 }
 
@@ -484,7 +490,7 @@ fn worker_panic_resolves_ticket_as_worker_lost() {
         .map(|(i, _)| i)
         .collect();
     assert_eq!(lost, vec![1], "exactly the injected job is lost");
-    assert_eq!(service.metrics().workers_lost(), 1);
+    assert_eq!(service.metrics().get(Scalar::WorkersLost), 1);
     for (i, report) in reports.iter().enumerate() {
         if i != 1 {
             assert!(report.witness.is_ok(), "job {i} unaffected by the panic");
@@ -532,9 +538,9 @@ fn admission_defers_then_sheds_under_overload() {
     }
     // First submit lands on an empty backlog (not overloaded); every
     // later one is expensive-and-overloaded: two defer, the rest shed.
-    assert_eq!(service.metrics().jobs_requeued(), 2);
+    assert_eq!(service.metrics().get(Scalar::JobsRequeued), 2);
     assert_eq!(shed as u64, jobs.len() as u64 - 3);
-    assert_eq!(service.metrics().jobs_shed(), shed as u64);
+    assert_eq!(service.metrics().get(Scalar::JobsShed), shed as u64);
     assert_eq!(service.deferred_depth(), 2);
     service.resume();
     service.drain();
@@ -545,8 +551,8 @@ fn admission_defers_then_sheds_under_overload() {
         );
     }
     let m = service.metrics();
-    assert_eq!(m.jobs_completed(), m.jobs_submitted());
-    assert_eq!(m.jobs_completed(), 3);
+    assert_eq!(m.get(Scalar::JobsCompleted), m.get(Scalar::JobsSubmitted));
+    assert_eq!(m.get(Scalar::JobsCompleted), 3);
     service.shutdown();
 }
 
@@ -603,7 +609,7 @@ fn dense_tables_compile_only_once_probes_pay_for_them() {
                 reports[3].timing.cache_hit,
                 "the repeat hits adopted tables"
             );
-            assert!(m.table_cache_hits() > 0);
+            assert!(m.get(Scalar::TableCacheHits) > 0);
             assert_eq!(m.table_compile().count(), bought, "the repeat buys nothing");
         }
         auto.shutdown();
