@@ -7,7 +7,7 @@
 //! `miter.cnf` / `miter.drat` to the output directory so the
 //! `dratcheck` binary (or any external DRAT checker) can re-verify the
 //! exact same artifacts. Exits non-zero on any mismatch: a SAT verdict,
-//! a tainted proof, or a rejected refutation.
+//! a missing proof, or a rejected refutation.
 //!
 //! ```text
 //! drat_smoke [--width N] [--seed N] [--out DIR]
@@ -43,7 +43,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let Some(proof) = solver.proof_drat() else {
-        eprintln!("drat_smoke: proof unexpectedly tainted or absent");
+        eprintln!("drat_smoke: proof recording was requested but no proof was kept");
         return ExitCode::FAILURE;
     };
     let report = match check_drat_unsat(&miter.cnf, &proof) {

@@ -5,10 +5,11 @@
 //! gather probe patterns into per-line lanes, transpose, run the gate
 //! cascade as lane-wide AND/XOR, transpose back, scatter — parameterized
 //! over a [`Word`]: the machine word holding one 64-bit column set per
-//! `u64` lane. `u64` itself (64 probes per gate walk, the PR-1 kernel)
-//! and [`W256`] (`[u64; 4]`, 256 probes) implement it here; the AVX2
-//! module re-implements the `W256` shape on `__m256i` so the identical
-//! generic loops compile to 256-bit vector instructions.
+//! `u64` lane. [`W256`] (`[u64; 4]`, 256 probes per gate walk) implements
+//! it here; the AVX2 module re-implements the `W256` shape on `__m256i`
+//! so the identical generic loops compile to 256-bit vector
+//! instructions. A single `u64` lane implements it too, as the per-lane
+//! reference the tests check both wide words against.
 //!
 //! Two probe layouts share the loops:
 //!
@@ -54,6 +55,9 @@ pub(crate) trait Word: Copy {
     fn scatter(self, dst: &mut [u64], base: usize, stride: usize);
 }
 
+/// One `u64` lane: the per-lane test reference. Each lane of a wide
+/// word must behave exactly like this word run on that lane alone.
+#[cfg(test)]
 impl Word for u64 {
     const LANES64: usize = 1;
 
@@ -168,8 +172,8 @@ pub(crate) const MAX_BLOCK_WORDS: usize = 256;
 ///
 /// Per lane the exchange is `bit b of word w ↔ bit (63−w) of word
 /// (63−b)`; used twice it is the identity. Callers compensate for the
-/// index reversal when addressing lanes, exactly as the `u64` kernel
-/// always has.
+/// index reversal when addressing lanes (line `l` lives in lane
+/// `63 − l`).
 #[inline(always)]
 pub(crate) fn transpose64_w<W: Word>(a: &mut [W; 64]) {
     let mut j = 32usize;

@@ -1,18 +1,15 @@
-//! Property tests: every batched backend agrees with per-probe scalar
-//! `apply` on random circuits of widths 1–16.
+//! Property tests: both batched backends — the bit-sliced
+//! `Circuit::apply_batch` and a compiled `DenseTable` — agree with
+//! per-probe scalar `apply` on random circuits of widths 1–16.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use revmatch_circuit::{
-    apply_bitsliced, random_circuit, width_mask, BatchEvaluator, DenseTable, EvalBackend,
-    RandomCircuitSpec,
-};
+use revmatch_circuit::{random_circuit, width_mask, DenseTable, RandomCircuitSpec};
 
 proptest! {
-    /// `apply_batch`, the raw bit-sliced kernel, both `BatchEvaluator`
-    /// backends and `DenseTable` all equal per-probe `apply`, for any
-    /// seed, width 1–16, and batch length (including non-multiples
-    /// of 64).
+    /// `apply_batch` and `DenseTable` (batched and per probe) equal
+    /// per-probe `apply`, for any seed, width 1–16, and batch length
+    /// (including non-multiples of 64).
     #[test]
     fn all_backends_equal_scalar_apply(
         seed in any::<u64>(),
@@ -26,18 +23,10 @@ proptest! {
 
         let scalar: Vec<u64> = xs.iter().map(|&x| circuit.apply(x)).collect();
         prop_assert_eq!(&circuit.apply_batch(&xs), &scalar);
-        prop_assert_eq!(&apply_bitsliced(&circuit, &xs), &scalar);
 
         let dense = DenseTable::compile(&circuit).unwrap();
         prop_assert_eq!(&dense.apply_batch(&xs), &scalar);
-
-        let auto = BatchEvaluator::compile(&circuit);
-        let sliced = BatchEvaluator::with_backend(&circuit, EvalBackend::BitSliced).unwrap();
-        prop_assert_eq!(&auto.apply_batch(&xs), &scalar);
-        prop_assert_eq!(&sliced.apply_batch(&xs), &scalar);
         for (&x, &y) in xs.iter().zip(&scalar) {
-            prop_assert_eq!(auto.apply(x), y);
-            prop_assert_eq!(sliced.apply(x), y);
             prop_assert_eq!(dense.apply(x), y);
         }
     }

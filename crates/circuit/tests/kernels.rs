@@ -1,5 +1,5 @@
-//! Differential property tests for the evaluation kernels: scalar ≡
-//! Sliced64 ≡ Wide256 ≡ Wide256Portable ≡ DenseTable, bit for bit, on
+//! Differential property tests for the evaluation kernels: the scalar
+//! reference ≡ Wide256 ≡ Wide256Portable ≡ DenseTable, bit for bit, on
 //! random circuits × random probe sets.
 //!
 //! The probe-set strategy deliberately lands on every block-boundary
@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use revmatch_circuit::{
-    apply_kernel, random_circuit, width_mask, BatchEvaluator, DenseTable, Kernel, RandomCircuitSpec,
+    apply_kernel, random_circuit, width_mask, DenseTable, Kernel, RandomCircuitSpec,
 };
 
 /// The boundary-heavy width set: 1 (degenerate lanes), 12 (bench
@@ -23,8 +23,8 @@ use revmatch_circuit::{
 const WIDTHS: [usize; 6] = [1, 12, 31, 32, 33, 64];
 
 /// Batch lengths covering every tail regime: empty, short tail (< 64),
-/// exactly one `u64` block, one block + tail, exactly one wide packed
-/// block (512), and > 256 with a ragged tail.
+/// exactly one 64-probe transpose block, one block + tail, exactly one
+/// wide packed block (512), and > 256 with a ragged tail.
 const LENS: [usize; 8] = [0, 1, 37, 63, 64, 65, 512, 709];
 
 proptest! {
@@ -44,8 +44,6 @@ proptest! {
         let scalar: Vec<u64> = xs.iter().map(|&x| circuit.apply(x)).collect();
         for kernel in Kernel::ALL {
             prop_assert_eq!(&apply_kernel(&circuit, kernel, &xs), &scalar, "{}", kernel);
-            let pinned = BatchEvaluator::with_kernel(&circuit, kernel);
-            prop_assert_eq!(&pinned.apply_batch(&xs), &scalar, "pinned {}", kernel);
         }
     }
 

@@ -20,26 +20,18 @@
 //! Because candidates differ only in assumptions, one incremental
 //! [`CdclSolver`] serves the whole family: clauses learned refuting (or
 //! satisfying) one candidate prune the search for the next, instead of
-//! paying a cold miter per candidate ([`EnumerationStrategy::AssumptionSweep`]).
-//! The dual mode ([`EnumerationStrategy::BlockingClauses`]) leaves the
-//! selectors free and repeatedly solves the family formula, **blocking**
-//! each discovered non-witness selector assignment with a clause until
-//! the formula is exhausted — the final UNSAT proves every unblocked
-//! candidate is a witness in a single stroke. Both strategies return the
-//! same witness set (differentially tested); the sweep is what the
-//! serving layer runs, because assumptions leave a cached solver clean
-//! for the next job while blocking clauses would poison it.
-//!
-//! The DPLL backend gets a semantics-compatible fallback (fresh
-//! per-candidate solves under assumptions), keeping
-//! [`SolverBackend`] interchangeable for differential testing.
+//! paying a cold miter per candidate — the assumption sweep of Eén &
+//! Sörensson, "Temporal induction by incremental SAT solving" (2003).
+//! Assumptions leave the clause database untouched, so the serving
+//! layer keeps one such solver per family warm across jobs. The tests
+//! compare the sweep's witness lists with a dense-table reference that
+//! checks each candidate on whole truth tables.
 
-use std::collections::HashSet;
 use std::fmt;
 use std::str::FromStr;
 
 use revmatch_circuit::{Circuit, LinePermutation, NegationMask, NpTransform};
-use revmatch_sat::{CdclSolver, Clause, Cnf, Lit, Solver, SolverBackend, Var};
+use revmatch_sat::{CdclSolver, Clause, Cnf, Lit, Var};
 
 use crate::equivalence::{Equivalence, Side};
 use crate::error::MatchError;
@@ -107,8 +99,10 @@ impl WitnessFamily {
     /// Maximum width for **encoding** a [`FamilyMiter`] — wider than the
     /// enumeration cap, because callers sweeping an explicit candidate
     /// list (a bench family, a client-supplied shortlist) only pay per
-    /// candidate, not for the whole space. Bounded by the selector-code
-    /// packing (`u128`) and the `u64` masks.
+    /// candidate, not for the whole space. The caps bound the encoding's
+    /// size, not its correctness: a negation family adds `n` (or `2n`)
+    /// selectors and XOR gates, a permutation family `n²` selectors and
+    /// `2n²` multiplexer clauses, so its cap is lower.
     pub fn max_encode_width(self) -> usize {
         match self {
             Self::InputNegation | Self::OutputNegation => 24,
@@ -302,12 +296,9 @@ impl FamilyMiter {
                     encode_xor(&mut cnf, inputs[j], s, &mut next_var)
                 })
                 .collect(),
-            WitnessFamily::InputPermutation => {
-                encode_one_hot_rows(&mut cnf, sel_base, n);
-                (0..n)
-                    .map(|j| encode_mux(&mut cnf, &inputs, sel_base + j * n, &mut next_var))
-                    .collect()
-            }
+            WitnessFamily::InputPermutation => (0..n)
+                .map(|j| encode_mux(&mut cnf, &inputs, sel_base + j * n, &mut next_var))
+                .collect(),
             WitnessFamily::OutputNegation | WitnessFamily::OutputPermutation => inputs.clone(),
         };
         encode_circuit(c2, &mut cnf, &mut state2, &mut next_var);
@@ -319,9 +310,6 @@ impl FamilyMiter {
             WitnessFamily::BothNegations => sel_base + n,
             _ => 0,
         };
-        if family == WitnessFamily::OutputPermutation {
-            encode_one_hot_rows(&mut cnf, out_sel_base, n);
-        }
         let mut diff_lits = Vec::with_capacity(n);
         for (i, &a) in state1.iter().enumerate().take(n) {
             let b = match family {
@@ -362,7 +350,7 @@ impl FamilyMiter {
     }
 
     /// The branch hint: shared input variables first (selectors are
-    /// assumed, never decided, in sweep mode).
+    /// always assumed, never decided).
     pub fn input_hint(&self) -> Vec<usize> {
         (0..self.width).collect()
     }
@@ -439,44 +427,6 @@ impl FamilyMiter {
         }
         Ok(lits)
     }
-
-    /// Packs a candidate's selector assignment into a set-membership key
-    /// (selector count ≤ 2n or n² ≤ 49 bits, well within `u128`).
-    fn selector_code_of(&self, candidate: &MatchWitness) -> Result<u128, MatchError> {
-        let lits = self.assumptions(candidate)?;
-        let mut code = 0u128;
-        for l in lits {
-            if !l.negative {
-                code |= 1 << (l.var.0 - self.sel_base);
-            }
-        }
-        Ok(code)
-    }
-
-    /// Packs a model's selector assignment into the same key space.
-    fn selector_code_of_model(&self, model: &[bool]) -> u128 {
-        let mut code = 0u128;
-        for i in 0..self.sel_count {
-            if model[self.sel_base + i] {
-                code |= 1 << i;
-            }
-        }
-        code
-    }
-
-    /// The blocking clause excluding a model's selector assignment.
-    fn blocking_clause(&self, model: &[bool]) -> Vec<Lit> {
-        (0..self.sel_count)
-            .map(|i| {
-                let var = Var(self.sel_base + i);
-                if model[self.sel_base + i] {
-                    Lit::negative(var)
-                } else {
-                    Lit::positive(var)
-                }
-            })
-            .collect()
-    }
 }
 
 /// Selector-controlled multiplexer: fresh `out` with
@@ -492,44 +442,6 @@ fn encode_mux(cnf: &mut Cnf, sources: &[Lit], row_base: usize, next_var: &mut us
         cnf.add_clause(Clause::new(vec![s.negated(), src, out.negated()]));
     }
     out
-}
-
-/// Permutation-matrix constraints over an `n × n` selector block at
-/// `base`: each row has at least one true selector, and both rows and
-/// columns are pairwise at-most-one. Needed so free-selector models
-/// (blocking-clause mode) decode to genuine permutations; harmless under
-/// full assumptions.
-fn encode_one_hot_rows(cnf: &mut Cnf, base: usize, n: usize) {
-    let s = |j: usize, k: usize| Lit::positive(Var(base + j * n + k));
-    for j in 0..n {
-        cnf.add_clause((0..n).map(|k| s(j, k)).collect());
-        for k1 in 0..n {
-            for k2 in k1 + 1..n {
-                cnf.add_clause(Clause::new(vec![s(j, k1).negated(), s(j, k2).negated()]));
-            }
-        }
-    }
-    for k in 0..n {
-        for j1 in 0..n {
-            for j2 in j1 + 1..n {
-                cnf.add_clause(Clause::new(vec![s(j1, k).negated(), s(j2, k).negated()]));
-            }
-        }
-    }
-}
-
-/// How [`enumerate_witnesses_sat_with`] walks the candidate space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnumerationStrategy {
-    /// One incremental solver, one `solve_under` per candidate: UNSAT ⇒
-    /// witness. Learned clauses persist across candidates; this is the
-    /// serving layer's mode (assumptions leave a cached solver clean).
-    AssumptionSweep,
-    /// Selectors left free: repeatedly solve, **block** the selector
-    /// assignment of each model (a non-witness with its counterexample),
-    /// and stop at UNSAT — every unblocked candidate is then a witness.
-    /// Solve count is `#non-witnesses + 1` instead of `#candidates`.
-    BlockingClauses,
 }
 
 /// Result of a family enumeration.
@@ -551,8 +463,8 @@ impl WitnessEnumeration {
     }
 }
 
-/// Enumerates every witness of `family` explaining `(c1, c2)` on the
-/// default backend and strategy (CDCL assumption sweep).
+/// Enumerates every witness of `family` explaining `(c1, c2)` with the
+/// CDCL assumption sweep ([`sweep_family`] on a fresh solver).
 ///
 /// # Errors
 ///
@@ -563,40 +475,9 @@ pub fn enumerate_witnesses_sat(
     c2: &Circuit,
     family: WitnessFamily,
 ) -> Result<WitnessEnumeration, MatchError> {
-    enumerate_witnesses_sat_with(
-        c1,
-        c2,
-        family,
-        SolverBackend::default(),
-        EnumerationStrategy::AssumptionSweep,
-    )
-}
-
-/// [`enumerate_witnesses_sat`] on an explicit backend and strategy.
-///
-/// # Errors
-///
-/// Same as [`enumerate_witnesses_sat`].
-pub fn enumerate_witnesses_sat_with(
-    c1: &Circuit,
-    c2: &Circuit,
-    family: WitnessFamily,
-    backend: SolverBackend,
-    strategy: EnumerationStrategy,
-) -> Result<WitnessEnumeration, MatchError> {
     let miter = FamilyMiter::build(c1, c2, family)?;
-    match strategy {
-        EnumerationStrategy::AssumptionSweep => match backend {
-            SolverBackend::Cdcl => {
-                let mut solver = CdclSolver::new(&miter.cnf).with_branch_hint(miter.input_hint());
-                sweep_family(&mut solver, &miter, None)
-            }
-            SolverBackend::Dpll => sweep_family_dpll(&miter, None),
-        },
-        EnumerationStrategy::BlockingClauses => {
-            enumerate_blocking(&miter, backend, family.candidates(miter.width)?)
-        }
-    }
+    let mut solver = CdclSolver::new(&miter.cnf).with_branch_hint(miter.input_hint());
+    sweep_family(&mut solver, &miter, None)
 }
 
 /// Counts the witnesses of `family` explaining `(c1, c2)` — zero proves
@@ -630,49 +511,16 @@ pub fn sweep_family(
     budget: Option<usize>,
 ) -> Result<WitnessEnumeration, MatchError> {
     solver.set_budget(budget);
-    sweep_candidates(miter, |assumptions| {
-        solver.solve_under_budgeted(assumptions)
-    })
-}
-
-/// The DPLL counterpart of [`sweep_family`]: a stateless per-candidate
-/// sweep under assumptions with the same per-solve `budget` semantics
-/// (exhaustion aborts with [`MatchError::Inconclusive`] rather than
-/// returning a wrong count) — the semantics-compatible fallback keeping
-/// [`SolverBackend`] interchangeable in the serving layer.
-///
-/// # Errors
-///
-/// [`MatchError::Inconclusive`] on budget exhaustion, plus candidate
-/// encoding errors.
-pub fn sweep_family_dpll(
-    miter: &FamilyMiter,
-    budget: Option<usize>,
-) -> Result<WitnessEnumeration, MatchError> {
-    let mut solver = Solver::new(&miter.cnf).with_branch_hint(miter.input_hint());
-    if let Some(b) = budget {
-        solver = solver.with_budget(b);
-    }
-    sweep_candidates(miter, |assumptions| {
-        solver.solve_under_budgeted(assumptions)
-    })
-}
-
-/// The shared sweep loop: one budgeted solve-under-assumptions per
-/// candidate, whichever engine answers. UNSAT collects the candidate as
-/// a witness; `Unknown` aborts the enumeration (a partial count would be
-/// wrong, not merely incomplete).
-fn sweep_candidates(
-    miter: &FamilyMiter,
-    mut solve: impl FnMut(&[Lit]) -> revmatch_sat::BudgetedAssumedSolve,
-) -> Result<WitnessEnumeration, MatchError> {
     let candidates = miter.family.candidates(miter.width)?;
     let mut witnesses = Vec::new();
     let mut solves = 0u64;
     for candidate in &candidates {
         let assumptions = miter.assumptions(candidate)?;
         solves += 1;
-        match solve(&assumptions) {
+        // UNSAT collects the candidate as a witness; `Unknown` aborts the
+        // enumeration (a partial count would be wrong, not merely
+        // incomplete).
+        match solver.solve_under_budgeted(&assumptions) {
             revmatch_sat::BudgetedAssumedSolve::Unsat { .. } => witnesses.push(candidate.clone()),
             revmatch_sat::BudgetedAssumedSolve::Sat(_) => {}
             revmatch_sat::BudgetedAssumedSolve::Unknown => return Err(MatchError::Inconclusive),
@@ -685,63 +533,6 @@ fn sweep_candidates(
     })
 }
 
-/// Blocking-clause enumeration: solve with free selectors, block each
-/// model's selector assignment, finish on UNSAT.
-fn enumerate_blocking(
-    miter: &FamilyMiter,
-    backend: SolverBackend,
-    candidates: Vec<MatchWitness>,
-) -> Result<WitnessEnumeration, MatchError> {
-    let mut blocked: HashSet<u128> = HashSet::new();
-    let mut solves = 0u64;
-    match backend {
-        SolverBackend::Cdcl => {
-            let mut solver = CdclSolver::new(&miter.cnf).with_branch_hint(miter.input_hint());
-            loop {
-                solves += 1;
-                match solver.solve() {
-                    revmatch_sat::Solve::Sat(model) => {
-                        blocked.insert(miter.selector_code_of_model(&model));
-                        solver.add_clause(&miter.blocking_clause(&model));
-                    }
-                    revmatch_sat::Solve::Unsat => break,
-                }
-            }
-        }
-        SolverBackend::Dpll => {
-            let mut cnf = miter.cnf.clone();
-            loop {
-                solves += 1;
-                match Solver::new(&cnf)
-                    .with_branch_hint(miter.input_hint())
-                    .solve()
-                {
-                    revmatch_sat::Solve::Sat(model) => {
-                        blocked.insert(miter.selector_code_of_model(&model));
-                        cnf.add_clause(Clause::new(miter.blocking_clause(&model)));
-                    }
-                    revmatch_sat::Solve::Unsat => break,
-                }
-            }
-        }
-    }
-    let total = candidates.len() as u64;
-    let witnesses = candidates
-        .into_iter()
-        .filter(|c| {
-            let code = miter
-                .selector_code_of(c)
-                .expect("candidates come from the family");
-            !blocked.contains(&code)
-        })
-        .collect();
-    Ok(WitnessEnumeration {
-        witnesses,
-        candidates: total,
-        solves,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -750,18 +541,23 @@ mod tests {
     use rand::SeedableRng;
     use revmatch_circuit::DenseTable;
 
-    /// Reference counter: a dense-table truth-table sweep over every
+    /// Reference enumerator: a dense-table truth-table sweep over every
     /// candidate witness — `2^n` table lookups per candidate, no SAT.
-    fn dense_table_count(c1: &Circuit, c2: &Circuit, family: WitnessFamily) -> u64 {
+    /// Returns the witnesses in candidate order.
+    fn dense_table_witnesses(
+        c1: &Circuit,
+        c2: &Circuit,
+        family: WitnessFamily,
+    ) -> Vec<MatchWitness> {
         let t1 = DenseTable::compile(c1).expect("width under the dense cap");
         let t2 = DenseTable::compile(c2).expect("width under the dense cap");
         let n = c1.width();
         family
             .candidates(n)
             .expect("test widths under the cap")
-            .iter()
+            .into_iter()
             .filter(|w| (0..1u64 << n).all(|x| t1.apply(x) == w.predict(x, |v| t2.apply(v))))
-            .count() as u64
+            .collect()
     }
 
     #[test]
@@ -810,9 +606,9 @@ mod tests {
         }
     }
 
-    /// The brute-force cross-check satellite: enumeration counts at
-    /// widths ≤ 6 match a `DenseTable` truth-table sweep over all
-    /// candidate witnesses, for each supported equivalence class.
+    /// The brute-force cross-check: at widths ≤ 6 the SAT sweep returns
+    /// exactly the witness list of a `DenseTable` truth-table sweep over
+    /// all candidates, in candidate order, for every family.
     #[test]
     fn counts_match_dense_table_sweep() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
@@ -832,83 +628,26 @@ mod tests {
                     revmatch_circuit::random_function_circuit(w, &mut rng),
                 );
                 for (c1, c2) in [(&planted.c1, &planted.c2), (&unrelated.0, &unrelated.1)] {
-                    let reference = dense_table_count(c1, c2, family);
-                    let sat = count_witnesses_sat(c1, c2, family).unwrap();
-                    assert_eq!(sat, reference, "{family} w{w}: SAT vs dense-table count");
+                    let reference = dense_table_witnesses(c1, c2, family);
+                    let sat = enumerate_witnesses_sat(c1, c2, family).unwrap();
+                    assert_eq!(
+                        sat.witnesses, reference,
+                        "{family} w{w}: SAT vs dense-table witnesses"
+                    );
+                    assert_eq!(sat.candidates, family.candidate_count(w));
                 }
             }
         }
-    }
-
-    /// Both strategies and both backends enumerate the same witness set.
-    #[test]
-    fn strategies_and_backends_agree() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(33);
-        for family in [
-            WitnessFamily::InputNegation,
-            WitnessFamily::OutputNegation,
-            WitnessFamily::BothNegations,
-            WitnessFamily::InputPermutation,
-        ] {
-            let inst = random_instance(family.equivalence(), 3, &mut rng);
-            let mut outcomes = Vec::new();
-            for backend in SolverBackend::ALL {
-                for strategy in [
-                    EnumerationStrategy::AssumptionSweep,
-                    EnumerationStrategy::BlockingClauses,
-                ] {
-                    let found =
-                        enumerate_witnesses_sat_with(&inst.c1, &inst.c2, family, backend, strategy)
-                            .unwrap();
-                    outcomes.push((backend, strategy, found));
-                }
-            }
-            let reference = &outcomes[0].2;
-            for (backend, strategy, found) in &outcomes[1..] {
-                assert_eq!(
-                    found.witnesses, reference.witnesses,
-                    "{family}: {backend}/{strategy:?} disagrees"
-                );
-                assert_eq!(found.candidates, reference.candidates);
-            }
-        }
-    }
-
-    #[test]
-    fn blocking_mode_solves_less_when_witnesses_dominate() {
-        // C(x) = x ⊕ 01 against itself under N-N: every input mask is
-        // undone by the matching output mask, so ALL 2^n input masks are
-        // witnesses — blocking mode proves the lot in few solves while
-        // the sweep pays one UNSAT per witness.
+        // A witness-dense pair: x ⊕ 01 against itself under N-N, where
+        // each of the 4 input masks is undone by one output mask.
         let c = NegationMask::new(0b01, 2).unwrap().to_circuit();
-        let sweep = enumerate_witnesses_sat_with(
-            &c,
-            &c,
-            WitnessFamily::BothNegations,
-            SolverBackend::Cdcl,
-            EnumerationStrategy::AssumptionSweep,
-        )
-        .unwrap();
-        let blocking = enumerate_witnesses_sat_with(
-            &c,
-            &c,
-            WitnessFamily::BothNegations,
-            SolverBackend::Cdcl,
-            EnumerationStrategy::BlockingClauses,
-        )
-        .unwrap();
-        assert_eq!(sweep.count(), 4, "one valid output mask per input mask");
-        assert_eq!(blocking.witnesses, sweep.witnesses);
-        assert!(
-            blocking.solves < sweep.solves,
-            "blocking ({}) must beat the sweep ({}) on witness-dense families",
-            blocking.solves,
-            sweep.solves
-        );
-        // And the count agrees with the existing truth-table counter.
+        let family = WitnessFamily::BothNegations;
+        let sat = enumerate_witnesses_sat(&c, &c, family).unwrap();
+        assert_eq!(sat.count(), 4, "one valid output mask per input mask");
+        assert_eq!(sat.witnesses, dense_table_witnesses(&c, &c, family));
         let brute =
             crate::matchers::count_witnesses(&c, &c, Equivalence::new(Side::N, Side::N)).unwrap();
-        assert_eq!(sweep.count(), brute);
+        assert_eq!(sat.count(), brute);
     }
 
     #[test]
@@ -924,7 +663,7 @@ mod tests {
         let wide = Circuit::new(9);
         assert!(FamilyMiter::build(&wide, &wide, WitnessFamily::BothNegations).is_ok());
         // …but full-space enumeration at that width is rejected, and the
-        // permutation encoding caps at the selector-code packing limit.
+        // permutation encoding has a lower cap.
         assert!(matches!(
             enumerate_witnesses_sat(&wide, &wide, WitnessFamily::BothNegations),
             Err(MatchError::EnumerationTooWide { .. })

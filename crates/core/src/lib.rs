@@ -89,17 +89,17 @@
 //!
 //! Execution backends (see `revmatch_circuit::batch`):
 //!
-//! * **bit-sliced** — 64 probes are transposed into per-line `u64`
-//!   lanes and the gate cascade is walked once per block; the default
-//!   for every [`Oracle`].
+//! * **bit-sliced** — probes are transposed into per-line lanes of
+//!   256-bit words (AVX2 where the CPU has it, portable `[u64; 4]`
+//!   otherwise) and the gate cascade is walked once per block of 256
+//!   probes, 512 half-word packed at width ≤ 32; the default for every
+//!   [`Oracle`].
 //! * **dense table** — [`Oracle::precompiled`] compiles circuits of
 //!   width ≤ 20 into a `2^n` lookup table (built with one bit-sliced
 //!   sweep), making each probe a single load; [`Oracle::on_demand`]
-//!   compiles it only once the probes' gate walks have paid for it
-//!   (the serving layer's choice). The automatic rule
-//!   (`EvalBackend::select`) picks dense tables at width ≤ 16 — the
-//!   table costs ≤ 512 KiB and amortizes after `2^n / 64` probes —
-//!   and bit-slicing beyond.
+//!   compiles it only once the probes' gate walks have paid for it, at
+//!   a price of `max(1, 2^n / 64)` scalar walks. That rent-or-buy rule
+//!   is the only table policy the serving layer runs.
 //!
 //! The [`service`] module scales this across instances:
 //! [`MatchService`] runs persistent worker shards behind a bounded
@@ -128,8 +128,8 @@ pub mod wire;
 pub mod witness;
 
 pub use enumerate::{
-    count_witnesses_sat, enumerate_witnesses_sat, enumerate_witnesses_sat_with, sweep_family,
-    EnumerationStrategy, FamilyMiter, WitnessEnumeration, WitnessFamily,
+    count_witnesses_sat, enumerate_witnesses_sat, sweep_family, FamilyMiter, WitnessEnumeration,
+    WitnessFamily,
 };
 pub use equivalence::{Equivalence, Side};
 pub use error::MatchError;

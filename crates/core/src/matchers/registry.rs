@@ -385,10 +385,6 @@ fn n_p_witness(
     )
 }
 
-/// Search budget for the white-box SAT entry (matches the serving
-/// layer's default miter budget).
-const SAT_ENTRY_BUDGET: usize = 2_000_000;
-
 /// Body of the white-box enumeration entries: sweep the family on the
 /// incremental solver and report the first witness of the deterministic
 /// candidate order (no oracle queries; `rounds` counts solver calls).
@@ -812,7 +808,7 @@ fn builtin_entries() -> Vec<Matcher> {
                 match check_equivalence_sat_budgeted_with(
                     c1,
                     c2,
-                    SAT_ENTRY_BUDGET,
+                    crate::service::DEFAULT_MITER_BUDGET,
                     revmatch_sat::SolverBackend::default(),
                 )? {
                     MiterVerdict::Equivalent => Ok(MatchReport {

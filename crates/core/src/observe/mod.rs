@@ -127,15 +127,13 @@ impl std::fmt::Display for Stage {
 }
 
 /// Names behind [`Detail`] codes; index 0 is "no detail".
-const DETAIL_NAMES: [&str; 10] = [
+const DETAIL_NAMES: [&str; 8] = [
     "",
     "dpll",
     "cdcl",
     "dense",
     "sparse",
     "stabilizer",
-    "scalar",
-    "sliced64",
     "wide256-portable",
     "wide256-avx2",
 ];

@@ -8,9 +8,10 @@
 //! Probes may be issued one at a time ([`ClassicalOracle::query`]) or in
 //! groups ([`ClassicalOracle::query_batch`]). A batch of `k` probes
 //! always counts **exactly `k` queries** — batching is an execution
-//! optimization (the [`Oracle`] implementation evaluates 64 probes per
-//! gate walk via the bit-sliced engine in `revmatch_circuit::batch`),
-//! never an accounting discount.
+//! optimization (the [`Oracle`] implementation runs
+//! [`Circuit::apply_batch`], the `wide256` kernel of
+//! `revmatch_circuit::batch`: 256 probes per gate walk, 512 half-word
+//! packed at width ≤ 32), never an accounting discount.
 //!
 //! An oracle may also answer from a compiled `2^width` [`DenseTable`].
 //! [`Oracle::on_demand`] decides per oracle whether that compile is
@@ -122,7 +123,8 @@ enum TableMode {
 
 /// The rent-or-buy state of an on-demand oracle. Charges are counted
 /// in scalar gate walks: one scalar probe walks the cascade once, and
-/// the bit-sliced engine walks it once per 64 batched probes.
+/// a batch is priced at one scalar walk per [`PROBES_PER_WALK`]
+/// probes.
 struct OnDemand {
     /// Buy price: `max(1, 2^width / 64)` walks. A compile costs about
     /// as much per table entry as a batched probe, and a scalar walk
@@ -142,7 +144,10 @@ pub(crate) struct CompiledTable {
     pub took: Duration,
 }
 
-/// Probes one walk of the bit-sliced engine evaluates.
+/// The price model's unit: one scalar gate walk costs about as much as
+/// this many batched probes. It is not the kernel's block size —
+/// `wide256` evaluates 256 probes per walk (512 packed) — and changing
+/// it moves when tables are bought.
 const PROBES_PER_WALK: u64 = 64;
 
 /// The charge of a quantum window application: it evaluates every

@@ -345,8 +345,8 @@ impl ShardCaches {
     /// family's selector layout. A hit re-enters a solver whose learned
     /// clauses span every earlier sweep of the family — *across jobs*,
     /// not just across one job's candidates (assumption-based solving
-    /// leaves the cached solver clean; blocking clauses would not, which
-    /// is why the service sweeps with assumptions). A miss encodes the
+    /// adds no clause beyond sound lemmas, so the cached solver stays
+    /// valid for the next job). A miss encodes the
     /// [`FamilyMiter`] once and keeps only its layout next to the new
     /// solver. The flag reports a hit.
     ///

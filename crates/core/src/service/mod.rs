@@ -751,8 +751,7 @@ impl Shared {
     /// family re-enters a solver whose learned clauses already cover
     /// every candidate, without encoding the family again, so warm
     /// re-enumerations answer mostly by propagation. (Assumptions never
-    /// poison the cache; this is why the service sweeps instead of
-    /// running blocking-clause mode.)
+    /// poison the cache: they add no clause to the formula.)
     fn execute_enumerate(
         &self,
         job: EnumerateJob,

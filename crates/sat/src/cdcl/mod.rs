@@ -186,10 +186,6 @@ struct ProofLog {
     steps: Vec<ProofStep>,
     /// The final empty clause has been emitted.
     concluded: bool,
-    /// [`CdclSolver::add_clause`] extended the formula after
-    /// construction: the recorded proof no longer refers to the original
-    /// formula alone, so it is withheld rather than mis-verified.
-    tainted: bool,
 }
 
 /// A watch-list entry: the clause plus a cached "blocker" literal whose
@@ -219,8 +215,7 @@ pub struct CdclSolver {
     /// Flat literal arena backing every clause.
     arena: Vec<CLit>,
     /// Problem clauses occupy `[0, num_problem)`; learned clauses follow
-    /// (with possible later problem clauses from [`CdclSolver::add_clause`]
-    /// interleaved — the `learned` flag, not position, is authoritative).
+    /// (the `learned` flag, not position, is what the reducer reads).
     clauses: Vec<ClauseMeta>,
     num_problem: usize,
     /// Live learned-clause records, maintained in O(1) (the search loop
@@ -408,11 +403,9 @@ impl CdclSolver {
     /// Forces the `xor` gate off for this instance: Gauss-derived
     /// lemmas are implied but not reverse-unit-propagation steps, so a
     /// proof-carrying solve sticks to clausal reasoning. The proof
-    /// covers the formula given at construction; a later
-    /// [`CdclSolver::add_clause`] taints it ([`CdclSolver::proof_drat`]
-    /// then returns `None`). Assumption solves are fine — lemmas
-    /// learned under assumptions are resolvents of the clause database
-    /// alone.
+    /// covers the formula given at construction. Assumption solves are
+    /// fine — lemmas learned under assumptions are resolvents of the
+    /// clause database alone.
     #[must_use]
     pub fn with_proof(mut self) -> Self {
         self.proof = Some(ProofLog::default());
@@ -514,15 +507,11 @@ impl CdclSolver {
     }
 
     /// Renders the recorded DRAT proof, or `None` when proof recording
-    /// was not requested or the proof was tainted by a later
-    /// [`CdclSolver::add_clause`]. Meaningful after an UNSAT verdict
-    /// (the proof then ends with the empty clause); lemmas of an
-    /// inconclusive or SAT run are still valid derivations.
+    /// was not requested. Meaningful after an UNSAT verdict (the proof
+    /// then ends with the empty clause); lemmas of an inconclusive or SAT
+    /// run are still valid derivations.
     pub fn proof_drat(&self) -> Option<String> {
         let proof = self.proof.as_ref()?;
-        if proof.tainted {
-            return None;
-        }
         let mut out = String::new();
         for step in &proof.steps {
             let lits = match step {
@@ -675,58 +664,6 @@ impl CdclSolver {
         let verdict = self.run();
         self.prev_assumptions = std::mem::take(&mut self.assumptions);
         verdict
-    }
-
-    /// Adds a **problem** clause to an existing solver — the incremental
-    /// interface behind blocking-clause enumeration. The solver first
-    /// backtracks to level 0 (and refreshes level-0 propagation) so
-    /// literal truth values are permanent facts; satisfied clauses are
-    /// dropped, permanently-false literals are stripped. Learned clauses
-    /// remain valid: adding a clause only strengthens the formula.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a literal's variable is outside the formula.
-    pub fn add_clause(&mut self, lits: &[Lit]) {
-        self.backtrack(0);
-        if !self.ok {
-            return;
-        }
-        if self.propagate().is_some() {
-            self.ok = false;
-            return;
-        }
-        let mut clause: Vec<CLit> = lits
-            .iter()
-            .map(|l| {
-                assert!(
-                    l.var.0 < self.num_vars,
-                    "clause variable x{} outside the formula ({} vars)",
-                    l.var.0,
-                    self.num_vars
-                );
-                CLit::new(l.var.0, l.negative)
-            })
-            .collect();
-        clause.sort_unstable_by_key(|l| l.0);
-        clause.dedup();
-        if clause.windows(2).any(|w| w[0].0 ^ w[1].0 == 1) {
-            return; // tautology
-        }
-        let mut kept = Vec::with_capacity(clause.len());
-        for &l in &clause {
-            match self.lit_value(l) {
-                // At level 0 every assignment is permanent.
-                VAL_TRUE => return,
-                VAL_FALSE => {}
-                _ => kept.push(l),
-            }
-        }
-        if let Some(proof) = &mut self.proof {
-            // The formula the proof refers to no longer matches.
-            proof.tainted = true;
-        }
-        self.add_clause_internal(&kept, false);
     }
 
     /// Shared driver: reset per-call stats, build the XOR layer on the
@@ -1068,9 +1005,6 @@ impl CdclSolver {
     fn bump_clause(&mut self, cref: usize) {
         self.clauses[cref].activity += self.cla_inc;
         if self.clauses[cref].activity > CLA_RESCALE_LIMIT {
-            // Rescale by flag, not position: `add_clause` appends problem
-            // clauses after learned ones, so learned records are not
-            // confined to the tail.
             for c in self.clauses.iter_mut().filter(|c| c.learned) {
                 c.activity *= 1.0 / CLA_RESCALE_LIMIT;
             }
@@ -1380,9 +1314,6 @@ impl CdclSolver {
         for l in &self.trail {
             self.reason[l.var()] = None;
         }
-        // Candidates by flag, not position: `add_clause` may have
-        // appended problem clauses (e.g. blocking clauses) after learned
-        // ones, so those must never be dropped no matter where they sit.
         let mut candidates: Vec<usize> = (0..self.clauses.len())
             .filter(|&ci| {
                 let m = &self.clauses[ci];
@@ -2057,95 +1988,6 @@ mod tests {
             s.solve_under_budgeted(&[lit(-2)]),
             BudgetedAssumedSolve::Unsat { .. }
         ));
-    }
-
-    #[test]
-    fn incremental_add_clause_strengthens_the_formula() {
-        let f = cnf(&[&[1, 2]]);
-        let mut s = CdclSolver::new(&f);
-        assert!(s.solve().is_sat());
-        s.add_clause(&[lit(-1)]);
-        s.add_clause(&[lit(-2)]);
-        assert_eq!(s.solve(), Solve::Unsat);
-        // Blocking-style clause addition mid-enumeration: models are
-        // excluded one by one until none remain.
-        let g = cnf(&[&[1, 2]]);
-        let mut s = CdclSolver::new(&g);
-        let mut models = 0;
-        while let Solve::Sat(w) = s.solve() {
-            models += 1;
-            assert!(g.eval(&w));
-            let blocking: Vec<Lit> = w
-                .iter()
-                .enumerate()
-                .map(|(v, &b)| {
-                    if b {
-                        Lit::negative(Var(v))
-                    } else {
-                        Lit::positive(Var(v))
-                    }
-                })
-                .collect();
-            s.add_clause(&blocking);
-            assert!(models <= 4, "runaway enumeration");
-        }
-        assert_eq!(models, 3, "x1 ∨ x2 has exactly 3 models");
-    }
-
-    #[test]
-    fn add_clause_interacts_soundly_with_db_reduction() {
-        // Force aggressive reductions, then add problem clauses after
-        // learned ones: the reducer must never drop them.
-        let f = pigeonhole(5);
-        let mut s = CdclSolver::new(&f);
-        s.max_learnts = 1.0;
-        assert_eq!(s.solve(), Solve::Unsat);
-        let g = cnf(&[&[1, 2], &[2, 3], &[3, 1]]);
-        let mut s = CdclSolver::new(&g);
-        s.add_clause(&[lit(-1), lit(-2)]);
-        s.max_learnts = 1.0;
-        let solve = s.solve();
-        let w = solve.witness().expect("still satisfiable");
-        assert!(g.eval(w) && !(w[0] && w[1]));
-    }
-
-    #[test]
-    fn tiered_reduction_never_drops_appended_problem_clauses() {
-        // Regression for the LBD-tiered reducer under incremental use:
-        // `add_clause` appends new problem clauses *after* learned ones,
-        // so candidate selection must go by the learned flag, not by
-        // record position, and `num_problem` must survive compaction.
-        let f = pigeonhole(5);
-        let mut s = CdclSolver::new(&f).with_options(SatOptions::ALL);
-        s.max_learnts = 1.0;
-        assert_eq!(s.solve(), Solve::Unsat);
-        assert!(s.db_reductions() > 0, "the tiered reducer never fired");
-
-        // Satisfiable incremental run: appended problem clauses must
-        // keep binding through arbitrarily many reductions.
-        let g = cnf(&[&[1, 2, 3], &[4, 5, 6], &[-1, -4], &[-2, -5]]);
-        let mut s = CdclSolver::new(&g).with_options(SatOptions::ALL);
-        s.max_learnts = 1.0;
-        assert!(s.solve().is_sat());
-        s.add_clause(&[lit(-3), lit(-6)]);
-        s.add_clause(&[lit(-1), lit(-6)]);
-        for round in 0..4 {
-            let solve = s.solve();
-            let w = solve.witness().expect("still satisfiable");
-            assert!(g.eval(w), "round {round}: base formula violated");
-            assert!(
-                !(w[2] && w[5]),
-                "round {round}: appended clause ¬x3 ∨ ¬x6 was dropped"
-            );
-            assert!(
-                !(w[0] && w[5]),
-                "round {round}: appended clause ¬x1 ∨ ¬x6 was dropped"
-            );
-        }
-        // The learned flag (not position) decides candidacy: appended
-        // problem records sit after learned ones in the arena.
-        assert!(s.num_problem <= s.clauses.len());
-        assert!(s.clauses.iter().take(s.num_problem).all(|c| !c.learned));
     }
 
     #[test]

@@ -253,7 +253,7 @@ mod proptests {
             let solve = proved.solve();
             prop_assert_eq!(solve.is_sat(), truth, "with_proof flipped the verdict");
             if !truth {
-                let drat = proved.proof_drat().expect("untainted proof");
+                let drat = proved.proof_drat().expect("proof recording was requested");
                 prop_assert!(check_drat_unsat(&cnf, &drat).is_ok(), "proof rejected");
             }
         }

@@ -1,14 +1,11 @@
 //! Witness enumeration end to end: count *every* transform explaining a
-//! pair, three ways.
+//! pair, two ways.
 //!
 //! 1. Library call: `enumerate_witnesses_sat` sweeps a whole candidate
 //!    family (here: all `2^n` input negation masks) with one incremental
 //!    CDCL solver — each candidate is a set of assumption literals, UNSAT
 //!    means "this mask is a witness".
-//! 2. Blocking-clause mode: the dual strategy — selectors left free,
-//!    each model's selector assignment blocked until the formula runs
-//!    dry. Same witness set, different solve count.
-//! 3. Serving layer: the same question as a `JobSpec::Enumerate` job
+//! 2. Serving layer: the same question as a `JobSpec::Enumerate` job
 //!    through `MatchService`, with per-kind metrics and per-shard solver
 //!    caching (submit the family twice and the second sweep runs warm).
 //!
@@ -16,8 +13,8 @@
 
 use rand::SeedableRng;
 use revmatch::{
-    enumerate_witnesses_sat_with, random_instance, EnumerateJob, EnumerationStrategy, Equivalence,
-    JobKind, MatchService, Scalar, ServiceConfig, Side, SolverBackend, WitnessFamily,
+    enumerate_witnesses_sat, random_instance, EnumerateJob, Equivalence, JobKind, MatchService,
+    Scalar, ServiceConfig, Side, WitnessFamily,
 };
 
 fn main() {
@@ -32,14 +29,8 @@ fn main() {
     );
 
     // 1. Assumption sweep: one solver, 2^n solve_under calls.
-    let sweep = enumerate_witnesses_sat_with(
-        &inst.c1,
-        &inst.c2,
-        family,
-        SolverBackend::Cdcl,
-        EnumerationStrategy::AssumptionSweep,
-    )
-    .expect("width under the family cap");
+    let sweep =
+        enumerate_witnesses_sat(&inst.c1, &inst.c2, family).expect("width under the family cap");
     println!(
         "assumption sweep: {} witness(es) among {} candidates in {} solves",
         sweep.count(),
@@ -51,23 +42,7 @@ fn main() {
     }
     assert!(sweep.witnesses.contains(&inst.witness));
 
-    // 2. Blocking-clause mode agrees on the exact witness set.
-    let blocking = enumerate_witnesses_sat_with(
-        &inst.c1,
-        &inst.c2,
-        family,
-        SolverBackend::Cdcl,
-        EnumerationStrategy::BlockingClauses,
-    )
-    .expect("width under the family cap");
-    assert_eq!(blocking.witnesses, sweep.witnesses);
-    println!(
-        "blocking clauses:  same {} witness(es), {} solves (one per non-witness + final UNSAT)",
-        blocking.count(),
-        blocking.solves
-    );
-
-    // 3. Through the serving layer, twice: the repeat hits the per-shard
+    // 2. Through the serving layer, twice: the repeat hits the per-shard
     //    solver cache and re-answers from learned clauses. One shard, so
     //    no idle shard can steal the repeat and run it cold.
     let service = MatchService::start(ServiceConfig::default().with_shards(1));
@@ -89,5 +64,5 @@ fn main() {
         "second sweep must run warm"
     );
     service.shutdown();
-    println!("all three paths agree.");
+    println!("both paths agree.");
 }
