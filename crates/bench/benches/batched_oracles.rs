@@ -1,6 +1,6 @@
 //! Benchmarks for the batched oracle engine: per-probe scalar `query`
 //! vs the bit-sliced kernels (`wide256` with AVX2 dispatch and its
-//! portable twin) vs precompiled dense tables, plus `DenseTable::compile`
+//! portable twin) vs precompiled truth tables, plus `TruthTable::compile`
 //! against the scalar compile and end-to-end `MatchService` throughput.
 //!
 //! Beyond the criterion groups, `main` prints speedup summaries and
@@ -21,8 +21,8 @@ use revmatch::{
     MatchService, MatcherConfig, Oracle, ServiceConfig, Side,
 };
 use revmatch_circuit::{
-    active_kernel_name, apply_kernel, random_circuit, width_mask, DenseTable, Kernel,
-    RandomCircuitSpec,
+    active_kernel_name, apply_kernel, random_circuit, width_mask, Kernel, RandomCircuitSpec,
+    TruthTable,
 };
 
 const PROBES: usize = 4096;
@@ -100,9 +100,9 @@ fn bench_kernel_matrix(c: &mut Criterion) {
     group.finish();
 }
 
-/// `DenseTable::compile`: the scalar reference compile (one cascade
+/// `TruthTable::compile`: the scalar reference compile (one cascade
 /// walk per entry) against the constant-init wide sweep that
-/// `DenseTable::compile` runs.
+/// `TruthTable::compile` runs at these shapes.
 fn bench_table_compile(c: &mut Criterion) {
     let mut group = c.benchmark_group("table_compile");
     group.sample_size(10);
@@ -110,10 +110,10 @@ fn bench_table_compile(c: &mut Criterion) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let circuit = random_circuit(&RandomCircuitSpec::for_width(width), &mut rng);
         group.bench_with_input(BenchmarkId::new("scalar", width), &width, |b, _| {
-            b.iter(|| DenseTable::compile_with(black_box(&circuit), Kernel::Scalar).unwrap());
+            b.iter(|| TruthTable::compile_with(black_box(&circuit), Kernel::Scalar).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("wide", width), &width, |b, _| {
-            b.iter(|| DenseTable::compile(black_box(&circuit)).unwrap());
+            b.iter(|| TruthTable::compile(black_box(&circuit)).unwrap());
         });
     }
     group.finish();
@@ -231,18 +231,18 @@ fn kernel_summary() {
     }
 }
 
-/// `DenseTable::compile` scalar-vs-wide summary plus the width-16
+/// `TruthTable::compile` scalar-vs-wide summary plus the width-16
 /// acceptance floor ([`COMPILE_FLOOR_W16`] when the AVX2 path is
 /// active), with the tables asserted bit-identical to the scalar
 /// compile.
 fn compile_summary() {
-    println!("\n== dense-table compile, scalar walk per entry vs wide sweep ==");
+    println!("\n== truth-table compile, scalar walk per entry vs wide sweep ==");
     for width in [12usize, 16, 20] {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let circuit = random_circuit(&RandomCircuitSpec::for_width(width), &mut rng);
-        let reference = DenseTable::compile_with(&circuit, Kernel::Scalar).unwrap();
+        let reference = TruthTable::compile_with(&circuit, Kernel::Scalar).unwrap();
         assert_eq!(
-            DenseTable::compile(&circuit).unwrap(),
+            TruthTable::compile(&circuit).unwrap(),
             reference,
             "wide compile diverged from scalar at width {width}"
         );
@@ -251,10 +251,10 @@ fn compile_summary() {
         let mut wide_best = f64::INFINITY;
         for _ in 0..reps {
             let start = Instant::now();
-            black_box(DenseTable::compile_with(black_box(&circuit), Kernel::Scalar).unwrap());
+            black_box(TruthTable::compile_with(black_box(&circuit), Kernel::Scalar).unwrap());
             scalar_best = scalar_best.min(start.elapsed().as_secs_f64());
             let start = Instant::now();
-            black_box(DenseTable::compile(black_box(&circuit)).unwrap());
+            black_box(TruthTable::compile(black_box(&circuit)).unwrap());
             wide_best = wide_best.min(start.elapsed().as_secs_f64());
         }
         let ratio = scalar_best / wide_best;

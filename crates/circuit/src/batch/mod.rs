@@ -14,19 +14,20 @@
 //!   else. At width ≤ 32 the kernels also **half-word pack** two
 //!   patterns per `u64` lane slot, halving the per-probe transpose
 //!   cost.
-//! * **Dense tables** ([`DenseTable`]): for small widths the whole
-//!   function is precompiled into a `2^width` lookup table, making
-//!   every subsequent probe a single load. Compilation itself is
-//!   kernel-accelerated: the sweep inputs are consecutive integers
-//!   whose transposed lanes are known constants, so the wide compile
-//!   skips the input transpose entirely; short cascades skip both
-//!   transposes via an in-place control-masked XOR pass per gate.
+//! * **Truth tables** ([`TruthTable::compile`]): the whole function
+//!   as a `2^width` lookup table, making every later probe a single
+//!   load. The compile picks its arm from the cascade's shape: an
+//!   in-place control-masked XOR pass per gate (no transposes) for
+//!   short cascades and small tables, a batched walk over `0..2^width`
+//!   for long cascades on small tables, and otherwise a packed sweep
+//!   whose consecutive inputs have constant transposed lanes, so only
+//!   the output transpose remains.
 //!
 //! The entry points without a kernel argument ([`Circuit::apply_batch`],
-//! [`DenseTable::compile`]) run [`Kernel::Wide256`]: AVX2 where
+//! [`TruthTable::compile`]) run [`Kernel::Wide256`]: AVX2 where
 //! detected, portable wide words otherwise. Tests and benches pin a
 //! kernel per call with [`apply_kernel`] and
-//! [`DenseTable::compile_with`]. Every kernel is bit-for-bit equivalent
+//! [`TruthTable::compile_with`]. Every kernel is bit-for-bit equivalent
 //! to the [`Kernel::Scalar`] reference — the differential suites in
 //! this module and `tests/kernels.rs` hold them to that.
 
@@ -36,15 +37,16 @@ mod word;
 
 use crate::bits::width_mask;
 use crate::circuit::Circuit;
-use crate::error::CircuitError;
 use crate::gate::Gate;
+use crate::truth_table::TruthTable;
 
 use word::{
     apply_gates_in_place_portable, apply_packed_into, apply_wide_into, compile_packed_into,
     PACK_MAX_WIDTH, W256,
 };
 
-/// Widest circuit a [`DenseTable`] may be compiled for (an 8 MiB table).
+/// Widest circuit an oracle may compile or hold a [`TruthTable`] for
+/// (an 8 MiB table). White-box builds go up to [`TruthTable::MAX_WIDTH`].
 pub const DENSE_MAX_WIDTH: usize = 20;
 
 /// The evaluation kernel: the scalar reference, or the bit-sliced fast
@@ -176,146 +178,79 @@ fn wide256_portable_into(gates: &[Gate], width: usize, xs: &[u64], out: &mut [u6
     }
 }
 
-/// Gate-count ceiling below which [`DenseTable`] compiles via the
-/// in-place per-entry pass instead of the lane sweep: one masked-XOR
-/// vector op per 4 entries per gate undercuts the sweep's ~4.5 vector
-/// ops per entry only for short cascades.
+/// Gate count at or below which a table compiles by the in-place pass
+/// at any size: one masked-XOR vector op per 4 entries per gate
+/// undercuts the packed sweep's ~4.5 vector ops per entry only for
+/// short cascades.
 const IN_PLACE_GATE_CUTOFF: usize = 16;
 
 /// Smallest table the packed `W256` compile sweep can fill (one block
 /// of 512 packed entries).
 const PACKED_COMPILE_MIN_ENTRIES: usize = 512;
 
-/// A precompiled `2^width` lookup table for a reversible circuit.
-///
-/// Compilation costs one kernel-accelerated sweep over all `2^width`
-/// inputs; afterwards every probe is a single indexed load. Worth it
-/// when the expected probe volume exceeds roughly the sweep's block
-/// count. The sweep exploits the inputs being consecutive integers —
-/// their transposed lanes are known constants, so only the *output*
-/// transpose remains — and drops to an in-place control-masked XOR pass
-/// per gate for short cascades, with no transposes at all.
-///
-/// # Examples
+/// Largest `gates × 2^width` a table under
+/// [`PACKED_COMPILE_MIN_ENTRIES`] entries compiles in place; above it
+/// the batched walk over `0..2^width`, which pays about one 512-lane
+/// block per gate at any table size, wins. Measured (2-vCPU AVX2 VM,
+/// 32 random cascades with ≤ 2 controls per cell, medians of 7
+/// batches, three runs), in-place ÷ walk time at 6144 / 8192 / 10240:
+/// w6 0.73–0.99 / 0.80–1.03 / 0.89–0.92, w7 0.77–0.83 / 1.07–1.24 /
+/// 1.19–1.39, w8 0.82–0.89 / 0.62–0.96 / 1.25–1.45; w4–5 ≤ 0.67 up
+/// to 10240.
+const IN_PLACE_MAX_WORK: usize = 8192;
+
+/// Fills `table[x] = C(x)` for every `x < table.len() = 2^width`
+/// ([`TruthTable::compile_with`]'s body): [`Kernel::Scalar`] walks the
+/// cascade once per entry, and the wide kernels take the cheapest arm
+/// for the cascade's shape (see the module docs).
+pub(crate) fn compile_into(kernel: Kernel, gates: &[Gate], width: usize, table: &mut [u64]) {
+    let size = table.len();
+    debug_assert_eq!(size, 1 << width);
+    if kernel == Kernel::Scalar {
+        for (x, o) in table.iter_mut().enumerate() {
+            *o = gates.iter().fold(x as u64, |v, g| g.apply(v));
+        }
+        return;
+    }
+    let avx = kernel == Kernel::Wide256;
+    let _ = avx; // read only by the x86_64 arms
+    let small = size < PACKED_COMPILE_MIN_ENTRIES;
+    if gates.len() <= IN_PLACE_GATE_CUTOFF || (small && gates.len() * size <= IN_PLACE_MAX_WORK) {
+        for (x, o) in table.iter_mut().enumerate() {
+            *o = x as u64;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if avx && avx2::apply_gates_in_place(gates, table) {
+            return;
+        }
+        apply_gates_in_place_portable(gates, table);
+    } else if small {
+        let xs: Vec<u64> = (0..size as u64).collect();
+        apply_kernel_into(kernel, gates, width, &xs, table);
+    } else {
+        #[cfg(target_arch = "x86_64")]
+        if avx && avx2::compile_packed(gates, width, table) {
+            return;
+        }
+        compile_packed_into::<W256>(gates, width, table);
+    }
+}
+
+/// The dense table's former name. The benchmark's per-layer replay
+/// (`benchmark/src/layers.rs`) still calls `DenseTable::compile`, and
+/// files under `benchmark/` change only with the benchmark itself; the
+/// next benchmark change moves that call to [`TruthTable::compile`] and
+/// deletes this alias.
 ///
 /// ```
-/// use revmatch_circuit::{Circuit, DenseTable, Gate};
+/// use revmatch_circuit::{Circuit, DenseTable, Gate, TruthTable};
 ///
 /// let c = Circuit::from_gates(3, [Gate::toffoli(0, 1, 2)])?;
-/// let table = DenseTable::compile(&c)?;
-/// assert_eq!(table.apply(0b011), 0b111);
+/// let table: TruthTable = DenseTable::compile(&c)?;
 /// assert_eq!(table.apply_batch(&[0b011, 0b101]), vec![0b111, 0b101]);
 /// # Ok::<(), revmatch_circuit::CircuitError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq)]
-pub struct DenseTable {
-    width: usize,
-    table: Vec<u64>,
-}
-
-impl DenseTable {
-    /// Compiles the circuit into a dense table with
-    /// [`Kernel::Wide256`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::WidthTooLarge`] beyond
-    /// [`DENSE_MAX_WIDTH`].
-    pub fn compile(circuit: &Circuit) -> Result<Self, CircuitError> {
-        Self::compile_with(circuit, Kernel::Wide256)
-    }
-
-    /// Compiles with an explicit kernel. [`Kernel::Scalar`] walks the
-    /// cascade once per entry, the reference the tests and the bench
-    /// compare against; every kernel yields bit-identical tables.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::WidthTooLarge`] beyond
-    /// [`DENSE_MAX_WIDTH`].
-    pub fn compile_with(circuit: &Circuit, kernel: Kernel) -> Result<Self, CircuitError> {
-        let width = circuit.width();
-        if width > DENSE_MAX_WIDTH {
-            return Err(CircuitError::WidthTooLarge {
-                width,
-                max: DENSE_MAX_WIDTH,
-            });
-        }
-        let size = 1usize << width;
-        let gates = circuit.gates();
-        let mut table = vec![0u64; size];
-        match kernel {
-            Kernel::Scalar => {
-                for (x, o) in table.iter_mut().enumerate() {
-                    *o = gates.iter().fold(x as u64, |v, g| g.apply(v));
-                }
-            }
-            Kernel::Wide256Portable | Kernel::Wide256 => {
-                let avx = kernel == Kernel::Wide256;
-                if gates.len() <= IN_PLACE_GATE_CUTOFF || size < PACKED_COMPILE_MIN_ENTRIES {
-                    for (x, o) in table.iter_mut().enumerate() {
-                        *o = x as u64;
-                    }
-                    #[cfg(target_arch = "x86_64")]
-                    if avx && avx2::apply_gates_in_place(gates, &mut table) {
-                        return Ok(Self { width, table });
-                    }
-                    let _ = avx;
-                    apply_gates_in_place_portable(gates, &mut table);
-                } else {
-                    #[cfg(target_arch = "x86_64")]
-                    if avx && avx2::compile_packed(gates, width, &mut table) {
-                        return Ok(Self { width, table });
-                    }
-                    let _ = avx;
-                    compile_packed_into::<W256>(gates, width, &mut table);
-                }
-            }
-        }
-        Ok(Self { width, table })
-    }
-
-    /// Number of lines.
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Looks up one pattern.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` has bits beyond the table width.
-    #[inline]
-    pub fn apply(&self, x: u64) -> u64 {
-        debug_assert!(x & !width_mask(self.width) == 0, "input wider than circuit");
-        self.table[x as usize]
-    }
-
-    /// Looks up every pattern in `xs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any pattern has bits beyond the table width.
-    pub fn apply_batch(&self, xs: &[u64]) -> Vec<u64> {
-        debug_assert!(
-            xs.iter().all(|&x| x & !width_mask(self.width) == 0),
-            "input wider than circuit"
-        );
-        xs.iter().map(|&x| self.table[x as usize]).collect()
-    }
-
-    /// The raw table (`table[x] = C(x)`).
-    pub fn entries(&self) -> &[u64] {
-        &self.table
-    }
-}
-
-impl std::fmt::Debug for DenseTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DenseTable(width={})", self.width)
-    }
-}
+pub type DenseTable = TruthTable;
 
 #[cfg(test)]
 mod tests {
@@ -398,12 +333,12 @@ mod tests {
         // sub-block sizes.
         for width in [2usize, 6, 8, 9, 11, 13] {
             let c = random_circuit(&RandomCircuitSpec::for_width(width), &mut rng);
-            let reference = DenseTable::compile_with(&c, Kernel::Scalar).unwrap();
+            let reference = TruthTable::compile_with(&c, Kernel::Scalar).unwrap();
             for kernel in Kernel::ALL {
-                let table = DenseTable::compile_with(&c, kernel).unwrap();
+                let table = TruthTable::compile_with(&c, kernel).unwrap();
                 assert_eq!(table, reference, "{kernel} width={width}");
             }
-            assert_eq!(DenseTable::compile(&c).unwrap(), reference);
+            assert_eq!(TruthTable::compile(&c).unwrap(), reference);
         }
     }
 
@@ -422,9 +357,9 @@ mod tests {
         )
         .unwrap();
         assert!(c.len() <= IN_PLACE_GATE_CUTOFF);
-        let reference = DenseTable::compile_with(&c, Kernel::Scalar).unwrap();
+        let reference = TruthTable::compile_with(&c, Kernel::Scalar).unwrap();
         for kernel in [Kernel::Wide256Portable, Kernel::Wide256] {
-            assert_eq!(DenseTable::compile_with(&c, kernel).unwrap(), reference);
+            assert_eq!(TruthTable::compile_with(&c, kernel).unwrap(), reference);
         }
     }
 
@@ -433,7 +368,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         for width in 1..=10usize {
             let c = random_circuit(&RandomCircuitSpec::for_width(width), &mut rng);
-            let table = DenseTable::compile(&c).unwrap();
+            let table = TruthTable::compile(&c).unwrap();
             for x in 0..1u64 << width {
                 assert_eq!(table.apply(x), c.apply(x), "width={width} x={x}");
             }
@@ -442,10 +377,10 @@ mod tests {
 
     #[test]
     fn dense_table_rejects_wide_circuits() {
-        let c = Circuit::new(DENSE_MAX_WIDTH + 1);
+        let c = Circuit::new(TruthTable::MAX_WIDTH + 1);
         assert!(matches!(
-            DenseTable::compile(&c),
-            Err(CircuitError::WidthTooLarge { .. })
+            TruthTable::compile(&c),
+            Err(crate::CircuitError::WidthTooLarge { .. })
         ));
     }
 
@@ -453,6 +388,6 @@ mod tests {
     fn empty_batch_is_fine() {
         let c = Circuit::new(5);
         assert!(c.apply_batch(&[]).is_empty());
-        assert!(DenseTable::compile(&c).unwrap().apply_batch(&[]).is_empty());
+        assert!(TruthTable::compile(&c).unwrap().apply_batch(&[]).is_empty());
     }
 }

@@ -205,22 +205,15 @@ impl Circuit {
         })
     }
 
-    /// Extracts the full truth table (all `2^width` input/output pairs).
+    /// The full truth table (all `2^width` input/output pairs):
+    /// [`TruthTable::compile`].
     ///
     /// # Errors
     ///
     /// Returns [`CircuitError::WidthTooLarge`] if `width > 24` (the table
     /// would not fit in memory comfortably).
     pub fn truth_table(&self) -> Result<TruthTable, CircuitError> {
-        if self.width > TruthTable::MAX_WIDTH {
-            return Err(CircuitError::WidthTooLarge {
-                width: self.width,
-                max: TruthTable::MAX_WIDTH,
-            });
-        }
-        let inputs: Vec<u64> = (0..1u64 << self.width).collect();
-        let outputs = self.apply_batch(&inputs);
-        Ok(TruthTable::from_bijection(self.width, outputs))
+        TruthTable::compile(self)
     }
 
     /// Whether the circuit computes the identity function.
@@ -230,16 +223,10 @@ impl Circuit {
     /// negatives).
     pub fn is_identity(&self) -> bool {
         if self.width <= 20 {
-            let inputs: Vec<u64> = (0..1u64 << self.width).collect();
-            self.apply_batch(&inputs) == inputs
-        } else {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(0x1d3_a11ce);
-            let inputs: Vec<u64> = (0..1 << 14)
-                .map(|_| rng.gen::<u64>() & width_mask(self.width))
-                .collect();
-            self.apply_batch(&inputs) == inputs
+            return self.truth_table().is_ok_and(|t| t.is_identity());
         }
+        let inputs = self.samples(0x1d3_a11ce);
+        self.apply_batch(&inputs) == inputs
     }
 
     /// Whether two circuits compute the same function (same caveats as
@@ -248,16 +235,20 @@ impl Circuit {
         if self.width != other.width {
             return false;
         }
-        let inputs: Vec<u64> = if self.width <= 20 {
-            (0..1u64 << self.width).collect()
-        } else {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(0xfeed_beef);
-            (0..1 << 14)
-                .map(|_| rng.gen::<u64>() & width_mask(self.width))
-                .collect()
-        };
+        if self.width <= 20 {
+            return self.truth_table().ok() == other.truth_table().ok();
+        }
+        let inputs = self.samples(0xfeed_beef);
         self.apply_batch(&inputs) == other.apply_batch(&inputs)
+    }
+
+    /// `2^14` seeded random inputs, for the wide randomized checks.
+    fn samples(&self, seed: u64) -> Vec<u64> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..1 << 14)
+            .map(|_| rng.gen::<u64>() & width_mask(self.width))
+            .collect()
     }
 
     /// Gate-count statistics.

@@ -2,13 +2,19 @@
 //!
 //! A reversible function is a permutation of `{0, …, 2^n − 1}` (paper §2.1).
 //! [`TruthTable`] stores it explicitly, which is the ground truth every
-//! matcher and synthesis routine is validated against.
+//! matcher and synthesis routine is validated against. It is also the
+//! one dense table of a circuit: [`TruthTable::compile`] builds it with
+//! the kernels of [`crate::batch`], [`Circuit::truth_table`] is that
+//! compile, and an oracle that holds a table answers each probe with
+//! one load from it.
 
 use std::fmt;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use crate::batch::{compile_into, Kernel};
+use crate::circuit::Circuit;
 use crate::error::CircuitError;
 
 /// An explicit bijection `B^n -> B^n`.
@@ -31,8 +37,20 @@ pub struct TruthTable {
 }
 
 impl TruthTable {
-    /// Largest width for which explicit tables are allowed (16 MiB of u64s).
+    /// Largest width for which explicit tables are allowed (2^24 `u64`s,
+    /// 128 MiB). Oracles hold tables only up to
+    /// [`crate::DENSE_MAX_WIDTH`].
     pub const MAX_WIDTH: usize = 24;
+
+    fn check_width(width: usize) -> Result<(), CircuitError> {
+        if width > Self::MAX_WIDTH {
+            return Err(CircuitError::WidthTooLarge {
+                width,
+                max: Self::MAX_WIDTH,
+            });
+        }
+        Ok(())
+    }
 
     /// Creates a table from the output list `table[x] = f(x)`.
     ///
@@ -42,12 +60,7 @@ impl TruthTable {
     /// permutation of `0..2^width`, or [`CircuitError::WidthTooLarge`] /
     /// [`CircuitError::WidthMismatch`] on size problems.
     pub fn new(width: usize, table: Vec<u64>) -> Result<Self, CircuitError> {
-        if width > Self::MAX_WIDTH {
-            return Err(CircuitError::WidthTooLarge {
-                width,
-                max: Self::MAX_WIDTH,
-            });
-        }
+        Self::check_width(width)?;
         let size = 1usize << width;
         if table.len() != size {
             return Err(CircuitError::WidthMismatch {
@@ -61,14 +74,31 @@ impl TruthTable {
         Ok(Self { width, table })
     }
 
-    /// A table from outputs the caller knows to be a permutation of
-    /// `0..2^width`, such as a gate cascade's, which is a bijection by
-    /// construction. Skips [`TruthTable::new`]'s `2^width` bijectivity
-    /// pass; debug builds still run it.
-    pub(crate) fn from_bijection(width: usize, table: Vec<u64>) -> Self {
-        debug_assert!(width <= Self::MAX_WIDTH && table.len() == 1 << width);
-        debug_assert!(is_permutation(&table), "outputs are not a bijection");
-        Self { width, table }
+    /// The circuit's table, `table[x] = C(x)`, compiled with
+    /// [`Kernel::Wide256`] by the cheapest arm for the cascade's shape
+    /// (see [`crate::batch`]). A cascade is a bijection by construction,
+    /// so no bijectivity pass runs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CircuitError::WidthTooLarge`] beyond
+    /// [`TruthTable::MAX_WIDTH`].
+    pub fn compile(circuit: &Circuit) -> Result<Self, CircuitError> {
+        Self::compile_with(circuit, Kernel::Wide256)
+    }
+
+    /// [`TruthTable::compile`] with an explicit kernel; every kernel
+    /// yields the table of the [`Kernel::Scalar`] reference.
+    ///
+    /// # Errors
+    ///
+    /// As [`TruthTable::compile`].
+    pub fn compile_with(circuit: &Circuit, kernel: Kernel) -> Result<Self, CircuitError> {
+        let width = circuit.width();
+        Self::check_width(width)?;
+        let mut table = vec![0u64; 1 << width];
+        compile_into(kernel, circuit.gates(), width, &mut table);
+        Ok(Self { width, table })
     }
 
     /// The identity function on `width` lines.
@@ -90,12 +120,7 @@ impl TruthTable {
     ///
     /// Returns [`CircuitError::NotBijective`] if `f` is not a bijection.
     pub fn from_fn(width: usize, mut f: impl FnMut(u64) -> u64) -> Result<Self, CircuitError> {
-        if width > Self::MAX_WIDTH {
-            return Err(CircuitError::WidthTooLarge {
-                width,
-                max: Self::MAX_WIDTH,
-            });
-        }
+        Self::check_width(width)?;
         let table: Vec<u64> = (0..1u64 << width).map(&mut f).collect();
         Self::new(width, table)
     }
@@ -138,6 +163,15 @@ impl TruthTable {
     #[inline]
     pub fn apply(&self, x: u64) -> u64 {
         self.table[x as usize]
+    }
+
+    /// Evaluates the function on every pattern in `xs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any pattern is `>= 2^width`.
+    pub fn apply_batch(&self, xs: &[u64]) -> Vec<u64> {
+        xs.iter().map(|&x| self.apply(x)).collect()
     }
 
     /// The output list (`entry[x] = f(x)`).
@@ -390,16 +424,12 @@ mod tests {
 
     #[test]
     fn small_mct_gates_are_even_permutations() {
-        use crate::circuit::Circuit;
         use crate::gate::{Control, Gate};
         // k controls on n lines: even iff k <= n - 2; odd iff k = n - 1.
         let n = 4;
         for k in 0..n {
             let gate = Gate::new((0..k).map(Control::positive), n - 1).unwrap();
-            let tt = Circuit::from_gates(n, [gate])
-                .unwrap()
-                .truth_table()
-                .unwrap();
+            let tt = TruthTable::compile(&Circuit::from_gates(n, [gate]).unwrap()).unwrap();
             assert_eq!(tt.is_even(), k <= n - 2, "k = {k}");
         }
     }

@@ -1,5 +1,5 @@
 //! Differential property tests for the evaluation kernels: the scalar
-//! reference ≡ Wide256 ≡ Wide256Portable ≡ DenseTable, bit for bit, on
+//! reference ≡ Wide256 ≡ Wide256Portable ≡ TruthTable, bit for bit, on
 //! random circuits × random probe sets.
 //!
 //! The probe-set strategy deliberately lands on every block-boundary
@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use revmatch_circuit::{
-    apply_kernel, random_circuit, width_mask, DenseTable, Kernel, RandomCircuitSpec,
+    apply_kernel, random_circuit, width_mask, Kernel, RandomCircuitSpec, TruthTable,
 };
 
 /// The boundary-heavy width set: 1 (degenerate lanes), 12 (bench
@@ -66,18 +66,23 @@ proptest! {
         prop_assert_eq!(&avx, &scalar);
     }
 
-    /// Every compile kernel builds the same dense table, and the table
-    /// agrees with every probe kernel over its whole domain.
+    /// Every compile kernel builds the same truth table, and the table
+    /// agrees with every probe kernel over its whole domain. Cascades of
+    /// 1–300 gates reach every compile arm: the in-place pass (≤ 16
+    /// gates, or `gates × 2^n ≤ 8192` under 512 entries), the batched
+    /// walk (longer cascades at w5–8) and the packed sweep (w ≥ 9).
     #[test]
     fn dense_tables_identical_across_kernels(
         seed in any::<u64>(),
         width in 1usize..=12,
+        gate_count in 1usize..=300,
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let circuit = random_circuit(&RandomCircuitSpec::for_width(width), &mut rng);
-        let reference = DenseTable::compile_with(&circuit, Kernel::Scalar).unwrap();
+        let spec = RandomCircuitSpec { gate_count, ..RandomCircuitSpec::for_width(width) };
+        let circuit = random_circuit(&spec, &mut rng);
+        let reference = TruthTable::compile_with(&circuit, Kernel::Scalar).unwrap();
         for kernel in Kernel::ALL {
-            let table = DenseTable::compile_with(&circuit, kernel).unwrap();
+            let table = TruthTable::compile_with(&circuit, kernel).unwrap();
             prop_assert_eq!(table.entries(), reference.entries(), "{}", kernel);
         }
         let inputs: Vec<u64> = (0..1u64 << width).collect();

@@ -539,9 +539,9 @@ mod tests {
     use crate::promise::random_instance;
     use crate::verify::{check_witness, VerifyMode};
     use rand::SeedableRng;
-    use revmatch_circuit::DenseTable;
+    use revmatch_circuit::TruthTable;
 
-    /// Reference enumerator: a dense-table truth-table sweep over every
+    /// Reference enumerator: a truth-table sweep over every
     /// candidate witness — `2^n` table lookups per candidate, no SAT.
     /// Returns the witnesses in candidate order.
     fn dense_table_witnesses(
@@ -549,8 +549,8 @@ mod tests {
         c2: &Circuit,
         family: WitnessFamily,
     ) -> Vec<MatchWitness> {
-        let t1 = DenseTable::compile(c1).expect("width under the dense cap");
-        let t2 = DenseTable::compile(c2).expect("width under the dense cap");
+        let t1 = TruthTable::compile(c1).expect("width under the table cap");
+        let t2 = TruthTable::compile(c2).expect("width under the table cap");
         let n = c1.width();
         family
             .candidates(n)
@@ -607,7 +607,7 @@ mod tests {
     }
 
     /// The brute-force cross-check: at widths ≤ 6 the SAT sweep returns
-    /// exactly the witness list of a `DenseTable` truth-table sweep over
+    /// exactly the witness list of a truth-table sweep over
     /// all candidates, in candidate order, for every family.
     #[test]
     fn counts_match_dense_table_sweep() {

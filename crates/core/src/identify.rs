@@ -14,13 +14,17 @@
 //! Theorems 2–3 say one cannot improve in general.
 //!
 //! Validation is white-box and costs no oracle query. Up to
-//! [`TruthTable::MAX_WIDTH`] lines the walk builds both circuits' truth
-//! tables once per job; the Walsh-signature prefilter, every
+//! [`TruthTable::MAX_WIDTH`] lines the walk reads both circuits' truth
+//! tables, once per job: the table `c1`'s or `c2`'s oracle already holds
+//! (a served job's shard cache hands them in), compiled only when the
+//! oracle holds none. The Walsh-signature prefilter, every
 //! [`VerifyMode::Exhaustive`] candidate check and every brute-force pass
 //! read those two tables. [`VerifyMode::Sampled`] keeps drawing fresh
 //! inputs for each candidate, so its RNG stream does not depend on the
 //! tables. Above that width no table exists, so an exhaustive walk
 //! returns [`CircuitError::WidthTooLarge`] before it spends a query.
+
+use std::borrow::Cow;
 
 use rand::Rng;
 
@@ -124,10 +128,11 @@ pub fn identify_equivalence(
 
 /// [`identify_equivalence`] over caller-supplied oracles for the white
 /// boxes and their inverses — the serving layer passes its cached or
-/// on-demand dense-table oracles here, so repeated identification jobs
-/// skip the compile sweep. The oracles must compute `c1`, `c2` and their
-/// inverses; query accounting in the returned [`Identification`] is
-/// relative to the counters at entry.
+/// on-demand table oracles here, so repeated identification jobs skip
+/// the compile sweep, and the walk reads the tables `o1` and `o2`
+/// already hold instead of compiling its own. The oracles must compute
+/// `c1`, `c2` and their inverses; query accounting in the returned
+/// [`Identification`] is relative to the counters at entry.
 ///
 /// # Errors
 ///
@@ -150,11 +155,11 @@ pub fn identify_equivalence_with_oracles(
             right: c2.width(),
         });
     }
-    // White-box truth tables, built once per job: the spectral prefilter,
+    // White-box truth tables, once per job: the spectral prefilter,
     // every exhaustive candidate check and every brute-force pass read
     // these two instead of re-simulating the circuits.
     let tables = if n <= TruthTable::MAX_WIDTH {
-        let (t1, t2) = (c1.truth_table()?, c2.truth_table()?);
+        let (t1, t2) = (held_or_compiled(o1, c1)?, held_or_compiled(o2, c2)?);
         // Spectral prefilter (no oracle queries): a Walsh-signature
         // mismatch refutes every X-Y class at once.
         if MatchSignature::of_table(&t1) != MatchSignature::of_table(&t2) {
@@ -212,6 +217,16 @@ pub fn identify_equivalence_with_oracles(
         }
     }
     Ok(None)
+}
+
+/// The table `oracle` holds for `circuit`, else a fresh compile; never
+/// forces a compile into the oracle.
+fn held_or_compiled<'a>(o: &'a Oracle, c: &Circuit) -> Result<Cow<'a, TruthTable>, CircuitError> {
+    debug_assert!(o.circuit() == c, "the oracle computes the circuit");
+    o.table().map_or_else(
+        || TruthTable::compile(c).map(Cow::Owned),
+        |t| Ok(Cow::Borrowed(t)),
+    )
 }
 
 /// The walk order: cheapest classes first, by search space at

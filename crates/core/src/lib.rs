@@ -94,12 +94,15 @@
 //!   otherwise) and the gate cascade is walked once per block of 256
 //!   probes, 512 half-word packed at width ≤ 32; the default for every
 //!   [`Oracle`].
-//! * **dense table** — [`Oracle::precompiled`] compiles circuits of
-//!   width ≤ 20 into a `2^n` lookup table (built with one bit-sliced
-//!   sweep), making each probe a single load; [`Oracle::on_demand`]
+//! * **truth table** — [`Oracle::precompiled`] compiles circuits of
+//!   width ≤ 20 into their `2^n`-entry
+//!   [`TruthTable`](revmatch_circuit::TruthTable) (one
+//!   `TruthTable::compile`, the same table every white-box check
+//!   reads), making each probe a single load; [`Oracle::on_demand`]
 //!   compiles it only once the probes' gate walks have paid for it, at
 //!   a price of `max(1, 2^n / 64)` scalar walks. That rent-or-buy rule
-//!   is the only table policy the serving layer runs.
+//!   is the only table policy the serving layer runs, and the identify
+//!   walk reads a table its oracles hold instead of compiling another.
 //!
 //! The [`service`] module scales this across instances:
 //! [`MatchService`] runs persistent worker shards behind a bounded

@@ -34,13 +34,13 @@ use rand::RngCore;
 use crate::equivalence::{Equivalence, Side};
 use crate::error::MatchError;
 use crate::matchers::{
-    match_i_n, match_i_np_randomized, match_i_np_via_c1_inverse, match_i_np_via_c2_inverse,
-    match_i_p_randomized, match_i_p_via_c1_inverse, match_i_p_via_c2_inverse, match_n_i_collision,
-    match_n_i_quantum, match_n_i_simon_with, match_n_i_via_c1_inverse, match_n_i_via_c2_inverse,
-    match_n_p_via_inverses, match_np_i_quantum, match_np_i_via_c1_inverse,
-    match_np_i_via_c2_inverse, match_p_i_one_hot, match_p_i_via_c1_inverse,
-    match_p_i_via_c2_inverse, match_p_n, match_p_n_via_inverses, randomized_rounds, MatcherConfig,
-    ProblemOracles,
+    ensure_same_width, match_i_n, match_i_np_randomized, match_i_np_via_c1_inverse,
+    match_i_np_via_c2_inverse, match_i_p_randomized, match_i_p_via_c1_inverse,
+    match_i_p_via_c2_inverse, match_n_i_collision, match_n_i_quantum, match_n_i_simon_with,
+    match_n_i_via_c1_inverse, match_n_i_via_c2_inverse, match_n_p_via_inverses, match_np_i_quantum,
+    match_np_i_via_c1_inverse, match_np_i_via_c2_inverse, match_p_i_one_hot,
+    match_p_i_via_c1_inverse, match_p_i_via_c2_inverse, match_p_n, match_p_n_via_inverses,
+    randomized_rounds, MatcherConfig, ProblemOracles,
 };
 use crate::miter::{check_equivalence_sat_budgeted_with, MiterVerdict};
 use crate::oracle::ClassicalOracle;
@@ -421,7 +421,7 @@ fn builtin_entries() -> Vec<Matcher> {
             requires: InverseAvailability::None,
             run: |oracles, _config, _rng| {
                 Ok(MatchReport {
-                    witness: MatchWitness::identity(ClassicalOracle::width(oracles.c1)),
+                    witness: MatchWitness::identity(ensure_same_width(oracles.c1, oracles.c2)?),
                     queries: 0,
                     charged_queries: 0,
                     rounds: 0,

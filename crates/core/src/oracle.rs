@@ -13,20 +13,23 @@
 //! `revmatch_circuit::batch`: 256 probes per gate walk, 512 half-word
 //! packed at width ≤ 32), never an accounting discount.
 //!
-//! An oracle may also answer from a compiled `2^width` [`DenseTable`].
+//! An oracle may also answer from its circuit's compiled `2^width`
+//! [`TruthTable`], up to [`DENSE_MAX_WIDTH`] lines.
 //! [`Oracle::on_demand`] decides per oracle whether that compile is
 //! worth it, by the rent-or-buy rule (Karlin, Manasse, Rudolph &
 //! Sleator, "Competitive snoopy caching", 1988): it keeps paying for
 //! gate walks until they add up to the price of the table, then buys
 //! the table. That charge is kept apart from the query counter, so the
-//! choice of backend never moves the paper's accounting.
+//! choice of backend never moves the paper's accounting. White-box
+//! readers in this crate (the identify walk) read a table an oracle
+//! already holds instead of compiling another.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use revmatch_circuit::{Circuit, DenseTable, DENSE_MAX_WIDTH};
+use revmatch_circuit::{Circuit, TruthTable, DENSE_MAX_WIDTH};
 use revmatch_quantum::{ProductState, SparseStateVector, StateVector};
 
 use crate::error::MatchError;
@@ -116,7 +119,7 @@ enum TableMode {
     /// Fixed at construction: none ([`Oracle::new`]), compiled eagerly
     /// ([`Oracle::precompiled`]) or handed in from a worker cache
     /// ([`Oracle::with_shared_table`]).
-    Fixed(Option<Arc<DenseTable>>),
+    Fixed(Option<Arc<TruthTable>>),
     /// Bought once the probes have paid for it ([`Oracle::on_demand`]).
     OnDemand(OnDemand),
 }
@@ -136,10 +139,10 @@ struct OnDemand {
     compiled: OnceLock<CompiledTable>,
 }
 
-/// A dense table an on-demand oracle bought, with when its compile
+/// A table an on-demand oracle bought, with when its compile
 /// started and how long it took.
 pub(crate) struct CompiledTable {
-    pub table: Arc<DenseTable>,
+    pub table: Arc<TruthTable>,
     pub started: Instant,
     pub took: Duration,
 }
@@ -158,7 +161,7 @@ impl OnDemand {
     /// Adds `walks` (capped at the price) to the charge. Returns the
     /// table to serve the request from: the one already bought, or a
     /// fresh compile when this request brings the charge to the price.
-    fn pay(&self, walks: u64, circuit: &Circuit) -> Option<&DenseTable> {
+    fn pay(&self, walks: u64, circuit: &Circuit) -> Option<&TruthTable> {
         if let Some(bought) = self.compiled.get() {
             return Some(&bought.table);
         }
@@ -168,7 +171,7 @@ impl OnDemand {
         }
         let bought = self.compiled.get_or_init(|| {
             let started = Instant::now();
-            let table = DenseTable::compile(circuit).expect("on-demand widths fit a dense table");
+            let table = TruthTable::compile(circuit).expect("on-demand widths fit a table");
             CompiledTable {
                 table: Arc::new(table),
                 started,
@@ -196,7 +199,7 @@ impl Oracle {
         Self::with_mode(circuit, TableMode::Fixed(None))
     }
 
-    /// Wraps a circuit and eagerly compiles a [`DenseTable`] backend
+    /// Wraps a circuit and eagerly compiles its [`TruthTable`] backend
     /// when the width permits (≤ `DENSE_MAX_WIDTH`), falling back to
     /// [`Oracle::new`] otherwise.
     ///
@@ -205,15 +208,12 @@ impl Oracle {
     /// unchanged — the compile is white-box instance setup, probes
     /// still count one each.
     pub fn precompiled(circuit: Circuit) -> Self {
-        let dense = if circuit.width() <= DENSE_MAX_WIDTH {
-            DenseTable::compile(&circuit).ok().map(Arc::new)
-        } else {
-            None
-        };
-        Self::with_mode(circuit, TableMode::Fixed(dense))
+        let table = (circuit.width() <= DENSE_MAX_WIDTH)
+            .then(|| Arc::new(TruthTable::compile(&circuit).expect("oracle widths fit a table")));
+        Self::with_mode(circuit, TableMode::Fixed(table))
     }
 
-    /// Wraps a circuit that compiles its own [`DenseTable`] only once
+    /// Wraps a circuit that compiles its own [`TruthTable`] only once
     /// its probes have paid for it.
     ///
     /// Until then probes walk the gates, and each request adds to a
@@ -240,7 +240,7 @@ impl Oracle {
         Self::with_mode(circuit, TableMode::OnDemand(on_demand))
     }
 
-    /// Wraps a circuit around an already-compiled (shared) dense table —
+    /// Wraps a circuit around an already-compiled (shared) truth table —
     /// the memoization path: a serving worker that has seen this circuit
     /// before hands the cached table in and skips the `2^width` compile
     /// sweep. Query accounting is identical to [`Oracle::precompiled`].
@@ -249,7 +249,7 @@ impl Oracle {
     ///
     /// Panics if the table width disagrees with the circuit width (a
     /// cache-keying bug).
-    pub fn with_shared_table(circuit: Circuit, table: Arc<DenseTable>) -> Self {
+    pub fn with_shared_table(circuit: Circuit, table: Arc<TruthTable>) -> Self {
         assert_eq!(
             table.width(),
             circuit.width(),
@@ -293,6 +293,15 @@ impl Oracle {
         &self.circuit
     }
 
+    /// The table this oracle holds — handed in, precompiled or bought —
+    /// if any. Never compiles and charges nothing.
+    pub(crate) fn table(&self) -> Option<&TruthTable> {
+        match &self.table {
+            TableMode::Fixed(table) => table.as_deref(),
+            TableMode::OnDemand(on_demand) => on_demand.compiled.get().map(|b| &*b.table),
+        }
+    }
+
     /// The table an on-demand oracle bought, once its probes reached
     /// the price (`None` before that and for every other table mode).
     pub(crate) fn compiled_on_demand(&self) -> Option<&CompiledTable> {
@@ -319,10 +328,10 @@ impl Oracle {
         self.count_many(k);
     }
 
-    /// The dense table to serve a request costing `walks` scalar gate
-    /// walks from, if there is one (buying it when an on-demand
-    /// oracle's charge reaches the price). No query accounting.
-    fn table_for(&self, walks: u64) -> Option<&DenseTable> {
+    /// The table to serve a request costing `walks` scalar gate walks
+    /// from, if there is one (buying it when an on-demand oracle's
+    /// charge reaches the price). No query accounting.
+    fn table_for(&self, walks: u64) -> Option<&TruthTable> {
         match &self.table {
             TableMode::Fixed(table) => table.as_deref(),
             TableMode::OnDemand(on_demand) => on_demand.pay(walks, &self.circuit),

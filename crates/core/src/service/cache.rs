@@ -47,7 +47,7 @@
 use std::mem::size_of;
 use std::sync::Arc;
 
-use revmatch_circuit::{Circuit, DenseTable, Gate};
+use revmatch_circuit::{Circuit, Gate, TruthTable};
 use revmatch_sat::{CdclSolver, Cnf, SatOptions, SolveStats};
 
 use crate::enumerate::{FamilyMiter, WitnessFamily};
@@ -58,7 +58,7 @@ use crate::service::job::JobKind;
 use crate::witness::MatchWitness;
 
 /// Resident cost of one cached dense table (`2^width` entries of 8 B).
-fn table_cost(table: &Arc<DenseTable>) -> usize {
+fn table_cost(table: &Arc<TruthTable>) -> usize {
     (1usize << table.width()) * size_of::<u64>()
 }
 
@@ -205,7 +205,7 @@ pub(crate) struct ShardCaches {
     /// `8·2^w` bytes, so narrow mixes keep hundreds of tables while a
     /// single width-16 job (512 KiB) still fits comfortably. Every
     /// kind shares the one byte budget.
-    tables: Lru<(JobKind, Circuit), Arc<DenseTable>>,
+    tables: Lru<(JobKind, Circuit), Arc<TruthTable>>,
     /// Decided witness-miter verdicts, evicted by key bytes.
     verdicts: Lru<VerdictKey, MiterVerdict>,
     /// Family sweeps and budget-exhausted witness miters.
@@ -217,8 +217,8 @@ pub(crate) struct ShardCaches {
 
 /// Byte budget for the per-worker dense-table cache (~16 MiB: 32
 /// width-16 tables, or thousands of narrow ones). A count-based cap
-/// would thrash on cyclic pools of small circuits — the loadgen's exact
-/// access pattern.
+/// would thrash on cyclic pools of small circuits, which is how the
+/// served-mix and cheap-tcp benchmark workloads (and `loadgen`) submit.
 const TABLE_CACHE_BYTES: usize = 16 << 20;
 /// Byte budget for the per-worker verdict memo (1 MiB: ~200 served
 /// w5–6 keys, or ~270 keys of 64-gate w8 cascades). A key larger than
@@ -263,7 +263,7 @@ impl ShardCaches {
     /// `circuit`, under the same key [`ShardCaches::oracle_for`] looks
     /// up (a no-op when an identical oracle of the same job already
     /// handed it in).
-    pub fn adopt(&mut self, kind: JobKind, circuit: &Circuit, table: &Arc<DenseTable>) {
+    pub fn adopt(&mut self, kind: JobKind, circuit: &Circuit, table: &Arc<TruthTable>) {
         if !self.tables.touch(|(k, c)| *k == kind && c == circuit) {
             self.tables
                 .insert((kind, circuit.clone()), Arc::clone(table));

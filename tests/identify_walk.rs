@@ -3,9 +3,10 @@
 //! every candidate (`signatures_compatible`, `solve_promise` or
 //! `brute_force_match`, then `check_witness`), in the
 //! `(search_space, name)` class order. The library walk decides on two
-//! truth tables built once per job; every `Identification` field and the
-//! next RNG draw must come out the same. Also: an exhaustive walk above
-//! the truth-table limit is an error, in process and through the service.
+//! truth tables read once per job — compiled, or the ones precompiled
+//! oracles already hold; every `Identification` field and the next RNG
+//! draw must come out the same. Also: an exhaustive walk above the
+//! truth-table limit is an error, in process and through the service.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,29 +100,29 @@ fn check_pair(c1: &Circuit, c2: &Circuit, options: &IdentifyOptions, seed: u64, 
     assert_same(&got, &want, &format!("{label} identify_equivalence"));
     assert_eq!(rng.gen::<u64>(), want_next, "{label}: next draw");
 
-    // The served path's oracles: on demand, owning the circuits.
-    let (o1, o2) = (Oracle::on_demand(c1.clone()), Oracle::on_demand(c2.clone()));
-    let (o1_inv, o2_inv) = (
-        Oracle::on_demand(c1.inverse()),
-        Oracle::on_demand(c2.inverse()),
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    let got = identify_equivalence_with_oracles(
-        o1.circuit(),
-        o2.circuit(),
-        &o1,
-        &o2,
-        &o1_inv,
-        &o2_inv,
-        options,
-        &mut rng,
-    );
-    assert_same(&got, &want, &format!("{label} with_oracles"));
-    assert_eq!(
-        rng.gen::<u64>(),
-        want_next,
-        "{label}: next draw (with_oracles)"
-    );
+    // The served path's oracles, owning the circuits: on demand (a cache
+    // miss, holding no table when the walk starts) and precompiled (a
+    // cache hit, whose tables the walk reads instead of compiling).
+    for (mode, make) in [
+        ("on_demand", Oracle::on_demand as fn(Circuit) -> Oracle),
+        ("precompiled", Oracle::precompiled),
+    ] {
+        let (o1, o2) = (make(c1.clone()), make(c2.clone()));
+        let (o1_inv, o2_inv) = (make(c1.inverse()), make(c2.inverse()));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let got = identify_equivalence_with_oracles(
+            o1.circuit(),
+            o2.circuit(),
+            &o1,
+            &o2,
+            &o1_inv,
+            &o2_inv,
+            options,
+            &mut rng,
+        );
+        assert_same(&got, &want, &format!("{label} {mode}"));
+        assert_eq!(rng.gen::<u64>(), want_next, "{label}: next draw ({mode})");
+    }
 }
 
 #[test]

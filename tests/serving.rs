@@ -635,3 +635,45 @@ fn dense_tables_compile_only_once_probes_pay_for_them() {
         assert_eq!(a.rounds, b.rounds, "job {i}");
     }
 }
+
+/// An I-I promise over circuits of different widths is a width error,
+/// like every other class's matcher reports: from the library, and from
+/// the service with and without inverses and SAT verification, without
+/// losing a worker.
+#[test]
+fn i_i_promise_rejects_mismatched_widths() {
+    use revmatch::{solve_promise, Oracle, ProblemOracles};
+    use revmatch_circuit::{Circuit, Gate};
+
+    let i_i = Equivalence::new(Side::I, Side::I);
+    let c1 = Circuit::from_gates(5, [Gate::cnot(0, 4)]).unwrap();
+    let c2 = Circuit::from_gates(6, [Gate::cnot(0, 5)]).unwrap();
+    let mismatch = MatchError::WidthMismatch { left: 5, right: 6 };
+
+    let (o1, o2) = (Oracle::new(c1.clone()), Oracle::new(c2.clone()));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let oracles = ProblemOracles::without_inverses(&o1, &o2);
+    assert_eq!(
+        solve_promise(i_i, &oracles, &MatcherConfig::default(), &mut rng),
+        Err(mismatch.clone())
+    );
+
+    let service = MatchService::start(ServiceConfig::default().with_shards(1));
+    for with_inverses in [false, true] {
+        for sat_verify in [false, true] {
+            let job = EngineJob {
+                equivalence: i_i,
+                c1: c1.clone(),
+                c2: c2.clone(),
+                with_inverses,
+                sat_verify,
+            };
+            let report = service.submit_wait(job).wait();
+            let label = format!("inverses={with_inverses} sat_verify={sat_verify}");
+            assert_eq!(report.witness, Err(mismatch.clone()), "{label}");
+            assert_eq!(report.miter, None, "{label}");
+        }
+    }
+    assert_eq!(service.metrics().get(Scalar::WorkersLost), 0);
+    service.shutdown();
+}
