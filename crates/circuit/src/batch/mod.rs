@@ -19,9 +19,9 @@
 //!   load. The compile picks its arm from the cascade's shape: an
 //!   in-place control-masked XOR pass per gate (no transposes) for
 //!   short cascades and small tables, a batched walk over `0..2^width`
-//!   for long cascades on small tables, and otherwise a packed sweep
-//!   whose consecutive inputs have constant transposed lanes, so only
-//!   the output transpose remains.
+//!   for long cascades on 64–511-entry tables, and otherwise a packed
+//!   sweep whose consecutive inputs have constant transposed lanes, so
+//!   only the output transpose remains.
 //!
 //! The entry points without a kernel argument ([`Circuit::apply_batch`],
 //! [`TruthTable::compile`]) run [`Kernel::Wide256`]: AVX2 where
@@ -188,15 +188,23 @@ const IN_PLACE_GATE_CUTOFF: usize = 16;
 /// of 512 packed entries).
 const PACKED_COMPILE_MIN_ENTRIES: usize = 512;
 
-/// Largest `gates × 2^width` a table under
-/// [`PACKED_COMPILE_MIN_ENTRIES`] entries compiles in place; above it
-/// the batched walk over `0..2^width`, which pays about one 512-lane
-/// block per gate at any table size, wins. Measured (2-vCPU AVX2 VM,
-/// 32 random cascades with ≤ 2 controls per cell, medians of 7
-/// batches, three runs), in-place ÷ walk time at 6144 / 8192 / 10240:
+/// Tables below this many entries (w ≤ 5) always compile in place: the
+/// batched walk pays about one 512-lane block per gate, and an in-place
+/// pass over at most 32 entries per gate costs less at any gate count.
+/// Measured ([`TruthTable::compile`], 2-vCPU AVX2 VM, 32 random
+/// cascades with ≤ 2 controls, best of 7 batches of 20 passes, two
+/// runs), walk → in-place: w4 × 1024 gates 20.3–21.3 → 11.4–11.8 µs,
+/// w5 × 320 gates 6.6–6.9 → 3.7–4.3 µs, w5 × 512 gates 10.7–11.0 →
+/// 4.5–6.8 µs.
+const IN_PLACE_MIN_WALK_ENTRIES: usize = 64;
+
+/// Largest `gates × 2^width` a table of [`IN_PLACE_MIN_WALK_ENTRIES`]
+/// to [`PACKED_COMPILE_MIN_ENTRIES`] entries (w6–8) compiles in place;
+/// above it the batched walk over `0..2^width` wins. Measured (2-vCPU
+/// AVX2 VM, 32 random cascades with ≤ 2 controls per cell, medians of
+/// 7 batches, three runs), in-place ÷ walk time at 6144 / 8192 / 10240:
 /// w6 0.73–0.99 / 0.80–1.03 / 0.89–0.92, w7 0.77–0.83 / 1.07–1.24 /
-/// 1.19–1.39, w8 0.82–0.89 / 0.62–0.96 / 1.25–1.45; w4–5 ≤ 0.67 up
-/// to 10240.
+/// 1.19–1.39, w8 0.82–0.89 / 0.62–0.96 / 1.25–1.45.
 const IN_PLACE_MAX_WORK: usize = 8192;
 
 /// Fills `table[x] = C(x)` for every `x < table.len() = 2^width`
@@ -215,7 +223,10 @@ pub(crate) fn compile_into(kernel: Kernel, gates: &[Gate], width: usize, table: 
     let avx = kernel == Kernel::Wide256;
     let _ = avx; // read only by the x86_64 arms
     let small = size < PACKED_COMPILE_MIN_ENTRIES;
-    if gates.len() <= IN_PLACE_GATE_CUTOFF || (small && gates.len() * size <= IN_PLACE_MAX_WORK) {
+    if gates.len() <= IN_PLACE_GATE_CUTOFF
+        || size < IN_PLACE_MIN_WALK_ENTRIES
+        || (small && gates.len() * size <= IN_PLACE_MAX_WORK)
+    {
         for (x, o) in table.iter_mut().enumerate() {
             *o = x as u64;
         }

@@ -75,6 +75,48 @@ impl Circuit {
         Ok(c)
     }
 
+    /// Creates a circuit from gates given as [`Gate::from_masks`]
+    /// arguments, `(control_mask, positive_mask, target)`, checking each
+    /// gate once with plain mask comparisons and collecting the gates
+    /// straight into the circuit.
+    ///
+    /// The circuit it returns equals building each gate with
+    /// [`Gate::from_masks`] and handing them to [`Circuit::from_gates`].
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::WidthTooLarge`] if `width > 64`; otherwise the
+    /// error [`Gate::from_masks`] or [`Circuit::push`] gives for the
+    /// first gate that fails.
+    pub fn from_gate_masks(
+        width: usize,
+        gates: impl IntoIterator<Item = (u64, u64, usize)>,
+    ) -> Result<Self, CircuitError> {
+        if width > crate::bits::MAX_WIDTH {
+            return Err(CircuitError::WidthTooLarge {
+                width,
+                max: crate::bits::MAX_WIDTH,
+            });
+        }
+        let lines = width_mask(width);
+        let gates = gates.into_iter();
+        let mut c = Self::new(width);
+        c.gates.reserve(gates.size_hint().0);
+        for (control_mask, positive_mask, target) in gates {
+            let Some(gate) = Gate::from_masks_on(lines, control_mask, positive_mask, target) else {
+                // A gate `from_masks` accepts fails the mask checks only
+                // by a line past the width.
+                let gate = Gate::from_masks(control_mask, positive_mask, target)?;
+                return Err(CircuitError::LineOutOfRange {
+                    line: gate.max_line(),
+                    width,
+                });
+            };
+            c.gates.push(gate);
+        }
+        Ok(c)
+    }
+
     /// Number of lines.
     #[inline]
     pub fn width(&self) -> usize {
@@ -322,6 +364,35 @@ mod tests {
     fn fig2() -> Circuit {
         // Paper Fig. 2: single Toffoli on 3 lines.
         Circuit::from_gates(3, [Gate::toffoli(0, 1, 2)]).unwrap()
+    }
+
+    #[test]
+    fn from_gate_masks_agrees_with_from_masks_and_from_gates() {
+        let masks = [0, 0b001, 0b011, 0b101, 1 << 9, 1 << 63, u64::MAX];
+        for width in [0, 1, 3, 5, 63, 64, 65] {
+            for target in [0, 2, 4, 5, 62, 63, 64, 200, usize::MAX] {
+                for control_mask in masks {
+                    for positive_mask in masks {
+                        let record = (control_mask, positive_mask, target);
+                        let got = Circuit::from_gate_masks(width, [record]);
+                        // The width is checked before any gate.
+                        let want = if width > crate::bits::MAX_WIDTH {
+                            Circuit::from_gates(width, [])
+                        } else {
+                            Gate::from_masks(control_mask, positive_mask, target)
+                                .and_then(|g| Circuit::from_gates(width, [g]))
+                        };
+                        assert_eq!(got, want, "width {width}, gate {record:?}");
+                    }
+                }
+            }
+        }
+        // The first failing gate names the error.
+        let c = Circuit::from_gate_masks(5, [(0b1, 0b1, 2), (1 << 9, 0, 2), (0b1, 0b11, 2)]);
+        assert_eq!(c, Err(CircuitError::LineOutOfRange { line: 9, width: 5 }));
+        let c = Circuit::from_gate_masks(3, [(0b1, 0b1, 2), (0b110, 0b010, 0)]);
+        let mixed = Gate::new([Control::positive(1), Control::negative(2)], 0).unwrap();
+        assert_eq!(c, Circuit::from_gates(3, [Gate::cnot(0, 2), mixed]));
     }
 
     #[test]

@@ -192,6 +192,28 @@ impl Gate {
         })
     }
 
+    /// The gate [`Gate::from_masks`] builds, if it builds one whose lines
+    /// all lie in `lines` (a [`crate::bits::width_mask`]); `None`
+    /// otherwise. Four mask comparisons, no error to build.
+    #[inline]
+    pub(crate) fn from_masks_on(
+        lines: u64,
+        control_mask: u64,
+        positive_mask: u64,
+        target: usize,
+    ) -> Option<Self> {
+        let target_bit = 1u64.checked_shl(u32::try_from(target).ok()?)?;
+        let fits = target_bit & lines != 0
+            && control_mask & !lines == 0
+            && positive_mask & !control_mask == 0
+            && control_mask & target_bit == 0;
+        fits.then_some(Self {
+            control_mask,
+            control_value: positive_mask,
+            target,
+        })
+    }
+
     /// The target line.
     #[inline]
     pub fn target(&self) -> usize {

@@ -69,8 +69,9 @@ proptest! {
     /// Every compile kernel builds the same truth table, and the table
     /// agrees with every probe kernel over its whole domain. Cascades of
     /// 1–300 gates reach every compile arm: the in-place pass (≤ 16
-    /// gates, or `gates × 2^n ≤ 8192` under 512 entries), the batched
-    /// walk (longer cascades at w5–8) and the packed sweep (w ≥ 9).
+    /// gates, w ≤ 5, or `gates × 2^n ≤ 8192` under 512 entries), the
+    /// batched walk (longer cascades at w6–8) and the packed sweep
+    /// (w ≥ 9).
     #[test]
     fn dense_tables_identical_across_kernels(
         seed in any::<u64>(),

@@ -4,7 +4,8 @@
 //! each connection gets a reader thread (decodes `Submit` frames and
 //! feeds the service) and a writer thread (streams `Report` frames back
 //! as tickets resolve, tagged with the client's correlation id, in
-//! submit order per connection). A plain HTTP `GET /metrics` on the
+//! submit order per connection, flushing only when the next report is
+//! not ready yet). A plain HTTP `GET /metrics` on the
 //! same port answers one Prometheus text scrape and closes. The reader
 //! thread itself reads a connection's first four bytes to tell the two
 //! apart, so the accept loop never waits on a client.
@@ -261,6 +262,20 @@ enum Outgoing {
     Metrics(String),
 }
 
+impl Outgoing {
+    /// Whether the frame can be written without waiting for a job.
+    fn is_ready(&self) -> bool {
+        match self {
+            Self::Pending(_, ticket) => ticket.is_done(),
+            Self::Ready(..) | Self::Metrics(_) => true,
+        }
+    }
+}
+
+/// The reader's buffer: under a deep pipeline one `read` takes in many
+/// submits (a w5–6 submit is about 3.4 KB).
+const READ_BUFFER_BYTES: usize = 64 << 10;
+
 /// Serves one accepted connection on its own thread. The first bytes
 /// pick the protocol: exactly `GET ` is an HTTP scrape, anything else a
 /// binary wire session. A wire frame would need a little-endian length
@@ -302,7 +317,8 @@ fn handle_wire_session(stream: &TcpStream, prefix: &[u8], service: &MatchService
     let (tx, rx) = mpsc::channel::<Outgoing>();
     let writer = thread::spawn(move || {
         let mut out = BufWriter::new(write_half);
-        for item in rx {
+        let mut next = rx.recv().ok();
+        while let Some(item) = next {
             let frame = match item {
                 Outgoing::Pending(client_id, ticket) => ServerFrame::Report {
                     client_id,
@@ -314,21 +330,28 @@ fn handle_wire_session(stream: &TcpStream, prefix: &[u8], service: &MatchService
                 },
                 Outgoing::Metrics(text) => ServerFrame::MetricsText(text),
             };
-            if write_server_frame(&mut out, &frame)
-                .and_then(|()| out.flush())
-                .is_err()
-            {
-                // The client went away; keep draining tickets so their
-                // jobs still count as completed, but stop writing.
+            if write_server_frame(&mut out, &frame).is_err() {
                 break;
             }
+            // Flush only when the next frame would have to wait (or
+            // there is none yet), so a burst of finished reports leaves
+            // in one send. Every exit but a failed write passes here.
+            next = rx.try_recv().ok();
+            if !next.as_ref().is_some_and(Outgoing::is_ready) {
+                if out.flush().is_err() {
+                    break;
+                }
+                next = next.or_else(|| rx.recv().ok());
+            }
         }
-        // Resolve any tickets still queued (client gone or write error):
-        // every accepted job must finish before drain() can return.
-        let _ = out.flush();
+        // A failed write means the client went away. The tickets still
+        // queued are dropped unread, which cancels nothing: each accepted
+        // job still runs, counts as completed and holds up `drain()`
+        // until it does; only its report is discarded. Dropping `rx`
+        // makes the reader's next send fail, which ends the session.
     });
 
-    let mut input = BufReader::new(prefix.chain(stream));
+    let mut input = BufReader::with_capacity(READ_BUFFER_BYTES, prefix.chain(stream));
     loop {
         match read_client_frame(&mut input) {
             Ok(Some(ClientFrame::Submit {

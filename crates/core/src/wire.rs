@@ -177,13 +177,19 @@ fn put_equivalence(out: &mut Vec<u8>, e: Equivalence) {
     put_side(out, e.y);
 }
 
+/// Bytes of one gate record: control mask, positive mask, target.
+const GATE_BYTES: usize = 17;
+
 fn put_circuit(out: &mut Vec<u8>, c: &Circuit) {
+    out.reserve(5 + GATE_BYTES * c.len());
     put_u8(out, c.width() as u8);
-    put_u32(out, c.gates().len() as u32);
+    put_u32(out, c.len() as u32);
     for gate in c.gates() {
-        put_u64(out, gate.control_mask());
-        put_u64(out, gate.positive_mask());
-        put_u8(out, gate.target() as u8);
+        let mut record = [0u8; GATE_BYTES];
+        record[..8].copy_from_slice(&gate.control_mask().to_le_bytes());
+        record[8..16].copy_from_slice(&gate.positive_mask().to_le_bytes());
+        record[16] = gate.target() as u8;
+        out.extend_from_slice(&record);
     }
 }
 
@@ -482,14 +488,14 @@ impl<'a> Buf<'a> {
         Self { data, pos: 0 }
     }
 
+    /// The next `n` bytes, if the frame holds them, left unread.
+    fn peek(&self, n: usize) -> Option<&'a [u8]> {
+        self.data.get(self.pos..self.pos.checked_add(n)?)
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.data.len())
-            .ok_or_else(|| malformed("truncated frame"))?;
-        let slice = &self.data[self.pos..end];
-        self.pos = end;
+        let slice = self.peek(n).ok_or_else(|| malformed("truncated frame"))?;
+        self.pos += n;
         Ok(slice)
     }
 
@@ -545,10 +551,41 @@ fn get_equivalence(buf: &mut Buf<'_>) -> Result<Equivalence, WireError> {
     Ok(Equivalence::new(get_side(buf)?, get_side(buf)?))
 }
 
+/// Reads one circuit off a frame body.
+type CircuitReader = fn(&mut Buf<'_>) -> Result<Circuit, WireError>;
+
+/// Reads one circuit in one pass: the `count` gate records are
+/// bounds-checked as one slice and built by
+/// [`Circuit::from_gate_masks`], which checks each gate once. A circuit
+/// that pass rejects, or whose records run past the frame, is read again
+/// by [`get_circuit_per_gate`], whose order of checks fixes the error a
+/// malformed frame reports.
 fn get_circuit(buf: &mut Buf<'_>) -> Result<Circuit, WireError> {
     let width = buf.u8()? as usize;
     let count = buf.u32()? as usize;
-    let mut gates = Vec::with_capacity(count.min(1 << 16));
+    if let Some(records) = count.checked_mul(GATE_BYTES).and_then(|n| buf.peek(n)) {
+        let gates = records.as_chunks::<GATE_BYTES>().0.iter().map(|r| {
+            let mask = |at: usize| u64::from_le_bytes(r[at..at + 8].try_into().expect("8 bytes"));
+            (mask(0), mask(8), usize::from(r[16]))
+        });
+        if let Ok(circuit) = Circuit::from_gate_masks(width, gates) {
+            buf.pos += records.len();
+            return Ok(circuit);
+        }
+    }
+    get_circuit_per_gate(buf, width, count)
+}
+
+/// Reads `count` gates one record at a time, then builds the circuit. A
+/// malformed circuit fails at the first fault in this order: a gate's
+/// own error or the frame's end, record by record, then the width
+/// checks.
+fn get_circuit_per_gate(
+    buf: &mut Buf<'_>,
+    width: usize,
+    count: usize,
+) -> Result<Circuit, WireError> {
+    let mut gates = Vec::new();
     for _ in 0..count {
         let control_mask = buf.u64()?;
         let positive_mask = buf.u64()?;
@@ -699,24 +736,24 @@ fn get_family(buf: &mut Buf<'_>) -> Result<WitnessFamily, WireError> {
     }
 }
 
-fn get_job(buf: &mut Buf<'_>) -> Result<JobSpec, WireError> {
+fn get_job(buf: &mut Buf<'_>, circuit: CircuitReader) -> Result<JobSpec, WireError> {
     Ok(match buf.u8()? {
         0 => JobSpec::Promise(EngineJob {
             equivalence: get_equivalence(buf)?,
-            c1: get_circuit(buf)?,
-            c2: get_circuit(buf)?,
+            c1: circuit(buf)?,
+            c2: circuit(buf)?,
             with_inverses: buf.bool()?,
             sat_verify: buf.bool()?,
         }),
         1 => JobSpec::Identify(IdentifyJob {
-            c1: get_circuit(buf)?,
-            c2: get_circuit(buf)?,
+            c1: circuit(buf)?,
+            c2: circuit(buf)?,
             allow_brute_force: buf.bool()?,
         }),
         2 => JobSpec::QuantumPath(QuantumPathJob {
             equivalence: get_equivalence(buf)?,
-            c1: get_circuit(buf)?,
-            c2: get_circuit(buf)?,
+            c1: circuit(buf)?,
+            c2: circuit(buf)?,
             algorithm: match buf.u8()? {
                 0 => QuantumAlgorithm::SwapTest,
                 1 => QuantumAlgorithm::Simon,
@@ -724,8 +761,8 @@ fn get_job(buf: &mut Buf<'_>) -> Result<JobSpec, WireError> {
             },
         }),
         3 => JobSpec::SatEquivalence(SatEquivalenceJob {
-            c1: get_circuit(buf)?,
-            c2: get_circuit(buf)?,
+            c1: circuit(buf)?,
+            c2: circuit(buf)?,
             witness: if buf.bool()? {
                 Some(get_witness(buf)?)
             } else {
@@ -733,8 +770,8 @@ fn get_job(buf: &mut Buf<'_>) -> Result<JobSpec, WireError> {
             },
         }),
         4 => JobSpec::Enumerate(EnumerateJob {
-            c1: get_circuit(buf)?,
-            c2: get_circuit(buf)?,
+            c1: circuit(buf)?,
+            c2: circuit(buf)?,
             family: get_family(buf)?,
         }),
         b => return Err(malformed(format!("bad job tag {b:#x}"))),
@@ -870,12 +907,18 @@ pub fn read_client_frame<R: Read>(r: &mut R) -> Result<Option<ClientFrame>, Wire
     let Some(payload) = read_frame(r)? else {
         return Ok(None);
     };
-    let mut buf = Buf::new(&payload);
+    decode_client_frame(&payload, get_circuit).map(Some)
+}
+
+/// Decodes one client frame's payload, reading its circuits with
+/// `circuit`.
+fn decode_client_frame(payload: &[u8], circuit: CircuitReader) -> Result<ClientFrame, WireError> {
+    let mut buf = Buf::new(payload);
     let frame = match buf.u8()? {
         OP_SUBMIT => {
             let client_id = buf.u64()?;
             let seed = if buf.bool()? { Some(buf.u64()?) } else { None };
-            let job = get_job(&mut buf)?;
+            let job = get_job(&mut buf, circuit)?;
             ClientFrame::Submit {
                 client_id,
                 seed,
@@ -886,7 +929,7 @@ pub fn read_client_frame<R: Read>(r: &mut R) -> Result<Option<ClientFrame>, Wire
         op => return Err(malformed(format!("unknown client opcode {op:#x}"))),
     };
     buf.finish()?;
-    Ok(Some(frame))
+    Ok(frame)
 }
 
 /// Serializes one server frame onto `w`.
@@ -927,7 +970,7 @@ pub fn read_server_frame<R: Read>(r: &mut R) -> Result<Option<ServerFrame>, Wire
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample_circuits(width: usize) -> (Circuit, Circuit) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -1102,6 +1145,284 @@ mod tests {
         match read_server_frame(&mut cursor).unwrap().unwrap() {
             ServerFrame::MetricsText(got) => assert_eq!(got, text),
             other => panic!("expected metrics text, got {other:?}"),
+        }
+    }
+
+    /// A gate as the wire carries it: `(control_mask, positive_mask,
+    /// target)`.
+    type RawGate = (u64, u64, u8);
+
+    /// A good gate on any width ≥ 3: `CNOT(0, 2)`.
+    const GOOD: RawGate = (0b001, 0b001, 2);
+
+    /// The payload of an identify submit whose `c1` declares `width` and
+    /// `count` and carries `gates` as raw records. With `count` records
+    /// the frame goes on with an empty 5-line `c2` and the brute-force
+    /// flag; with fewer, it ends right after them.
+    fn raw_submit(width: u8, count: u32, gates: &[RawGate]) -> Vec<u8> {
+        let mut payload = vec![OP_SUBMIT];
+        put_u64(&mut payload, 9); // client id
+        put_bool(&mut payload, false); // no seed
+        put_u8(&mut payload, 1); // identify
+        put_u8(&mut payload, width);
+        put_u32(&mut payload, count);
+        for &(control_mask, positive_mask, target) in gates {
+            put_u64(&mut payload, control_mask);
+            put_u64(&mut payload, positive_mask);
+            put_u8(&mut payload, target);
+        }
+        if gates.len() == count as usize {
+            put_circuit(&mut payload, &Circuit::new(5));
+            put_bool(&mut payload, true);
+        }
+        payload
+    }
+
+    /// The error `read_client_frame` reports for one framed payload.
+    fn decode_error(payload: &[u8]) -> String {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, payload).unwrap();
+        match read_client_frame(&mut bytes.as_slice()) {
+            Err(e) => e.to_string(),
+            Ok(frame) => panic!("decoded {frame:?}"),
+        }
+    }
+
+    #[test]
+    fn malformed_gates_keep_their_exact_errors() {
+        // Gate-level faults surface as the cascade is read, before the
+        // width checks; the width checks run only once every gate and
+        // the cascade's bytes are in.
+        let bad_mask = (0b001, 0b011, 2);
+        let bad_mask_text =
+            "malformed frame: bad gate: invalid bit pattern \"0x3\": positive mask not a subset of control mask";
+        let truncated = "malformed frame: truncated frame";
+        let cases: [(&str, Vec<u8>, &str); 12] = [
+            (
+                "positive mask outside the control mask",
+                raw_submit(5, 1, &[bad_mask]),
+                bad_mask_text,
+            ),
+            (
+                "target >= 64",
+                raw_submit(5, 1, &[(0, 0, 64)]),
+                "malformed frame: bad gate: line 64 out of range for width 64",
+            ),
+            (
+                "target >= width",
+                raw_submit(5, 1, &[(0b1, 0b1, 7)]),
+                "malformed frame: bad circuit: line 7 out of range for width 5",
+            ),
+            (
+                "a control >= width",
+                raw_submit(5, 1, &[(1 << 9, 0, 2)]),
+                "malformed frame: bad circuit: line 9 out of range for width 5",
+            ),
+            (
+                "target among the controls",
+                raw_submit(5, 1, &[(0b101, 0b001, 2)]),
+                "malformed frame: bad gate: target line 2 also used as control",
+            ),
+            (
+                "width > 64",
+                raw_submit(65, 1, &[GOOD]),
+                "malformed frame: bad circuit: width 65 exceeds supported maximum 64",
+            ),
+            (
+                "gate count past the body",
+                raw_submit(5, 3, &[GOOD, GOOD]),
+                truncated,
+            ),
+            (
+                "a bad gate followed by truncation",
+                raw_submit(5, 3, &[GOOD, bad_mask]),
+                bad_mask_text,
+            ),
+            (
+                "an out-of-width gate before a bad gate",
+                raw_submit(5, 2, &[(1 << 9, 0, 2), bad_mask]),
+                bad_mask_text,
+            ),
+            (
+                "an out-of-width gate followed by truncation",
+                raw_submit(5, 2, &[(1 << 9, 0, 2)]),
+                truncated,
+            ),
+            (
+                "width > 64 with a bad gate",
+                raw_submit(65, 1, &[bad_mask]),
+                bad_mask_text,
+            ),
+            (
+                "the first of two out-of-width gates",
+                raw_submit(5, 2, &[(0, 0, 6), (1 << 9, 0, 2)]),
+                "malformed frame: bad circuit: line 6 out of range for width 5",
+            ),
+        ];
+        for (shape, payload, want) in cases {
+            assert_eq!(decode_error(&payload), want, "{shape}");
+        }
+        // The helper's complete frames decode.
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &raw_submit(5, 2, &[GOOD, GOOD])).unwrap();
+        assert!(read_client_frame(&mut bytes.as_slice()).is_ok());
+    }
+
+    /// The per-gate circuit decode the one-pass path must agree with:
+    /// each gate built and checked as it is read, then the circuit.
+    fn reference_circuit(buf: &mut Buf<'_>) -> Result<Circuit, WireError> {
+        let width = buf.u8()? as usize;
+        let count = buf.u32()? as usize;
+        let mut gates = Vec::new();
+        for _ in 0..count {
+            let control_mask = buf.u64()?;
+            let positive_mask = buf.u64()?;
+            let target = buf.u8()? as usize;
+            gates.push(
+                Gate::from_masks(control_mask, positive_mask, target)
+                    .map_err(|e| malformed(format!("bad gate: {e}")))?,
+            );
+        }
+        Circuit::from_gates(width, gates).map_err(|e| malformed(format!("bad circuit: {e}")))
+    }
+
+    /// A decode as a comparable value: the frame re-encoded (the codec
+    /// is lossless, so equal bytes mean an equal job), or the error text.
+    fn outcome(decoded: Result<Option<ClientFrame>, WireError>) -> Result<Vec<u8>, String> {
+        let frame = decoded.map_err(|e| e.to_string())?;
+        let mut bytes = Vec::new();
+        if let Some(frame) = frame {
+            write_client_frame(&mut bytes, &frame).unwrap();
+        }
+        Ok(bytes)
+    }
+
+    fn assert_decoders_agree(bytes: &[u8], what: &str) {
+        let fast = outcome(read_client_frame(&mut &bytes[..]));
+        let reference = outcome(read_frame(&mut &bytes[..]).and_then(|payload| {
+            payload
+                .map(|p| decode_client_frame(&p, reference_circuit))
+                .transpose()
+        }));
+        let summary = |o: &Result<Vec<u8>, String>| match o {
+            Ok(frame) => format!("a {}-byte frame", frame.len()),
+            Err(e) => e.clone(),
+        };
+        assert!(
+            fast == reference,
+            "{what}: one-pass decode gave {}, per-gate decode {}",
+            summary(&fast),
+            summary(&reference)
+        );
+    }
+
+    /// A submit frame shaped like the serving benchmark's cheap-tcp
+    /// traffic (prefix included), with each circuit's offset and gate
+    /// count.
+    struct CheapSubmit {
+        bytes: Vec<u8>,
+        circuits: [(usize, usize); 2],
+    }
+
+    /// A promise (with inverses), identify (no brute force) or Simon job
+    /// on a seeded w5–6 pair.
+    fn cheap_submit(seed: u64) -> CheapSubmit {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let width = rng.gen_range(5..=6usize);
+        let served = [
+            Equivalence::new(Side::Np, Side::I),
+            Equivalence::new(Side::I, Side::P),
+            Equivalence::new(Side::P, Side::N),
+        ];
+        let e = served[rng.gen_range(0..served.len())];
+        let kind = rng.gen_range(0..3u8);
+        let ni = Equivalence::new(Side::N, Side::I);
+        let inst = crate::promise::random_instance(if kind == 2 { ni } else { e }, width, &mut rng);
+        // Length prefix, opcode, client id, seed flag and seed, job tag,
+        // and the equivalence for all but identify.
+        let c1_at = 4 + 1 + 8 + 1 + 8 + 1 + if kind == 1 { 0 } else { 2 };
+        let c2_at = c1_at + 5 + GATE_BYTES * inst.c1.len();
+        let circuits = [(c1_at, inst.c1.len()), (c2_at, inst.c2.len())];
+        let job = match kind {
+            0 => JobSpec::Promise(EngineJob::from_instance(&inst, true)),
+            1 => JobSpec::Identify(IdentifyJob::new(inst.c1, inst.c2).without_brute_force()),
+            _ => JobSpec::QuantumPath(QuantumPathJob {
+                equivalence: ni,
+                c1: inst.c1,
+                c2: inst.c2,
+                algorithm: QuantumAlgorithm::Simon,
+            }),
+        };
+        let mut bytes = Vec::new();
+        let frame = ClientFrame::Submit {
+            client_id: seed,
+            seed: Some(seed),
+            job,
+        };
+        write_client_frame(&mut bytes, &frame).unwrap();
+        CheapSubmit { bytes, circuits }
+    }
+
+    /// Rewrites a frame's length prefix to the payload it now has.
+    fn reframe(bytes: &mut [u8]) {
+        let len = (bytes.len() - 4) as u32;
+        bytes[..4].copy_from_slice(&len.to_le_bytes());
+    }
+
+    proptest::proptest! {
+        /// Mutated cheap-tcp submits decode to the same job, or fail
+        /// with the same error text, through the one-pass circuit decode
+        /// as through the per-gate reference.
+        #[test]
+        fn one_pass_decode_matches_the_per_gate_reference(
+            seed in proptest::prelude::any::<u64>(),
+            mutation in 0u8..3,
+            detail in proptest::prelude::any::<u64>(),
+        ) {
+            let sample = cheap_submit(seed);
+            assert_decoders_agree(&sample.bytes, "unmutated");
+            for (c, &(at, gates)) in sample.circuits.iter().enumerate() {
+                for kept in 0..=gates {
+                    let mut cut = sample.bytes[..at + 5 + GATE_BYTES * kept].to_vec();
+                    reframe(&mut cut);
+                    assert_decoders_agree(&cut, &format!("c{} cut after {kept} gates", c + 1));
+                }
+            }
+            let mut rng = rand::rngs::StdRng::seed_from_u64(detail);
+            let mut bytes = sample.bytes.clone();
+            let (at, gates) = sample.circuits[rng.gen_range(0..2usize)];
+            match mutation {
+                // Byte flips anywhere past the length prefix.
+                0 => {
+                    for _ in 0..rng.gen_range(1..=4u8) {
+                        let i = rng.gen_range(4..bytes.len());
+                        bytes[i] ^= rng.gen_range(1..=255u8);
+                    }
+                }
+                // A gate count off by a little, zero, random or u32::MAX.
+                1 => {
+                    let gates = gates as u32;
+                    let count = match rng.gen_range(0..4u8) {
+                        0 => gates + rng.gen_range(1..=3u32),
+                        1 => gates.saturating_sub(rng.gen_range(1..=3u32)),
+                        2 => rng.gen(),
+                        _ => u32::MAX,
+                    };
+                    bytes[at + 1..at + 5].copy_from_slice(&count.to_le_bytes());
+                }
+                // One gate field: a mask bit, or the target byte.
+                _ => {
+                    let record = at + 5 + GATE_BYTES * rng.gen_range(0..gates);
+                    let bit = rng.gen_range(0..64u32);
+                    match rng.gen_range(0..3u8) {
+                        0 => bytes[record + (bit / 8) as usize] ^= 1 << (bit % 8),
+                        1 => bytes[record + 8 + (bit / 8) as usize] ^= 1 << (bit % 8),
+                        _ if rng.gen_bool(0.5) => bytes[record + 16] = rng.gen_range(0..=8),
+                        _ => bytes[record + 16] = rng.gen(),
+                    }
+                }
+            }
+            assert_decoders_agree(&bytes, &format!("mutation {mutation}, detail {detail}"));
         }
     }
 

@@ -33,11 +33,16 @@ impl Drop for ServerGuard {
 /// Spawns `revmatch-server` on an ephemeral port and returns the guard
 /// plus the address scraped from its "listening on ADDR" line.
 fn spawn_server(extra_args: &[&str]) -> (ServerGuard, String) {
+    spawn_server_logging_to(extra_args, Stdio::null())
+}
+
+/// [`spawn_server`] with the server's stderr sent to `stderr`.
+fn spawn_server_logging_to(extra_args: &[&str], stderr: Stdio) -> (ServerGuard, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_revmatch-server"))
         .args(["--addr", "127.0.0.1:0", "--shards", "2"])
         .args(extra_args)
         .stdout(Stdio::piped())
-        .stderr(Stdio::null())
+        .stderr(stderr)
         .spawn()
         .expect("spawn revmatch-server");
     let stdout = child.stdout.take().expect("piped stdout");
@@ -431,6 +436,116 @@ fn sigterm_drains_accepted_jobs_before_exit() {
     assert_eq!(received, jobs.len(), "every accepted job reported");
     let exit = guard.0.wait().expect("server exit");
     assert!(exit.success(), "graceful drain exits 0, got {exit:?}");
+}
+
+/// A malformed submit ends only its own session. The good submits
+/// pipelined ahead of it on the same connection are all answered, in
+/// submit order, before EOF; the server logs the protocol error; another
+/// connection is served as usual; and the drain counts only the good
+/// jobs.
+#[test]
+fn malformed_submit_ends_only_its_own_session() {
+    // Promise, identify and Simon jobs, each at two seeds.
+    let kinds = &seeded_jobs()[..3];
+    let jobs: Vec<(JobSpec, u64)> = (0..6)
+        .map(|i| (kinds[i % 3].0.clone(), job_seed(0xC, i as u64)))
+        .collect();
+    let extra = (kinds[1].0.clone(), job_seed(0xC, 99));
+    let service = MatchService::start(ServiceConfig::default().with_shards(2));
+    let local: Vec<JobReport> = jobs
+        .iter()
+        .chain([&extra])
+        .map(|(job, seed)| service.submit_wait_seeded(job.clone(), *seed).wait())
+        .collect();
+    service.shutdown();
+
+    let submit = |i: usize| {
+        let mut bytes = Vec::new();
+        let frame = ClientFrame::Submit {
+            client_id: i as u64,
+            seed: Some(jobs[i].1),
+            job: jobs[i].0.clone(),
+        };
+        write_client_frame(&mut bytes, &frame).expect("encode submit");
+        bytes
+    };
+    let first = submit(0);
+    let mut bytes: Vec<u8> = (1..jobs.len()).flat_map(submit).collect();
+    // Then an identify submit whose first gate gets a positive control on
+    // its own target line, outside its control mask. Its first gate sits
+    // past the length prefix, opcode, client id, seed flag and seed, job
+    // tag, and c1's width and gate count.
+    let bad = ClientFrame::Submit {
+        client_id: jobs.len() as u64,
+        seed: Some(1),
+        job: kinds[1].0.clone(),
+    };
+    let gate = bytes.len() + 4 + 1 + 8 + 1 + 8 + 1 + 1 + 4;
+    write_client_frame(&mut bytes, &bad).expect("encode submit");
+    let control_mask = u64::from_le_bytes(bytes[gate..gate + 8].try_into().expect("8 bytes"));
+    let target = bytes[gate + 16];
+    assert_eq!(control_mask >> target & 1, 0, "a good gate");
+    let positive_mask = control_mask | 1 << target;
+    bytes[gate + 8..gate + 16].copy_from_slice(&positive_mask.to_le_bytes());
+
+    let (mut guard, addr) = spawn_server_logging_to(&[], Stdio::piped());
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    use std::io::{Read as _, Write as _};
+    let mut input = BufReader::new(&stream);
+    // One round trip first: a lone report leaves while the session is
+    // open, with nothing queued behind it.
+    (&stream).write_all(&first).expect("send the first submit");
+    let mut answered = Vec::new();
+    match read_server_frame(&mut input).expect("read the first report") {
+        Some(ServerFrame::Report {
+            client_id: 0,
+            report,
+        }) => {
+            assert_reports_equal(&report, &local[0], "job 0");
+            answered.push(0);
+        }
+        other => panic!("expected job 0's report, got {other:?}"),
+    }
+    (&stream).write_all(&bytes).expect("send submits");
+    while let Some(frame) = read_server_frame(&mut input).expect("read frame") {
+        match frame {
+            ServerFrame::Report { client_id, report } => {
+                let i = client_id as usize;
+                assert_reports_equal(&report, &local[i], &format!("job {i}"));
+                answered.push(i);
+            }
+            ServerFrame::MetricsText(_) => panic!("unrequested metrics frame"),
+        }
+    }
+    assert_eq!(answered, (0..jobs.len()).collect::<Vec<_>>());
+
+    let wire = submit_over_wire(&addr, std::slice::from_ref(&extra));
+    assert_reports_equal(&wire[0], &local[jobs.len()], "job on a second connection");
+
+    let exit = terminate(&mut guard);
+    assert!(exit.success(), "graceful drain exits 0, got {exit:?}");
+    let mut log = String::new();
+    guard
+        .0
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut log)
+        .expect("read server log");
+    assert!(
+        log.contains("protocol error: malformed frame: bad gate"),
+        "{log}"
+    );
+    let good = jobs.len() + 1;
+    assert!(
+        log.contains(&format!(
+            "drained ({good} submitted, {good} completed, 0 shed)"
+        )),
+        "{log}"
+    );
 }
 
 /// The in-process `submit` outcome enum stays exhaustive in tests that
