@@ -20,7 +20,7 @@ use revmatch::{
     job_seed, match_n_i_simon_with, random_wide_instance, Equivalence, JobSpec, JobTicket,
     MatchService, Oracle, PromiseInstance, QuantumAlgorithm, QuantumPathJob, ServiceConfig, Side,
 };
-use revmatch_quantum::{QuantumBackend, MAX_QUBITS};
+use revmatch_quantum::{QuantumBackend, MAX_QUBITS, STABILIZER_MAX_QUBITS};
 
 /// Planted N-I pair as a bounded MCT cascade: oracle evaluation cost is
 /// gate-count-linear, so the same generator serves every width.
@@ -40,7 +40,7 @@ fn simon_cap(backend: QuantumBackend) -> usize {
     match backend {
         QuantumBackend::Dense => (MAX_QUBITS - 1) / 2,
         QuantumBackend::Sparse => revmatch_quantum::SPARSE_MAX_ENTRIES.ilog2() as usize - 1,
-        QuantumBackend::Stabilizer => 31,
+        QuantumBackend::Stabilizer => STABILIZER_MAX_QUBITS - 1,
     }
 }
 
@@ -135,7 +135,7 @@ fn simon_matrix_summary() {
                 continue;
             }
             let secs = time_simon(&inst, backend);
-            cells.push(format!("{:9.3} ms", secs * 1e3));
+            cells.push(format!("{:9.1} µs", secs * 1e6));
         }
         println!("w={width:2}  | {} | {} | {}", cells[0], cells[1], cells[2]);
         if width == 20 {

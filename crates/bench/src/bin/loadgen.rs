@@ -169,7 +169,7 @@ fn job_for_kind(
                 Some(QuantumBackend::Sparse) => {
                     revmatch_quantum::SPARSE_MAX_ENTRIES.ilog2() as usize - 1
                 }
-                // Auto resolves Simon to the stabilizer tableau; 31 keeps
+                // Auto resolves Simon to the stabilizer backend; 31 keeps
                 // the sampled x₀ comfortably inside a u64 word.
                 None | Some(QuantumBackend::Stabilizer) => 31,
             };

@@ -103,8 +103,9 @@ impl MatcherConfig {
     }
 
     /// The resolved substrate for the Simon hidden-shift sampler: the
-    /// config's pin, else Stabilizer (the round is pure Clifford, so the
-    /// tableau wins at every width).
+    /// config's pin, else Stabilizer (the round is pure Clifford, so its
+    /// outcome is sampled in closed form, `O(n)` per round at every
+    /// width).
     pub fn simon_backend(&self) -> QuantumBackend {
         self.quantum_backend.unwrap_or(QuantumBackend::Stabilizer)
     }

@@ -31,7 +31,7 @@
 use rand::Rng;
 use revmatch_circuit::{width_mask, NegationMask};
 use revmatch_quantum::{
-    QuantumBackend, SparseStateVector, StateVector, Tableau, MAX_QUBITS, SPARSE_MAX_QUBITS,
+    QuantumBackend, SparseStateVector, StateVector, MAX_QUBITS, SPARSE_MAX_QUBITS,
     STABILIZER_MAX_QUBITS,
 };
 
@@ -157,12 +157,15 @@ pub fn match_n_i_simon(
 ///   Clifford normal form: the oracle queries are evaluated classically
 ///   (one to each box per round, identical accounting) to obtain the
 ///   collapsed coset pair `(x₀, x₁ = C2⁻¹(C1(x₀)))`, and the residual
-///   state `(|0,x₀⟩ + |1,x₁⟩)/√2` is prepared and Fourier-sampled on an
-///   `(n+1)`-qubit tableau in `O(n²)` bit-packed row updates — `n ≤ 62`.
-///   This uses white-box access to `C2` for the inverse (the same
-///   license [`Oracle::inverse_oracle`] already grants: reversible
-///   white boxes are invertible), and the measured `(c, y)` obeys
-///   exactly the dense path's `y·ν ≡ c (mod 2)` distribution.
+///   state `(|0,x₀⟩ + |1,x₁⟩)/√2` is Fourier-sampled in closed form:
+///   `n + 1` coin flips and one parity per round, `n ≤ 62`. The
+///   sampler draws exactly what an `(n+1)`-qubit stabilizer tableau
+///   ([`revmatch_quantum::Tableau`], the reference the tests diff it
+///   against) would. This uses white-box access to `C2` for the inverse
+///   (the same license [`Oracle::inverse_oracle`] already grants:
+///   reversible white boxes are invertible), and under the promise the
+///   measured `(c, y)` obeys exactly the dense path's `y·ν ≡ c (mod 2)`
+///   distribution.
 ///
 /// # Errors
 ///
@@ -186,12 +189,6 @@ pub fn match_n_i_simon_with(
         return Ok(simon_report(NegationMask::identity(0), 0));
     }
     check_simon_capacity(n, backend)?;
-    // White-box instance setup for the stabilizer reduction (no queries
-    // charged — mirrors dense-table precompilation).
-    let c2_inverse = match backend {
-        QuantumBackend::Stabilizer => Some(c2.circuit().inverse()),
-        _ => None,
-    };
 
     let mut system = Gf2System::default();
     let mut rounds = 0usize;
@@ -206,9 +203,7 @@ pub fn match_n_i_simon_with(
         let word = match backend {
             QuantumBackend::Dense => simon_round_dense(c1, c2, n, rng)?,
             QuantumBackend::Sparse => simon_round_sparse(c1, c2, n, rng)?,
-            QuantumBackend::Stabilizer => {
-                simon_round_stabilizer(c1, c2, c2_inverse.as_ref().expect("set above"), n, rng)?
-            }
+            QuantumBackend::Stabilizer => simon_round_stabilizer(c1, c2, n, rng),
         };
         let c = word & 1 == 1;
         let y = word >> 1;
@@ -308,40 +303,53 @@ fn simon_round_sparse(
 
 /// One stabilizer round: the output-register measurement is commuted to
 /// the front (drawing `x₀` classically), which collapses the round to
-/// preparing the coset state `(|0,x₀⟩ + |1,x₁⟩)/√2` — pure X/H/CNOT —
-/// and Fourier-sampling it on an `(n+1)`-qubit tableau. Charges one
-/// query to each box per round, matching the dense path's accounting.
-fn simon_round_stabilizer(
-    c1: &Oracle,
-    c2: &Oracle,
-    c2_inverse: &revmatch_circuit::Circuit,
-    n: usize,
-    rng: &mut impl Rng,
-) -> Result<u64, MatchError> {
+/// Fourier-sampling the coset state `(|0,x₀⟩ + |1,x₁⟩)/√2` with
+/// `x₁ = C2⁻¹(C1(x₀))`, done in closed form by [`fourier_sample_coset`].
+/// Charges one query to each box per round, matching the dense path's
+/// accounting, and allocates nothing of its own.
+///
+/// `C2⁻¹` is read white-box by walking `C2`'s gates backwards (every MCT
+/// gate is its own inverse). Under the promise `x₀ ⊕ x₁ = ν` in every
+/// round, so the samples follow the quantum algorithm's distribution.
+/// Under a false promise `x₀ ⊕ x₁` is no one fixed shift: each round
+/// samples a constraint on its own `x₀ ⊕ x₁`, which a quantum run would
+/// not produce, and any mask the rounds solve to is not a witness. The
+/// matcher does not check it; only a white-box check of the returned
+/// witness makes that difference harmless.
+fn simon_round_stabilizer(c1: &Oracle, c2: &Oracle, n: usize, rng: &mut impl Rng) -> u64 {
     let x0 = rng.gen::<u64>() & width_mask(n);
     let y0 = c1.query(x0);
-    let x1 = c2_inverse.apply(y0);
+    let c2_gates = c2.circuit().gates();
+    let x1 = c2_gates.iter().rev().fold(y0, |v, g| g.apply(v));
     c2.charge_queries(1);
-    let diff = x0 ^ x1;
-    // Layout: b at qubit 0, x at 1..=n (same convention, no out register).
-    let mut t = Tableau::new(n + 1);
-    for i in 0..n {
-        if (x0 >> i) & 1 == 1 {
-            t.x(1 + i)?;
-        }
+    fourier_sample_coset(x0 ^ x1, n, rng)
+}
+
+/// Measures `H^{⊗(n+1)}` applied to the coset state
+/// `(|0,x₀⟩ + |1,x₁⟩)/√2` in the computational basis, qubit by qubit
+/// from `b` (qubit 0) up to `x`'s top line (qubit `n`), given
+/// `diff = x₀ ⊕ x₁`. Bit `i` of the result is qubit `i`.
+///
+/// The outcome `(c, y)` is uniform over `c ⊕ y·diff = 0` (Simon's
+/// constraint): with `v = 1 | (diff << 1)`, every word of even
+/// `v`-parity. Measured in order, each qubit is a fair coin except
+/// `p`, `v`'s highest set bit, which the qubits below it determine.
+/// This draws `rng.gen_bool(0.5)` exactly where a stabilizer tableau's
+/// measurement does, so it returns the tableau's word and leaves `rng`
+/// in the tableau's state (the tests diff the two).
+fn fourier_sample_coset(diff: u64, n: usize, rng: &mut impl Rng) -> u64 {
+    let v = 1 | (diff << 1);
+    let p = v.ilog2() as usize;
+    let mut word = 0u64;
+    for q in 0..=n {
+        let one = if q == p {
+            (word & v).count_ones() & 1 == 1
+        } else {
+            rng.gen_bool(0.5)
+        };
+        word |= u64::from(one) << q;
     }
-    t.h(0)?;
-    for i in 0..n {
-        if (diff >> i) & 1 == 1 {
-            t.cnot(0, 1 + i)?;
-        }
-    }
-    // Fourier-sample (b, x).
-    t.h(0)?;
-    for i in 0..n {
-        t.h(1 + i)?;
-    }
-    Ok(t.measure_range(0, n + 1, rng)?)
+    word
 }
 
 #[cfg(test)]
@@ -350,6 +358,58 @@ mod tests {
     use crate::equivalence::{Equivalence, Side};
     use crate::promise::random_instance;
     use rand::SeedableRng;
+    use revmatch_quantum::Tableau;
+
+    /// The reference [`fourier_sample_coset`] replaced: prepares the
+    /// coset state `(|0,x₀⟩ + |1,x₁⟩)/√2` with X/H/CNOT on an
+    /// `(n+1)`-qubit CHP tableau and Fourier-samples `(b, x)`.
+    fn tableau_sample_coset(x0: u64, x1: u64, n: usize, rng: &mut impl Rng) -> u64 {
+        let diff = x0 ^ x1;
+        // Layout: b at qubit 0, x at 1..=n (no out register).
+        let mut t = Tableau::new(n + 1);
+        for i in 0..n {
+            if (x0 >> i) & 1 == 1 {
+                t.x(1 + i).unwrap();
+            }
+        }
+        t.h(0).unwrap();
+        for i in 0..n {
+            if (diff >> i) & 1 == 1 {
+                t.cnot(0, 1 + i).unwrap();
+            }
+        }
+        for q in 0..=n {
+            t.h(q).unwrap();
+        }
+        t.measure_range(0, n + 1, rng).unwrap()
+    }
+
+    #[test]
+    fn closed_form_sample_matches_the_tableau_draw_for_draw() {
+        let mut cases = rand::rngs::StdRng::seed_from_u64(24);
+        for case in 0..2400 {
+            let n = cases.gen_range(1..=62usize);
+            let x0 = cases.gen::<u64>() & width_mask(n);
+            let x1 = match case % 3 {
+                0 => x0,
+                1 => x0 ^ (1 << (n - 1)),
+                _ => cases.gen::<u64>() & width_mask(n),
+            };
+            let seed = cases.gen::<u64>();
+            let mut closed = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut tableau = rand::rngs::StdRng::seed_from_u64(seed);
+            assert_eq!(
+                fourier_sample_coset(x0 ^ x1, n, &mut closed),
+                tableau_sample_coset(x0, x1, n, &mut tableau),
+                "word: n {n}, x0 {x0:#x}, x1 {x1:#x}"
+            );
+            assert_eq!(
+                closed.gen::<u64>(),
+                tableau.gen::<u64>(),
+                "next draw: n {n}, x0 {x0:#x}, x1 {x1:#x}"
+            );
+        }
+    }
 
     #[test]
     fn gf2_system_solves_known_shift() {
@@ -523,6 +583,21 @@ mod tests {
         assert!(err(12, QuantumBackend::Sparse, &mut rng).is_ok());
         assert!(check_simon_capacity(19, QuantumBackend::Sparse).is_ok());
         assert!(err(31, QuantumBackend::Stabilizer, &mut rng).is_ok());
+        // The stabilizer's full width: a planted w62 pair whose shift
+        // sets line 61, so the sampled parity bit is the top qubit.
+        let inst = std::iter::repeat_with(|| {
+            crate::promise::random_wide_instance(
+                Equivalence::new(Side::N, Side::I),
+                62,
+                64,
+                &mut rng,
+            )
+        })
+        .find(|inst| inst.witness.nu_x().mask() >> 61 == 1)
+        .expect("half of all planted shifts set line 61");
+        let (c1, c2) = (Oracle::new(inst.c1.clone()), Oracle::new(inst.c2.clone()));
+        let outcome = match_n_i_simon_with(&c1, &c2, QuantumBackend::Stabilizer, &mut rng).unwrap();
+        assert_eq!(outcome.witness.nu_x(), inst.witness.nu_x());
     }
 
     #[test]

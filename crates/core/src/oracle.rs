@@ -286,9 +286,11 @@ impl Oracle {
 
     /// White-box access to the underlying circuit.
     ///
-    /// Intended for *verification and instance construction only* — a
-    /// matcher that touches this defeats the query-counting model, so
-    /// matchers in this crate never call it.
+    /// Intended for verification, instance construction and the
+    /// white-box matchers: the SAT-path registry entries, and the
+    /// stabilizer Simon round, which walks `C2⁻¹` and charges that query
+    /// by hand. A query-model matcher that touches this defeats the
+    /// query-counting model.
     pub fn circuit(&self) -> &Circuit {
         &self.circuit
     }

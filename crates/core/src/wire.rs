@@ -1014,13 +1014,30 @@ mod tests {
         ]
     }
 
+    /// Encodes and decodes `frame`, and checks that re-encoding the
+    /// decoded frame gives back the sent bytes.
     fn round_trip_client(frame: &ClientFrame) -> ClientFrame {
         let mut bytes = Vec::new();
         write_client_frame(&mut bytes, frame).unwrap();
         let mut cursor = bytes.as_slice();
         let decoded = read_client_frame(&mut cursor).unwrap().unwrap();
         assert!(cursor.is_empty(), "frame fully consumed");
+        let mut resent = Vec::new();
+        write_client_frame(&mut resent, &decoded).unwrap();
+        assert_eq!(resent, bytes, "re-encoded frame differs from the sent one");
         decoded
+    }
+
+    /// A job's circuit pair. `Circuit`'s `Debug` shows only the width and
+    /// gate count, so round trips compare circuits with `==`.
+    fn job_circuits(job: &JobSpec) -> (&Circuit, &Circuit) {
+        match job {
+            JobSpec::Promise(j) => (&j.c1, &j.c2),
+            JobSpec::Identify(j) => (&j.c1, &j.c2),
+            JobSpec::QuantumPath(j) => (&j.c1, &j.c2),
+            JobSpec::SatEquivalence(j) => (&j.c1, &j.c2),
+            JobSpec::Enumerate(j) => (&j.c1, &j.c2),
+        }
     }
 
     fn round_trip_report(report: &JobReport) -> JobReport {
@@ -1061,6 +1078,7 @@ mod tests {
             };
             assert_eq!(client_id, 0xDEAD_BEEF);
             assert_eq!(seed, Some(17));
+            assert_eq!(job_circuits(&decoded), job_circuits(&job));
             assert_eq!(format!("{decoded:?}"), format!("{job:?}"));
         }
     }

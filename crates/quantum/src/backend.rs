@@ -11,10 +11,11 @@
 //!   [`crate::SparseStateVector`] holding only nonzero amplitudes
 //!   (XOR-oracle states after a Hadamard layer have ≤ `2^n` nonzeros,
 //!   not `2^(2n)`);
-//! * [`QuantumBackend::Stabilizer`] — a CHP-style tableau
-//!   ([`crate::Tableau`]) for Clifford-only circuits: the Simon
-//!   sampling round is pure H/CNOT/X, so it runs in `O(n²)` bit-packed
-//!   row updates at any width.
+//! * [`QuantumBackend::Stabilizer`] — Clifford-only circuits: the Simon
+//!   sampling round is pure H/CNOT/X, so the matcher samples its
+//!   outcome in closed form, `O(n)` per round at any width up to 62
+//!   lines. The CHP tableau ([`crate::Tableau`]) is the reference that
+//!   closed form is diffed against.
 //!
 //! Callers pick the backend: the matchers take an explicit pin from
 //! their configuration, or else apply a per-algorithm auto policy
@@ -32,8 +33,10 @@ pub enum QuantumBackend {
     Dense,
     /// Map-keyed sparse state vector: only nonzero amplitudes stored.
     Sparse,
-    /// CHP stabilizer tableau — Clifford circuits only (H/CNOT/X and
-    /// computational-basis measurement), any width up to 63 qubits.
+    /// Stabilizer formalism — Clifford circuits only (H/CNOT/X and
+    /// computational-basis measurement), any width up to 63 qubits. The
+    /// Simon matcher samples the round's outcome in closed form;
+    /// [`crate::Tableau`] is its reference.
     Stabilizer,
 }
 

@@ -11,8 +11,9 @@
 //! see [`QuantumBackend`] for the dispatch: the dense reference
 //! [`StateVector`], the map-keyed [`SparseStateVector`] (only nonzero
 //! amplitudes stored, so structurally sparse oracle states scale past
-//! [`MAX_QUBITS`]), and the Clifford-only stabilizer [`Tableau`]
-//! (`O(n²)` per Simon sampling round at any width up to 63 qubits).
+//! [`MAX_QUBITS`]), and the Clifford-only stabilizer [`Tableau`], the
+//! reference for the Simon matcher's closed-form stabilizer round (any
+//! width up to 63 qubits).
 //!
 //! ## Example: the `|+⟩`-blanket trick of Algorithm 1
 //!

@@ -8,7 +8,9 @@
 //! reversible XOR oracle reduces to H/CNOT/X gates plus
 //! computational-basis measurements, all of which a tableau handles
 //! exactly, at widths where `2^(2n+1)` amplitudes could never be
-//! allocated.
+//! allocated. The Simon matcher goes one step further and samples that
+//! round's outcome in closed form; the tableau is the reference its
+//! tests diff the closed form against, draw for draw.
 //!
 //! The implementation follows the CHP construction (Aaronson &
 //! Gottesman, *Improved simulation of stabilizer circuits*, 2004):

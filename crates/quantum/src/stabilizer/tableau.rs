@@ -14,6 +14,10 @@ pub const STABILIZER_MAX_QUBITS: usize = 63;
 /// arithmetic. Starts in `|0…0⟩` (stabilizers `Z_i`, destabilizers
 /// `X_i`).
 ///
+/// This is the reference simulator: the Simon matcher's stabilizer
+/// round samples the same Clifford circuit in closed form, and its tests
+/// hold that sampler to this tableau's outcomes and random draws.
+///
 /// # Examples
 ///
 /// ```
