@@ -149,9 +149,8 @@ fn simon_matrix_summary() {
 /// Acceptance floor: a Simon-only mix at widths 10–12 through the
 /// service on the stabilizer must clear 5× the jobs/s of a dense-pinned
 /// service over the same instances. Dense cannot register Simon past
-/// width 9, so its jobs take the swap-test fallback — exactly the path
-/// loadgen plans for it — and that dense swap-test wall is the baseline
-/// this PR exists to break.
+/// width 9, so its jobs take the swap-test fallback, and that dense
+/// swap-test wall is the baseline the stabilizer has to beat.
 fn service_floor_summary() {
     for width in [10usize, 12] {
         let insts: Vec<PromiseInstance> = (0..8)

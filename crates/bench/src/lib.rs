@@ -87,11 +87,6 @@ impl Flags {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Whether the flag was given at all.
-    pub fn has(&self, name: &str) -> bool {
-        self.get(name).is_some()
-    }
-
     /// The flag as `usize`, or `default` when absent.
     pub fn get_usize(&self, name: &str, default: usize) -> usize {
         self.get(name)
@@ -104,16 +99,6 @@ impl Flags {
 
     /// The flag as `u64`, or `default` when absent.
     pub fn get_u64(&self, name: &str, default: u64) -> u64 {
-        self.get(name)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{name}: not a number: {v}"))
-            })
-            .unwrap_or(default)
-    }
-
-    /// The flag as `f64`, or `default` when absent.
-    pub fn get_f64(&self, name: &str, default: f64) -> f64 {
         self.get(name)
             .map(|v| {
                 v.parse()
@@ -201,7 +186,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(f.get_usize("shards", 1), 8);
-        assert_eq!(f.get_f64("rate", 1.0), 2.5);
+        assert_eq!(f.get_str("rate", "1"), "2.5");
         assert_eq!(f.get_u64("seed", 7), 7, "absent flag falls back");
         assert_eq!(f.get_str("mix", "NP-I"), "NP-I");
     }

@@ -158,10 +158,7 @@ pub use miter::{
     check_witness_sat_budgeted_with, check_witness_sat_with, MiterEncoding, MiterVerdict,
     SatEquivalence,
 };
-pub use observe::{
-    chrome_trace_json, slowest_jobs, Detail, JobBreakdown, JobTiming, SpanRecord, Stage,
-    TraceConfig, Tracer,
-};
+pub use observe::{chrome_trace_json, Detail, JobTiming, SpanRecord, Stage, TraceConfig, Tracer};
 pub use oracle::{
     ClassicalOracle, ComposedOracle, Oracle, QuantumOracle, XorInputOracle, XorOutputOracle,
 };
@@ -170,7 +167,7 @@ pub use revmatch_sat::{SatOptions, SolverBackend};
 pub use service::{
     job_seed, AdmissionConfig, EngineJob, EnumerateJob, Histogram, IdentifyJob, JobKind, JobReport,
     JobSpec, JobTicket, MatchService, Metrics, QuantumAlgorithm, QuantumPathJob, SatEquivalenceJob,
-    Scalar, ServiceConfig, ShardCounter, SubmitOutcome, DEFAULT_MITER_BUDGET,
+    Scalar, ServiceConfig, SubmitOutcome, DEFAULT_MITER_BUDGET,
 };
 pub use verify::{check_witness, VerifyMode};
 pub use wire::{

@@ -576,10 +576,13 @@ mod tests {
                 revmatch_quantum::QuantumError::TooManyQubits { .. }
             ))
         ));
-        // In-capacity widths still work on each backend (the sparse
-        // width-19 ceiling is exercised via the capacity check — a full
-        // run at 2^20-entry states belongs in the release-mode bench).
-        assert!(err(9, QuantumBackend::Dense, &mut rng).is_ok());
+        // In-capacity widths still work on each backend. The dense w9
+        // and sparse w19 ceilings are exercised via the capacity check:
+        // full runs at 2^19 amplitudes or 2^20-entry states belong in
+        // the release-mode `quantum_backends` bench.
+        assert!(check_simon_capacity(9, QuantumBackend::Dense).is_ok());
+        assert!(check_simon_capacity(10, QuantumBackend::Dense).is_err());
+        assert!(err(5, QuantumBackend::Dense, &mut rng).is_ok());
         assert!(err(12, QuantumBackend::Sparse, &mut rng).is_ok());
         assert!(check_simon_capacity(19, QuantumBackend::Sparse).is_ok());
         assert!(err(31, QuantumBackend::Stabilizer, &mut rng).is_ok());

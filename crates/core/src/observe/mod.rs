@@ -5,8 +5,7 @@
 //! much* work happened but not *where a slow job spent its time*. This
 //! module is the missing window: a per-shard, lock-free span recorder
 //! with a stable job-lifecycle taxonomy, drained into Chrome
-//! trace-event JSON (`chrome://tracing` / Perfetto) and aggregated into
-//! per-job stage breakdowns.
+//! trace-event JSON (`chrome://tracing` / Perfetto).
 //!
 //! ## Span taxonomy
 //!
@@ -58,7 +57,7 @@
 mod chrome;
 pub(crate) mod ring;
 
-pub use chrome::{chrome_trace_json, slowest_jobs, JobBreakdown};
+pub use chrome::chrome_trace_json;
 
 use std::str::FromStr;
 use std::time::{Duration, Instant};
@@ -208,11 +207,6 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
-    /// End of the span, microseconds since the epoch.
-    pub fn end_us(&self) -> u64 {
-        self.start_us + self.dur_us
-    }
-
     fn pack(&self) -> [u64; ring::SPAN_WORDS] {
         let meta = (self.stage.index() as u64)
             | ((self.kind.index() as u64) << 8)
@@ -339,11 +333,6 @@ impl Tracer {
     /// Whether the job with accept index `job` is sampled.
     pub fn traced(&self, job: u64) -> bool {
         job.is_multiple_of(self.sample)
-    }
-
-    /// The sampling stride.
-    pub fn sample(&self) -> u64 {
-        self.sample
     }
 
     /// Index of the producer-side (submit) ring.

@@ -13,7 +13,8 @@
 //! replaces the oldest one in place. The drain therefore returns the
 //! **most recent** `capacity` spans per ring; [`SpanRing::dropped`]
 //! reports how many were overwritten so callers can surface the loss
-//! instead of silently under-reporting (the loadgen prints it).
+//! instead of silently under-reporting (`Tracer::dropped` sums it over
+//! the rings).
 //!
 //! The seqlock protocol (per slot, `seq` initially 0 = never written):
 //!

@@ -218,7 +218,7 @@ pub(crate) struct ShardCaches {
 /// Byte budget for the per-worker dense-table cache (~16 MiB: 32
 /// width-16 tables, or thousands of narrow ones). A count-based cap
 /// would thrash on cyclic pools of small circuits, which is how the
-/// served-mix and cheap-tcp benchmark workloads (and `loadgen`) submit.
+/// served-mix and cheap-tcp benchmark workloads submit.
 const TABLE_CACHE_BYTES: usize = 16 << 20;
 /// Byte budget for the per-worker verdict memo (1 MiB: ~200 served
 /// w5–6 keys, or ~270 keys of 64-gate w8 cascades). A key larger than

@@ -2,9 +2,10 @@
 //!
 //! [`Metrics`] is a fixed registry for the serving layer. Each
 //! single-valued series is a [`Scalar`] and each per-shard counter a
-//! [`ShardCounter`]: one table row declares its name, type and help, and
-//! its value is a slot in one atomic array, read back with
-//! [`Metrics::get`] / [`Metrics::shard`]. Alongside sit the per-kind and
+//! `ShardCounter`: one table row declares its name, type and help, and
+//! its value is a slot in one atomic array. Scalars are read back with
+//! [`Metrics::get`]; the per-shard counters appear only in the export.
+//! Alongside sit the per-kind and
 //! per-backend job counters, one queue-depth gauge per shard, and the
 //! latency, intake-depth, table-compile, queue-wait and execute-stage
 //! histograms. Everything is plain atomics — recording a sample is a
@@ -163,9 +164,9 @@ const SCALARS: [(&str, &str, &str); 16] = [
     ),
 ];
 
-/// A per-shard counter of [`Metrics`], read with [`Metrics::shard`].
+/// A per-shard counter of [`Metrics`], exported as one series per shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardCounter {
+pub(crate) enum ShardCounter {
     /// Jobs the shard executed (counted for the shard that ran them, not
     /// the lane they were queued on).
     JobsExecuted,
@@ -222,10 +223,6 @@ pub struct Histogram {
     overflow: AtomicU64,
     sum: AtomicU64,
     count: AtomicU64,
-    max: AtomicU64,
-    /// Smallest sample observed; `u64::MAX` while empty so the first
-    /// `fetch_min` wins unconditionally.
-    min: AtomicU64,
 }
 
 impl Histogram {
@@ -240,8 +237,6 @@ impl Histogram {
             overflow: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             count: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
         }
     }
 
@@ -253,8 +248,6 @@ impl Histogram {
         };
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
     }
 
     /// Total number of samples.
@@ -265,72 +258,6 @@ impl Histogram {
     /// Sum of all samples.
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
-    }
-
-    /// The largest sample observed (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// The smallest sample observed (0 when empty).
-    pub fn min(&self) -> u64 {
-        let min = self.min.load(Ordering::Relaxed);
-        if min == u64::MAX {
-            0
-        } else {
-            min
-        }
-    }
-
-    /// Upper bound of the bucket holding the `q`-quantile sample
-    /// (`0 <= q <= 1`), or `None` when the histogram is empty. `q = 0.0`
-    /// reports the **observed minimum** — the rank used to be clamped to
-    /// 1, which silently turned "minimum" into "first occupied bucket's
-    /// upper bound". Samples past the last bound report the **observed
-    /// maximum** — the old `u64::MAX` sentinel forced every consumer to
-    /// special-case the edge and printed as garbage when one forgot.
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
-        let count = self.count();
-        if count == 0 {
-            return None;
-        }
-        if q <= 0.0 {
-            return Some(self.min());
-        }
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (bound, bucket) in self.bounds.iter().zip(&self.buckets) {
-            cumulative += bucket.load(Ordering::Relaxed);
-            if cumulative >= rank {
-                // The bucket bound can overshoot the true max when every
-                // overflow-free sample sits low in its bucket.
-                return Some((*bound).min(self.max()));
-            }
-        }
-        Some(self.max())
-    }
-
-    /// The requested quantile upper bounds in one pass — `None` when the
-    /// histogram is empty, so callers print `—` instead of fake zeros.
-    ///
-    /// ```
-    /// use revmatch::Histogram;
-    /// let h = Histogram::new(vec![10, 100]);
-    /// assert_eq!(h.summary(&[0.5, 0.99]), None);
-    /// for v in [4, 5, 6, 250] { h.observe(v); }
-    /// let s = h.summary(&[0.5, 0.99]).unwrap();
-    /// assert_eq!(s, vec![10, 250]); // p50 in-bucket, p99 at observed max
-    /// ```
-    pub fn summary(&self, quantiles: &[f64]) -> Option<Vec<u64>> {
-        if self.count() == 0 {
-            return None;
-        }
-        Some(
-            quantiles
-                .iter()
-                .map(|&q| self.quantile_upper_bound(q).expect("count checked"))
-                .collect(),
-        )
     }
 
     /// Writes the bucket/sum/count rows of one series. `labels` (e.g.
@@ -662,11 +589,6 @@ impl Metrics {
         self.failed_by_kind[kind.index()].load(Ordering::Relaxed)
     }
 
-    /// The accept-to-completion latency histogram of one [`JobKind`].
-    pub fn latency_of(&self, kind: JobKind) -> &Histogram {
-        &self.latency_by_kind[kind.index()]
-    }
-
     /// Quantum-path jobs executed on one simulation backend.
     pub fn quantum_jobs_of_backend(&self, backend: QuantumBackend) -> u64 {
         self.quantum_by_backend[backend.index()].load(Ordering::Relaxed)
@@ -692,16 +614,6 @@ impl Metrics {
     /// The dense-table compile histogram (microseconds).
     pub fn table_compile(&self) -> &Histogram {
         &self.table_compile
-    }
-
-    /// Worker-shard count this registry was sized for.
-    pub fn shards(&self) -> usize {
-        self.shard_depth.len()
-    }
-
-    /// One worker shard's value of a [`ShardCounter`].
-    pub fn shard(&self, counter: ShardCounter, shard: usize) -> u64 {
-        self.shard_counters[shard][counter as usize].load(Ordering::Relaxed)
     }
 
     /// Writes the family of every [`Scalar`] of one type (`counter` or
@@ -878,58 +790,6 @@ mod tests {
         assert!(out.contains("t_bucket{le=\"100\"} 4"));
         assert!(out.contains("t_bucket{le=\"+Inf\"} 5"));
         assert!(out.contains("t_count 5"));
-    }
-
-    #[test]
-    fn quantile_bounds() {
-        let h = Histogram::new(vec![10, 100, 1000]);
-        assert_eq!(h.quantile_upper_bound(0.5), None);
-        for v in [5, 50, 50, 5000] {
-            h.observe(v);
-        }
-        assert_eq!(h.quantile_upper_bound(0.25), Some(10));
-        assert_eq!(h.quantile_upper_bound(0.5), Some(100));
-        assert_eq!(h.quantile_upper_bound(0.75), Some(100));
-        // Past the last bound: the observed maximum, not a u64::MAX
-        // sentinel the caller would print as garbage.
-        assert_eq!(h.quantile_upper_bound(1.0), Some(5000));
-        assert_eq!(h.max(), 5000);
-    }
-
-    #[test]
-    fn summary_reports_quantiles_and_caps_at_observed_max() {
-        let h = Histogram::new(vec![10, 100, 1000]);
-        assert_eq!(h.summary(&[0.5, 0.99]), None, "empty histogram");
-        for v in [5, 6, 7, 8] {
-            h.observe(v);
-        }
-        // All samples in the first bucket: every quantile is capped at
-        // the observed max (8), not the bucket bound (10).
-        assert_eq!(h.summary(&[0.5, 0.9, 0.99, 1.0]), Some(vec![8, 8, 8, 8]));
-        h.observe(5000);
-        assert_eq!(
-            h.summary(&[0.5, 1.0]),
-            Some(vec![10, 5000]),
-            "p50 back to its bucket bound, overflow max reported exactly"
-        );
-    }
-
-    #[test]
-    fn quantile_zero_reports_the_observed_minimum() {
-        let h = Histogram::new(vec![10, 100, 1000]);
-        // Empty histogram: every quantile (including the edges) is None.
-        assert_eq!(h.quantile_upper_bound(0.0), None);
-        assert_eq!(h.quantile_upper_bound(1.0), None);
-        for v in [7, 50, 5000] {
-            h.observe(v);
-        }
-        // q=0 is the observed minimum, not the first occupied bucket's
-        // upper bound (10) the old max(1) rank clamp reported.
-        assert_eq!(h.quantile_upper_bound(0.0), Some(7));
-        assert_eq!(h.min(), 7);
-        assert_eq!(h.quantile_upper_bound(1.0), Some(5000));
-        // A negative q clamps to the minimum too instead of panicking.
-        assert_eq!(h.quantile_upper_bound(-0.5), Some(7));
     }
 
     #[test]

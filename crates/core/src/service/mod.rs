@@ -33,12 +33,11 @@
 //! * **Metrics**: every accept/reject/completion feeds an atomic
 //!   [`Metrics`] registry with a Prometheus-style text export
 //!   ([`MatchService::metrics_text`]). Totals and SAT-core gauges are
-//!   [`Scalar`]s read with [`Metrics::get`], per-shard
-//!   jobs/steal/busy/idle introspection is [`ShardCounter`]s read with
-//!   [`Metrics::shard`]; per-kind completion counters
+//!   [`Scalar`]s read with [`Metrics::get`]. Per-shard
+//!   jobs/steal/busy/idle counters, per-kind completion counters
 //!   (`revmatch_jobs_{promise,identify,quantum,sat,enumerate}_total`),
 //!   `kind`-labeled latency and execute-stage histograms and the
-//!   queue-wait decomposition sit alongside.
+//!   queue-wait decomposition sit alongside in the export.
 //! * **Tracing** (opt-in, [`crate::observe`]): with tracing enabled by
 //!   [`ServiceConfig::with_trace`], sampled jobs record lifecycle spans
 //!   into lock-free per-shard rings, drained via
@@ -88,7 +87,7 @@ pub use job::{
     EngineJob, EnumerateJob, IdentifyJob, JobKind, JobReport, JobSpec, QuantumAlgorithm,
     QuantumPathJob, SatEquivalenceJob,
 };
-pub use metrics::{Histogram, Metrics, Scalar, ShardCounter};
+pub use metrics::{Histogram, Metrics, Scalar};
 
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1179,15 +1178,6 @@ impl MatchService {
         job.kind().hash(&mut h);
         job.equivalence().hash(&mut h);
         (h.finish() % self.shards() as u64) as usize
-    }
-
-    /// The admission controller's current backlog estimate in µs of
-    /// queued execute time (0 with admission off).
-    pub fn admission_backlog_us(&self) -> u64 {
-        self.shared
-            .admission
-            .as_ref()
-            .map_or(0, Admission::backlog_us)
     }
 
     /// Jobs currently parked in the admission deferral buffer.

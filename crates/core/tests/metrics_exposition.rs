@@ -165,42 +165,6 @@ fn parser_handles_escaped_label_values() {
     assert_eq!(exp.samples[0].value, 3.0);
 }
 
-/// Histogram quantile edges through a served workload: an untouched
-/// histogram answers `None` for every quantile, and after traffic
-/// `q=0.0` reports the observed minimum (not the first bucket's upper
-/// bound) while `q=1.0` stays within the observed maximum's bucket.
-#[test]
-fn histogram_quantile_edges_round_trip() {
-    let service = MatchService::start(ServiceConfig::default().with_shards(1));
-    let empty = service.metrics().latency();
-    assert_eq!(empty.quantile_upper_bound(0.0), None);
-    assert_eq!(empty.quantile_upper_bound(1.0), None);
-    assert_eq!(empty.quantile_upper_bound(0.5), None);
-
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xE48);
-    for i in 0..8u64 {
-        let inst = random_instance(Equivalence::new(Side::N, Side::I), 4, &mut rng);
-        service
-            .submit_wait_seeded(
-                JobSpec::Promise(EngineJob::from_instance(&inst, true)),
-                job_seed(9, i),
-            )
-            .wait();
-    }
-    service.drain();
-    let h = service.metrics().latency();
-    let q0 = h.quantile_upper_bound(0.0).expect("non-empty histogram");
-    let q1 = h.quantile_upper_bound(1.0).expect("non-empty histogram");
-    assert_eq!(q0, h.min(), "q=0.0 is the observed minimum");
-    assert!(q1 >= h.max(), "q=1.0 bucket bound covers the maximum");
-    assert!(q0 <= q1);
-    // And the exported histogram agrees with the counters it came from.
-    let exp = parse(&service.metrics_text());
-    let count = value_of(&exp, "revmatch_job_latency_seconds_count", "");
-    assert_eq!(count, h.count() as f64);
-    service.shutdown();
-}
-
 /// Drives a small promise workload and validates the full exposition.
 #[test]
 fn exposition_parses_and_is_internally_consistent() {

@@ -8,7 +8,7 @@
 
 use std::io::{BufRead, BufReader, BufWriter};
 use std::net::{Shutdown, TcpStream};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 use rand::SeedableRng;
@@ -122,8 +122,9 @@ fn assert_reports_equal(wire: &JobReport, local: &JobReport, label: &str) {
 /// Submits `jobs` (tagged with client ids) over one connection and
 /// returns the reports indexed by client id.
 fn submit_over_wire(addr: &str, jobs: &[(JobSpec, u64)]) -> Vec<JobReport> {
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut out = BufWriter::new(stream.try_clone().expect("clone"));
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    // Every submit is pipelined in one write.
+    let mut out = Vec::new();
     for (i, (job, seed)) in jobs.iter().enumerate() {
         write_client_frame(
             &mut out,
@@ -133,11 +134,10 @@ fn submit_over_wire(addr: &str, jobs: &[(JobSpec, u64)]) -> Vec<JobReport> {
                 job: job.clone(),
             },
         )
-        .expect("write submit");
+        .expect("encode submit");
     }
     use std::io::Write as _;
-    out.flush().expect("flush");
-    drop(out);
+    stream.write_all(&out).expect("write submits");
     stream.shutdown(Shutdown::Write).expect("half-close");
 
     let mut input = BufReader::new(stream);
@@ -189,30 +189,30 @@ fn wire_reports_match_in_process_bit_for_bit() {
     }
 }
 
-/// `REVMATCH_TRACE` is the server's deployment switch for tracing: a
-/// value it cannot parse is a usage error (exit 2, the variable named
-/// on stderr) before the server binds, not a panic.
-#[test]
-fn bad_trace_env_is_a_usage_error() {
+/// Runs the server with `args` (after an ephemeral `--addr`) and `env`,
+/// expecting it to exit on its own within 10 s, and returns its status,
+/// stdout and stderr.
+fn run_to_exit(args: &[&str], env: &[(&str, &str)]) -> (ExitStatus, String, String) {
     let child = Command::new(env!("CARGO_BIN_EXE_revmatch-server"))
-        .args(["--addr", "127.0.0.1:0", "--shards", "1"])
-        .env("REVMATCH_TRACE", "sometimes")
+        .args(["--addr", "127.0.0.1:0"])
+        .args(args)
+        .envs(env.iter().copied())
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn revmatch-server");
     let mut guard = ServerGuard(child);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let deadline = Instant::now() + Duration::from_secs(10);
     let status = loop {
         if let Some(status) = guard.0.try_wait().expect("poll revmatch-server") {
             break status;
         }
         assert!(
-            std::time::Instant::now() < deadline,
-            "the server kept running with a bad REVMATCH_TRACE"
+            Instant::now() < deadline,
+            "the server kept running with {args:?} {env:?}"
         );
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        std::thread::sleep(Duration::from_millis(20));
     };
     use std::io::Read as _;
     let (mut stdout, mut stderr) = (String::new(), String::new());
@@ -228,6 +228,16 @@ fn bad_trace_env_is_a_usage_error() {
         .take()
         .expect("piped")
         .read_to_string(&mut stderr);
+    (status, stdout, stderr)
+}
+
+/// `REVMATCH_TRACE` is the server's deployment switch for tracing: a
+/// value it cannot parse is a usage error (exit 2, the variable named
+/// on stderr) before the server binds, not a panic.
+#[test]
+fn bad_trace_env_is_a_usage_error() {
+    let (status, stdout, stderr) =
+        run_to_exit(&["--shards", "1"], &[("REVMATCH_TRACE", "sometimes")]);
     assert_eq!(status.code(), Some(2), "{stderr}");
     let first = stderr.lines().next().unwrap_or_default();
     assert!(first.starts_with("error: REVMATCH_TRACE:"), "{stderr}");
@@ -235,6 +245,73 @@ fn bad_trace_env_is_a_usage_error() {
         !stdout.contains("listening on"),
         "the server bound before rejecting its environment"
     );
+}
+
+/// The admission tuning flags mean nothing with admission off: each is
+/// a usage error (exit 2) without `--admission`, before the server
+/// binds.
+#[test]
+fn admission_tuning_flags_require_admission() {
+    for flag in ["--overload-us", "--expensive-us", "--defer-capacity"] {
+        let (status, stdout, stderr) = run_to_exit(&[flag, "1"], &[]);
+        assert_eq!(status.code(), Some(2), "{flag}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.contains("require --admission"), "{flag}: {stderr}");
+        assert!(!stdout.contains("listening on"), "{flag}: bound anyway");
+    }
+}
+
+/// `--admission` over the wire. On one shard, with every job expensive,
+/// a 1 µs overload threshold and no room to defer, pipelined w5
+/// enumerate sweeps find queued work ahead of them from the third on,
+/// and the server sheds them: a sweep runs for milliseconds, decoding
+/// the next submit takes microseconds. Every submit still gets exactly
+/// one report: either `Err(Overloaded)` or the in-process seeded
+/// report, bit for bit. The scraped shed counter counts the overloaded
+/// reports.
+#[test]
+fn admission_sheds_over_the_wire_with_one_report_per_submit() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xAD3);
+    let jobs: Vec<(JobSpec, u64)> = (0..8)
+        .map(|i| {
+            let inst = random_instance(Equivalence::new(Side::N, Side::I), 5, &mut rng);
+            (
+                JobSpec::Enumerate(EnumerateJob::new(
+                    inst.c1,
+                    inst.c2,
+                    WitnessFamily::InputNegation,
+                )),
+                job_seed(0xC, i),
+            )
+        })
+        .collect();
+    let (_guard, addr) = spawn_server(&[
+        "--shards",
+        "1",
+        "--admission",
+        "--overload-us",
+        "1",
+        "--expensive-us",
+        "1",
+        "--defer-capacity",
+        "0",
+    ]);
+    let wire = submit_over_wire(&addr, &jobs);
+    let service = MatchService::start(ServiceConfig::default().with_shards(1));
+    let mut shed = 0;
+    for (i, (report, (job, seed))) in wire.iter().zip(&jobs).enumerate() {
+        if report.witness == Err(MatchError::Overloaded) {
+            shed += 1;
+        } else {
+            let local = service.submit_wait_seeded(job.clone(), *seed).wait();
+            assert_reports_equal(report, &local, &format!("job {i}"));
+        }
+    }
+    service.shutdown();
+    assert!(shed >= 1, "no submit was shed");
+    let metrics = scrape(&addr);
+    let line = format!("revmatch_admission_shed_total {shed}");
+    assert!(metrics.lines().any(|l| l == line), "{line}: {metrics}");
 }
 
 /// The HTTP sniff on the same port: `GET /metrics` answers one

@@ -120,8 +120,34 @@ fn every_kind_emits_the_span_taxonomy() {
         "drained spans are sorted by start"
     );
 
+    // Nothing was overwritten, so the drain returned every span
+    // recorded so far.
+    let tracer = service.tracer().expect("tracing on");
+    assert_eq!(tracer.dropped(), 0);
+    assert_eq!(tracer.recorded(), spans.len() as u64);
+
+    // The Chrome trace JSON holds one complete ("X") event per span and
+    // names every kind as a category. The drain above emptied the rings,
+    // so serve the same jobs again and serialize that second drain.
+    for (i, job) in one_of_each().into_iter().enumerate() {
+        service
+            .submit_wait_seeded(job, job_seed(1, i as u64))
+            .wait();
+    }
+    service.drain();
     let json = service.trace_json().expect("tracing on ⇒ json available");
     assert!(json.starts_with('{') && json.contains("\"traceEvents\""));
+    assert_eq!(
+        json.matches("\"ph\":\"X\"").count() as u64,
+        tracer.recorded() - spans.len() as u64,
+        "one complete event per span"
+    );
+    for kind in JobKind::ALL {
+        assert!(
+            json.contains(&format!("\"cat\":\"{}\"", kind.as_str())),
+            "no {kind} event in the trace JSON"
+        );
+    }
     service.shutdown();
 }
 

@@ -149,7 +149,8 @@ fn service_pins_backends_and_stays_deterministic_across_shards() {
                 insts.len()
             );
             assert!(text.contains(&needle), "missing {needle}");
-            assert!(text.contains("revmatch_quantum_backend_info{backend=\""));
+            let info = format!("revmatch_quantum_backend_info{{backend=\"{backend}\"}} 1");
+            assert!(text.contains(&info), "missing {info}");
             let outcome: Vec<_> = reports
                 .iter()
                 .map(|r| {
@@ -198,13 +199,27 @@ fn oversized_jobs_fail_cleanly_and_do_not_wedge_the_service() {
             1,
             "{backend}: capacity miss counts failed"
         );
-        // The shard is still alive: an in-capacity job completes next.
-        let small = ni_instance(4, 0x600D);
-        let report = svc.submit_wait_seeded(simon_job(&small), 2).wait();
+        // The shard is still alive: in-capacity jobs complete next. For
+        // sparse that includes w12, 25 qubits: past the dense wall of 20.
+        let mut follow_ups = vec![ni_instance(4, 0x600D)];
+        if backend == QuantumBackend::Sparse {
+            follow_ups.push(wide_ni_instance(12, 0x600D + 12));
+        }
+        for (i, inst) in follow_ups.iter().enumerate() {
+            let report = svc.submit_wait_seeded(simon_job(inst), 2 + i as u64).wait();
+            assert_eq!(
+                report.witness.expect("in-capacity job solves").nu_x(),
+                inst.witness.nu_x(),
+                "{backend} at width {}",
+                inst.c1.width()
+            );
+        }
         assert_eq!(
-            report.witness.expect("in-capacity job solves").nu_x(),
-            small.witness.nu_x()
+            m.quantum_jobs_of_backend(backend),
+            1 + follow_ups.len() as u64,
+            "every job ran on the pinned {backend}"
         );
+        assert_eq!(m.get(Scalar::JobsFailed), 1, "{backend}: follow-ups solve");
         svc.shutdown();
     }
 }

@@ -3,10 +3,10 @@
 
 use rand::SeedableRng;
 use revmatch::{
-    check_witness, classify, job_seed, random_instance, random_wide_instance, EngineJob,
-    EnumerateJob, Equivalence, JobReport, JobSpec, JobTicket, MatchError, MatchService,
-    MatcherConfig, MiterVerdict, QuantumAlgorithm, QuantumPathJob, SatEquivalenceJob, Scalar,
-    ServiceConfig, Side, SubmitOutcome, VerifyMode, WitnessFamily,
+    check_witness, classify, job_seed, random_instance, random_wide_instance, AdmissionConfig,
+    EngineJob, EnumerateJob, Equivalence, JobKind, JobReport, JobSpec, JobTicket, MatchError,
+    MatchService, MatcherConfig, MiterVerdict, QuantumAlgorithm, QuantumPathJob, SatEquivalenceJob,
+    Scalar, ServiceConfig, Side, Stage, SubmitOutcome, TraceConfig, VerifyMode, WitnessFamily,
 };
 use revmatch_quantum::QuantumBackend;
 
@@ -36,6 +36,24 @@ fn assert_reports_identical(a: &[JobReport], b: &[JobReport], label: &str) {
             _ => panic!("{label}: job {i} changed outcome"),
         }
     }
+}
+
+/// Conservation at drain: every offered job was accepted, rejected or
+/// shed, and every accepted job completed without failing.
+fn assert_conserved(service: &MatchService, offered: u64) {
+    let m = service.metrics();
+    let accepted = m.get(Scalar::JobsSubmitted);
+    assert_eq!(
+        offered,
+        accepted + m.get(Scalar::JobsRejected) + m.get(Scalar::JobsShed),
+        "offered = accepted + rejected + shed"
+    );
+    assert_eq!(
+        m.get(Scalar::JobsCompleted),
+        accepted,
+        "completed = accepted"
+    );
+    assert_eq!(m.get(Scalar::JobsFailed), 0, "no accepted job failed");
 }
 
 /// Solves `jobs` on a fresh `shards`-shard service, seeding job `i` with
@@ -154,6 +172,7 @@ fn full_queue_rejects_without_dropping_accepted_jobs() {
         service.metrics().get(Scalar::JobsCompleted),
         capacity as u64
     );
+    assert_conserved(&service, jobs.len() as u64);
     for t in tickets {
         assert!(t.is_done(), "accepted job lost");
         assert!(t.wait().witness.is_ok());
@@ -511,7 +530,6 @@ fn worker_panic_resolves_ticket_as_worker_lost() {
 /// overflow sheds, and every accepted job still completes on drain.
 #[test]
 fn admission_defers_then_sheds_under_overload() {
-    use revmatch::AdmissionConfig;
     let jobs = tractable_jobs(5, 2);
     assert!(jobs.len() >= 4, "need at least four jobs");
     let service = MatchService::start(
@@ -553,7 +571,89 @@ fn admission_defers_then_sheds_under_overload() {
     let m = service.metrics();
     assert_eq!(m.get(Scalar::JobsCompleted), m.get(Scalar::JobsSubmitted));
     assert_eq!(m.get(Scalar::JobsCompleted), 3);
+    assert_conserved(&service, jobs.len() as u64);
     service.shutdown();
+}
+
+/// Admission lets cheap jobs pass expensive ones on a FIFO lane. A
+/// paused one-shard service takes `K` w5 enumerate sweeps (default
+/// estimate 400 µs), then `M` w5 promise jobs (60 µs), with the
+/// expensive threshold between the two. With admission on, the first
+/// sweep meets an empty backlog and queues; the other `K − 1` are
+/// deferred, since its 400 µs already overloads the 1 µs threshold.
+/// The promise jobs queue behind the first sweep. The deferred sweeps
+/// come back one at a time, each once the backlog is down to the
+/// low-water mark, which first happens when the last promise job is
+/// popped. Costs are fixed at submit and one shard is one lane, so the
+/// order is exact. With admission off, the lane runs in submit order.
+/// The execute spans, drained in start order, record the order run.
+#[test]
+fn admission_runs_cheap_jobs_ahead_of_deferred_sweeps() {
+    const K: usize = 3;
+    const M: usize = 4;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xAD51);
+    let mut jobs: Vec<JobSpec> = (0..K)
+        .map(|_| {
+            let inst = random_instance(Equivalence::new(Side::N, Side::I), 5, &mut rng);
+            JobSpec::Enumerate(EnumerateJob::new(
+                inst.c1,
+                inst.c2,
+                WitnessFamily::InputNegation,
+            ))
+        })
+        .collect();
+    jobs.extend((0..M).map(|_| {
+        let inst = random_instance(Equivalence::new(Side::Np, Side::I), 5, &mut rng);
+        JobSpec::Promise(EngineJob::from_instance(&inst, true))
+    }));
+    let run = |admission: Option<AdmissionConfig>| -> (Vec<JobKind>, u64) {
+        let mut config = ServiceConfig::default()
+            .with_shards(1)
+            .with_queue_capacity(K + M)
+            .with_trace(TraceConfig::all());
+        if let Some(admission) = admission {
+            config = config.with_admission(admission);
+        }
+        let service = MatchService::start(config);
+        service.pause();
+        for job in &jobs {
+            match service.submit(job.clone()) {
+                SubmitOutcome::Enqueued(_) => {}
+                SubmitOutcome::QueueFull(_) => panic!("intake capacity not reached"),
+                SubmitOutcome::Shed(_) => panic!("the deferral buffer has room"),
+            }
+        }
+        service.resume();
+        service.drain();
+        assert_conserved(&service, jobs.len() as u64);
+        let order = service
+            .trace_spans()
+            .into_iter()
+            .filter(|s| s.stage == Stage::Execute)
+            .map(|s| s.kind)
+            .collect();
+        let requeued = service.metrics().get(Scalar::JobsRequeued);
+        service.shutdown();
+        (order, requeued)
+    };
+    let (promise, enumerate) = (JobKind::Promise, JobKind::Enumerate);
+
+    let (order, requeued) = run(Some(
+        AdmissionConfig::default()
+            .with_overload_us(1)
+            .with_expensive_us(200),
+    ));
+    let mut expected = vec![enumerate];
+    expected.extend([promise; M]);
+    expected.extend([enumerate; K - 1]);
+    assert_eq!(order, expected, "admission on");
+    assert_eq!(requeued, (K - 1) as u64);
+
+    let (order, requeued) = run(None);
+    let mut expected = vec![enumerate; K];
+    expected.extend([promise; M]);
+    assert_eq!(order, expected, "admission off");
+    assert_eq!(requeued, 0);
 }
 
 /// Workers compile a dense table only once a job's probes have paid
