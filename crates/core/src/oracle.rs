@@ -22,7 +22,10 @@
 //! the table. That charge is kept apart from the query counter, so the
 //! choice of backend never moves the paper's accounting. White-box
 //! readers in this crate (the identify walk) read a table an oracle
-//! already holds instead of compiling another.
+//! already holds instead of compiling another, and an inverse oracle
+//! ([`Oracle::inverse_oracle`]) reads its forward oracle's table
+//! backwards instead of compiling, or even reversing, the inverse
+//! circuit.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,9 +112,53 @@ pub trait QuantumOracle {
 /// # Ok::<(), revmatch_circuit::CircuitError>(())
 /// ```
 pub struct Oracle {
-    circuit: Circuit,
+    gates: Gates,
     queries: AtomicU64,
     table: TableMode,
+}
+
+/// The cascade behind an oracle: what it walks while it holds no table,
+/// and what white-box readers see through [`Oracle::circuit`].
+enum Gates {
+    /// A circuit handed to the oracle.
+    Given(Arc<Circuit>),
+    /// The inverse of `forward`, reversed on first use: an inverse that
+    /// reads a table may never walk its gates.
+    InverseOf {
+        forward: Arc<Circuit>,
+        reversed: OnceLock<Circuit>,
+    },
+}
+
+impl Gates {
+    fn circuit(&self) -> &Circuit {
+        match self {
+            Self::Given(circuit) => circuit,
+            Self::InverseOf { forward, reversed } => reversed.get_or_init(|| forward.inverse()),
+        }
+    }
+
+    fn width(&self) -> usize {
+        match self {
+            Self::Given(circuit)
+            | Self::InverseOf {
+                forward: circuit, ..
+            } => circuit.width(),
+        }
+    }
+
+    /// The inverse cascade, sharing these gates (the inverse of an
+    /// inverse is its forward circuit, since every MCT gate is its own
+    /// inverse).
+    fn inverse(&self) -> Self {
+        match self {
+            Self::Given(forward) => Self::InverseOf {
+                forward: Arc::clone(forward),
+                reversed: OnceLock::new(),
+            },
+            Self::InverseOf { forward, .. } => Self::Given(Arc::clone(forward)),
+        }
+    }
 }
 
 /// Where an oracle's dense lookup table comes from.
@@ -161,7 +208,7 @@ impl OnDemand {
     /// Adds `walks` (capped at the price) to the charge. Returns the
     /// table to serve the request from: the one already bought, or a
     /// fresh compile when this request brings the charge to the price.
-    fn pay(&self, walks: u64, circuit: &Circuit) -> Option<&TruthTable> {
+    fn pay(&self, walks: u64, gates: &Gates) -> Option<&TruthTable> {
         if let Some(bought) = self.compiled.get() {
             return Some(&bought.table);
         }
@@ -171,7 +218,7 @@ impl OnDemand {
         }
         let bought = self.compiled.get_or_init(|| {
             let started = Instant::now();
-            let table = TruthTable::compile(circuit).expect("on-demand widths fit a table");
+            let table = TruthTable::compile(gates.circuit()).expect("on-demand widths fit a table");
             CompiledTable {
                 table: Arc::new(table),
                 started,
@@ -183,9 +230,9 @@ impl OnDemand {
 }
 
 impl Oracle {
-    fn with_mode(circuit: Circuit, table: TableMode) -> Self {
+    fn with_mode(gates: Gates, table: TableMode) -> Self {
         Self {
-            circuit,
+            gates,
             queries: AtomicU64::new(0),
             table,
         }
@@ -196,7 +243,7 @@ impl Oracle {
     /// Scalar probes walk the gate cascade; batched probes
     /// ([`ClassicalOracle::query_batch`]) use the bit-sliced engine.
     pub fn new(circuit: Circuit) -> Self {
-        Self::with_mode(circuit, TableMode::Fixed(None))
+        Self::with_mode(Gates::Given(Arc::new(circuit)), TableMode::Fixed(None))
     }
 
     /// Wraps a circuit and eagerly compiles its [`TruthTable`] backend
@@ -210,7 +257,7 @@ impl Oracle {
     pub fn precompiled(circuit: Circuit) -> Self {
         let table = (circuit.width() <= DENSE_MAX_WIDTH)
             .then(|| Arc::new(TruthTable::compile(&circuit).expect("oracle widths fit a table")));
-        Self::with_mode(circuit, TableMode::Fixed(table))
+        Self::with_mode(Gates::Given(Arc::new(circuit)), TableMode::Fixed(table))
     }
 
     /// Wraps a circuit that compiles its own [`TruthTable`] only once
@@ -227,9 +274,13 @@ impl Oracle {
     /// compile. Answers and query accounting are those of
     /// [`Oracle::new`].
     pub fn on_demand(circuit: Circuit) -> Self {
-        let width = circuit.width();
+        Self::on_demand_over(Gates::Given(Arc::new(circuit)))
+    }
+
+    fn on_demand_over(gates: Gates) -> Self {
+        let width = gates.width();
         if width > DENSE_MAX_WIDTH {
-            return Self::new(circuit);
+            return Self::with_mode(gates, TableMode::Fixed(None));
         }
         let price = ((1u64 << width) / PROBES_PER_WALK).max(1);
         let on_demand = OnDemand {
@@ -237,7 +288,7 @@ impl Oracle {
             charge: AtomicU64::new(0),
             compiled: OnceLock::new(),
         };
-        Self::with_mode(circuit, TableMode::OnDemand(on_demand))
+        Self::with_mode(gates, TableMode::OnDemand(on_demand))
     }
 
     /// Wraps a circuit around an already-compiled (shared) truth table —
@@ -255,23 +306,51 @@ impl Oracle {
             circuit.width(),
             "shared table width must match the circuit"
         );
-        Self::with_mode(circuit, TableMode::Fixed(Some(table)))
+        Self::with_mode(
+            Gates::Given(Arc::new(circuit)),
+            TableMode::Fixed(Some(table)),
+        )
     }
 
     /// Derives the inverse black box (`C⁻¹`), with its own counter.
     ///
     /// The paper's §3 variant problem supplies inverse circuits explicitly;
     /// this helper plays that role (legitimate because reversible circuits
-    /// given as white boxes can always be inverted). The inverse keeps
-    /// the table mode: a precompiled oracle yields a precompiled
-    /// inverse, an on-demand one an on-demand inverse.
+    /// given as white boxes can always be inverted). When this oracle
+    /// holds a table — precompiled, handed in or already bought — the
+    /// inverse answers from that table read backwards
+    /// ([`TruthTable::inverse`], one pass over `2^width` entries, no
+    /// compile). Otherwise the inverse keeps the table mode over the
+    /// inverse circuit: a plain oracle yields a plain inverse, an
+    /// on-demand one an on-demand inverse with a charge of its own. Either
+    /// way the inverse circuit's gates are reversed only when something
+    /// first walks them or reads [`Oracle::circuit`].
     pub fn inverse_oracle(&self) -> Oracle {
-        let inverse = self.circuit.inverse();
-        match &self.table {
-            TableMode::Fixed(None) => Oracle::new(inverse),
-            TableMode::Fixed(Some(_)) => Oracle::precompiled(inverse),
-            TableMode::OnDemand(_) => Oracle::on_demand(inverse),
+        if let Some(table) = self.table() {
+            return self.inverse_with_table(Arc::new(table.inverse()));
         }
+        let gates = self.gates.inverse();
+        match self.table {
+            TableMode::OnDemand(_) => Self::on_demand_over(gates),
+            TableMode::Fixed(_) => Self::with_mode(gates, TableMode::Fixed(None)),
+        }
+    }
+
+    /// The inverse black box answering from `inverse`, a table of `C⁻¹`
+    /// the caller already holds (a serving worker keeps one next to each
+    /// cached forward table), with its own counter. Query accounting is
+    /// identical to [`Oracle::inverse_oracle`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table width disagrees with the circuit width.
+    pub(crate) fn inverse_with_table(&self, inverse: Arc<TruthTable>) -> Oracle {
+        assert_eq!(
+            inverse.width(),
+            self.gates.width(),
+            "inverse table width must match the circuit"
+        );
+        Self::with_mode(self.gates.inverse(), TableMode::Fixed(Some(inverse)))
     }
 
     /// Total queries made so far (classical + quantum).
@@ -292,7 +371,17 @@ impl Oracle {
     /// by hand. A query-model matcher that touches this defeats the
     /// query-counting model.
     pub fn circuit(&self) -> &Circuit {
-        &self.circuit
+        self.gates.circuit()
+    }
+
+    /// The circuit as the shared handle this oracle holds: a serving
+    /// worker keys its table cache by it without copying the gates.
+    /// `None` for an inverse oracle, whose gates are derived.
+    pub(crate) fn shared_circuit(&self) -> Option<&Arc<Circuit>> {
+        match &self.gates {
+            Gates::Given(circuit) => Some(circuit),
+            Gates::InverseOf { .. } => None,
+        }
     }
 
     /// The table this oracle holds — handed in, precompiled or bought —
@@ -336,17 +425,17 @@ impl Oracle {
     fn table_for(&self, walks: u64) -> Option<&TruthTable> {
         match &self.table {
             TableMode::Fixed(table) => table.as_deref(),
-            TableMode::OnDemand(on_demand) => on_demand.pay(walks, &self.circuit),
+            TableMode::OnDemand(on_demand) => on_demand.pay(walks, &self.gates),
         }
     }
 
     /// The evaluator for one quantum window application, through the
     /// dense table when there is one. No query accounting.
     fn window_eval(&self) -> impl Fn(u64) -> u64 + '_ {
-        let table = self.table_for(WHOLE_WINDOW);
-        move |x| match table {
-            Some(table) => table.apply(x),
-            None => self.circuit.apply(x),
+        let eval = self.table_for(WHOLE_WINDOW).ok_or_else(|| self.circuit());
+        move |x| match eval {
+            Ok(table) => table.apply(x),
+            Err(circuit) => circuit.apply(x),
         }
     }
 
@@ -373,7 +462,7 @@ impl Oracle {
         state.apply_xor_oracle(
             self.window_eval(),
             x_offset,
-            self.circuit.width(),
+            self.gates.width(),
             out_offset,
             control,
         )?;
@@ -399,7 +488,7 @@ impl Oracle {
         state.apply_xor_oracle(
             self.window_eval(),
             x_offset,
-            self.circuit.width(),
+            self.gates.width(),
             out_offset,
             control,
         )?;
@@ -409,14 +498,14 @@ impl Oracle {
 
 impl ClassicalOracle for Oracle {
     fn width(&self) -> usize {
-        self.circuit.width()
+        self.gates.width()
     }
 
     fn query(&self, x: u64) -> u64 {
         self.count();
         match self.table_for(1) {
             Some(table) => table.apply(x),
-            None => self.circuit.apply(x),
+            None => self.circuit().apply(x),
         }
     }
 
@@ -425,38 +514,38 @@ impl ClassicalOracle for Oracle {
         self.count_many(k);
         match self.table_for(k.div_ceil(PROBES_PER_WALK)) {
             Some(table) => table.apply_batch(xs),
-            None => self.circuit.apply_batch(xs),
+            None => self.circuit().apply_batch(xs),
         }
     }
 }
 
 impl QuantumOracle for Oracle {
     fn width(&self) -> usize {
-        self.circuit.width()
+        self.gates.width()
     }
 
     fn query_quantum(&self, input: &ProductState) -> Result<StateVector, MatchError> {
-        if input.num_qubits() != self.circuit.width() {
+        if input.num_qubits() != self.gates.width() {
             return Err(MatchError::WidthMismatch {
                 left: input.num_qubits(),
-                right: self.circuit.width(),
+                right: self.gates.width(),
             });
         }
         let sv = input.try_to_state_vector()?;
         self.count();
-        Ok(sv.applied_circuit(&self.circuit, 0)?)
+        Ok(sv.applied_circuit(self.circuit(), 0)?)
     }
 
     fn query_quantum_sparse(&self, input: &ProductState) -> Result<SparseStateVector, MatchError> {
-        if input.num_qubits() != self.circuit.width() {
+        if input.num_qubits() != self.gates.width() {
             return Err(MatchError::WidthMismatch {
                 left: input.num_qubits(),
-                right: self.circuit.width(),
+                right: self.gates.width(),
             });
         }
         self.count();
         let mut sv = SparseStateVector::from_product(input)?;
-        sv.apply_window_permutation(self.window_eval(), self.circuit.width(), 0)?;
+        sv.apply_window_permutation(self.window_eval(), self.gates.width(), 0)?;
         Ok(sv)
     }
 }
@@ -466,7 +555,7 @@ impl fmt::Debug for Oracle {
         write!(
             f,
             "Oracle(width={}, queries={})",
-            self.circuit.width(),
+            self.gates.width(),
             self.queries()
         )
     }
@@ -967,6 +1056,68 @@ mod tests {
             "16 walks = price at w10"
         );
         assert_eq!(inv.queries(), 1024);
+    }
+
+    #[test]
+    fn inverse_read_off_a_held_table_matches_the_inverse_circuit() {
+        use crate::equivalence::{Equivalence, Side};
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1A7E);
+        for width in 1..=12 {
+            // Random cascades, and the two circuits of planted pairs
+            // shaped like the served pool's.
+            let mut circuits: Vec<Circuit> =
+                (0..3).map(|_| random_circuit(width, rng.gen())).collect();
+            for (x, y) in [(Side::Np, Side::I), (Side::I, Side::P), (Side::P, Side::N)] {
+                let inst = crate::promise::random_instance(Equivalence::new(x, y), width, &mut rng);
+                circuits.extend([inst.c1, inst.c2]);
+            }
+            for c in circuits {
+                let expected = TruthTable::compile(&c.inverse()).unwrap();
+                let bought = Oracle::on_demand(c.clone());
+                bought.query_batch(&(0..1u64 << width).collect::<Vec<_>>());
+                assert!(bought.compiled_on_demand().is_some());
+                let shared = Arc::new(TruthTable::compile(&c).unwrap());
+                // Every way a forward oracle can hold its table.
+                for forward in [
+                    Oracle::precompiled(c.clone()),
+                    Oracle::with_shared_table(c.clone(), shared),
+                    bought,
+                ] {
+                    let before = forward.queries();
+                    let inv = forward.inverse_oracle();
+                    let reference = Oracle::new(c.inverse());
+                    assert_eq!(inv.table(), Some(&expected), "w{width}");
+                    let xs: Vec<u64> = (0..2 * width)
+                        .map(|_| rng.gen_range(0..1u64 << width))
+                        .collect();
+                    for &x in &xs {
+                        assert_eq!(inv.query(x), reference.query(x), "w{width} x={x}");
+                    }
+                    assert_eq!(inv.query_batch(&xs), reference.query_batch(&xs));
+                    assert_eq!(inv.queries(), reference.queries());
+                    assert_eq!(forward.queries(), before, "the forward is not charged");
+                    assert_eq!(inv.circuit(), reference.circuit());
+                    assert_eq!(inv.inverse_oracle().table(), forward.table());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inverse_without_a_table_reverses_its_gates_on_first_walk() {
+        let c = random_circuit(16, 6);
+        for forward in [Oracle::new(c.clone()), Oracle::on_demand(c.clone())] {
+            let inv = forward.inverse_oracle();
+            assert!(inv.table().is_none());
+            let Gates::InverseOf { reversed, .. } = &inv.gates else {
+                panic!("an inverse oracle shares its forward gates");
+            };
+            assert!(reversed.get().is_none(), "nothing walked yet");
+            assert_eq!(inv.query(0x1234), c.inverse().apply(0x1234));
+            assert_eq!(reversed.get(), Some(&c.inverse()));
+            assert_eq!(inv.queries(), 1);
+        }
     }
 
     #[test]

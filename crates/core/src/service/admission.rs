@@ -41,16 +41,16 @@ const KINDS: usize = JobKind::ALL.len();
 /// `(kind, width)` pair maps to a fixed atomic cell.
 const MAX_SLOT: usize = 64;
 
-/// Tuning for the admission controller. The defaults suit the 1-CPU
-/// container the service is benchmarked on: ~100 ms of estimated queued
-/// work per shard marks overload, and 2 ms separates "cheap" (promise
-/// and friends at serving widths) from "expensive" (dense quantum
-/// rounds, wide enumeration sweeps).
+/// Tuning for the admission controller. The defaults are the ones the
+/// recorded overload runs measured: ~100 ms of estimated queued work
+/// across the whole service marks overload, whatever the shard count,
+/// and 2 ms separates "cheap" (promise and friends at serving widths)
+/// from "expensive" (dense quantum rounds, wide enumeration sweeps).
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
-    /// Estimated backlog (µs of execute time, summed over queued jobs,
-    /// scaled by the shard count at service start) above which the
-    /// service is overloaded.
+    /// Estimated backlog (µs of execute time, summed over the queued jobs
+    /// of every shard) above which the service is overloaded. It is one
+    /// service-wide threshold: it does not scale with the shard count.
     pub overload_us: u64,
     /// Estimated job cost (µs) at or above which a job counts as
     /// expensive and is deferred/shed under overload.
@@ -71,8 +71,8 @@ impl Default for AdmissionConfig {
 }
 
 impl AdmissionConfig {
-    /// Overrides the per-shard overload threshold (µs of estimated
-    /// backlog; clamped to ≥ 1).
+    /// Overrides the service-wide overload threshold (µs of estimated
+    /// backlog summed over every shard; clamped to ≥ 1).
     #[must_use]
     pub fn with_overload_us(mut self, overload_us: u64) -> Self {
         self.overload_us = overload_us.max(1);

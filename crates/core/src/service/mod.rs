@@ -105,11 +105,10 @@ use crate::identify::{identify_equivalence_with_oracles, IdentifyOptions};
 use crate::matchers::{InverseAvailability, MatcherConfig, MatcherRegistry, Path, ProblemOracles};
 use crate::miter::MiterVerdict;
 use crate::observe::{Detail, JobTiming, SpanRecord, Stage, TraceConfig, Tracer};
-use crate::oracle::Oracle;
 use crate::verify::VerifyMode;
 use crate::witness::MatchWitness;
 use admission::Admission;
-use cache::ShardCaches;
+use cache::{CircuitOracles, Fingerprint, MiterKey, ShardCaches};
 use queue::ShardedQueue;
 
 /// SplitMix64 increment used to whiten per-job seed indices in
@@ -422,22 +421,24 @@ struct Shared {
 }
 
 impl Shared {
-    /// Wraps a circuit in an oracle through the worker's kind-keyed
-    /// dense-table cache: a hit hands the cached table in, a miss yields
-    /// an on-demand oracle that compiles its own table only once its
-    /// probes have paid for it ([`crate::Oracle::on_demand`]). The
-    /// lookup never compiles; a traced job records it as a
-    /// `cache_probe` span.
-    fn oracle(
+    /// Wraps a job circuit in an oracle, and its inverse in another when
+    /// `with_inverse` is set, through the worker's kind-keyed dense-table
+    /// cache: a hit hands the cached table in and the inverse reads it
+    /// backwards, a miss yields on-demand oracles that compile their own
+    /// tables only once their probes have paid for them
+    /// ([`crate::Oracle::on_demand`]). One lookup per job circuit, which
+    /// never compiles; a traced job records it as a `cache_probe` span.
+    fn oracles(
         &self,
         kind: JobKind,
         circuit: revmatch_circuit::Circuit,
+        with_inverse: bool,
         caches: &mut ShardCaches,
         obs: &mut JobObs,
-    ) -> Oracle {
+    ) -> CircuitOracles {
         let start = Instant::now();
-        let (oracle, hit) = caches.oracle_for(kind, circuit);
-        if hit {
+        let oracles = caches.oracles_for(kind, circuit, with_inverse);
+        if oracles.hit {
             obs.table_hits += 1;
             obs.cache_hit = true;
         }
@@ -453,30 +454,35 @@ impl Shared {
                 took,
             );
         }
-        oracle
+        oracles
     }
 
     /// Runs after the matcher returns: adopts every table the job's
-    /// on-demand oracles bought into the worker's LRU under the same
-    /// `(kind, circuit)` key, records each compile's latency in the
-    /// `table_compile` histogram, and for a traced job emits a
-    /// `table_compile` span at the compile's real start — nested in
-    /// `execute`, at the probe that crossed the buy price.
-    fn adopt_tables<'a>(
+    /// on-demand oracles bought into the worker's LRU under the job
+    /// circuit's `(kind, circuit)` key (an inverse's table inverted),
+    /// records each compile's latency in the `table_compile` histogram,
+    /// and for a traced job emits a `table_compile` span at the
+    /// compile's real start — nested in `execute`, at the probe that
+    /// crossed the buy price.
+    fn adopt_tables(
         &self,
         kind: JobKind,
-        oracles: impl IntoIterator<Item = &'a Oracle>,
+        circuits: [&CircuitOracles; 2],
         caches: &mut ShardCaches,
         obs: &JobObs,
     ) {
-        for oracle in oracles {
-            let Some(bought) = oracle.compiled_on_demand() else {
-                continue;
-            };
-            self.metrics
-                .record_table_compile(bought.took.as_micros() as u64);
-            caches.adopt(kind, oracle.circuit(), &bought.table);
-            if let Some(tracer) = self.tracer.as_ref().filter(|_| obs.traced) {
+        for oracles in circuits {
+            caches.adopt(kind, oracles);
+            let bought = [Some(&oracles.forward), oracles.inverse.as_ref()]
+                .into_iter()
+                .flatten()
+                .filter_map(|oracle| oracle.compiled_on_demand());
+            for bought in bought {
+                self.metrics
+                    .record_table_compile(bought.took.as_micros() as u64);
+                let Some(tracer) = self.tracer.as_ref().filter(|_| obs.traced) else {
+                    continue;
+                };
                 tracer.record(
                     obs.shard,
                     obs.id,
@@ -531,25 +537,17 @@ impl Shared {
         let kind = JobKind::Promise;
         obs.detail = Detail::active_kernel();
         let equivalence = job.equivalence;
-        let c1 = self.oracle(kind, job.c1, caches, obs);
-        let c2 = self.oracle(kind, job.c2, caches, obs);
-        let (c1_inv, c2_inv) = if job.with_inverses {
-            (
-                Some(self.oracle(kind, c1.circuit().inverse(), caches, obs)),
-                Some(self.oracle(kind, c2.circuit().inverse(), caches, obs)),
-            )
-        } else {
-            (None, None)
-        };
+        let c1 = self.oracles(kind, job.c1, job.with_inverses, caches, obs);
+        let c2 = self.oracles(kind, job.c2, job.with_inverses, caches, obs);
         let oracles = ProblemOracles {
-            c1: &c1,
-            c2: &c2,
-            c1_inv: c1_inv.as_ref(),
-            c2_inv: c2_inv.as_ref(),
+            c1: &c1.forward,
+            c2: &c2.forward,
+            c1_inv: c1.inverse.as_ref(),
+            c2_inv: c2.inverse.as_ref(),
         };
         let report =
             MatcherRegistry::global().solve_named(equivalence, &oracles, &self.matcher, rng);
-        self.adopt_tables(kind, oracles.iter(), caches, obs);
+        self.adopt_tables(kind, [&c1, &c2], caches, obs);
         let (witness, rounds) = match report {
             Ok((entry, r)) => {
                 self.metrics.record_entry_completion(entry);
@@ -558,10 +556,14 @@ impl Shared {
             Err(e) => (Err(e), 0),
         };
         let miter = if job.sat_verify {
-            witness
-                .as_ref()
-                .ok()
-                .map(|w| self.verify_witness(c1.circuit(), c2.circuit(), w, caches))
+            witness.as_ref().ok().map(|w| {
+                let key = MiterKey::new(
+                    (c1.forward.circuit(), c1.fp),
+                    (c2.forward.circuit(), c2.fp),
+                    w,
+                );
+                self.verify_witness(&key, caches)
+            })
         } else {
             None
         };
@@ -589,15 +591,14 @@ impl Shared {
     ) -> JobReport {
         let kind = JobKind::Identify;
         obs.detail = Detail::active_kernel();
-        let (c1_inv, c2_inv) = (job.c1.inverse(), job.c2.inverse());
         // The oracles own the job's circuits; the walk reads them back
         // through `circuit()` rather than from copies.
-        let (o1, o2, o1_inv, o2_inv) = (
-            self.oracle(kind, job.c1, caches, obs),
-            self.oracle(kind, job.c2, caches, obs),
-            self.oracle(kind, c1_inv, caches, obs),
-            self.oracle(kind, c2_inv, caches, obs),
-        );
+        let c1 = self.oracles(kind, job.c1, true, caches, obs);
+        let c2 = self.oracles(kind, job.c2, true, caches, obs);
+        let (o1, o2) = (&c1.forward, &c2.forward);
+        let (Some(o1_inv), Some(o2_inv)) = (&c1.inverse, &c2.inverse) else {
+            unreachable!("identify asks for both inverses");
+        };
         let options = IdentifyOptions {
             config: self.matcher.clone(),
             allow_brute_force: job.allow_brute_force,
@@ -606,15 +607,15 @@ impl Shared {
         let outcome = identify_equivalence_with_oracles(
             o1.circuit(),
             o2.circuit(),
-            &o1,
-            &o2,
-            &o1_inv,
-            &o2_inv,
+            o1,
+            o2,
+            o1_inv,
+            o2_inv,
             &options,
             rng,
         );
-        self.adopt_tables(kind, [&o1, &o2, &o1_inv, &o2_inv], caches, obs);
         let spent = o1.queries() + o2.queries() + o1_inv.queries() + o2_inv.queries();
+        self.adopt_tables(kind, [&c1, &c2], caches, obs);
         let (witness, identified, rounds) = match outcome {
             Ok(Some(id)) => (
                 Ok(id.witness),
@@ -677,12 +678,12 @@ impl Shared {
             );
             return JobReport::error(kind, MatchError::Intractable { equivalence });
         };
-        let c1 = self.oracle(kind, job.c1, caches, obs);
-        let c2 = self.oracle(kind, job.c2, caches, obs);
-        let oracles = ProblemOracles::without_inverses(&c1, &c2);
+        let c1 = self.oracles(kind, job.c1, false, caches, obs);
+        let c2 = self.oracles(kind, job.c2, false, caches, obs);
+        let oracles = ProblemOracles::without_inverses(&c1.forward, &c2.forward);
         let entry = matcher.name();
         let outcome = matcher.run(&oracles, &self.matcher, rng);
-        self.adopt_tables(kind, oracles.iter(), caches, obs);
+        self.adopt_tables(kind, [&c1, &c2], caches, obs);
         match outcome {
             Ok(report) => {
                 self.metrics.record_entry_completion(entry);
@@ -725,7 +726,12 @@ impl Shared {
                 return JobReport::error(kind, err);
             }
         }
-        let verdict = self.verify_witness(&job.c1, &job.c2, &witness, caches);
+        let key = MiterKey::new(
+            (&job.c1, Fingerprint::of(&job.c1)),
+            (&job.c2, Fingerprint::of(&job.c2)),
+            &witness,
+        );
+        let verdict = self.verify_witness(&key, caches);
         let witness = match &verdict {
             MiterVerdict::Equivalent => Ok(witness),
             MiterVerdict::Counterexample { .. } => Err(MatchError::PromiseViolated),
@@ -760,7 +766,11 @@ impl Shared {
         let kind = JobKind::Enumerate;
         obs.detail = Detail::solver(SolverBackend::Cdcl);
         let family = job.family;
-        let cached = caches.family_solver(&job.c1, &job.c2, family);
+        let cached = caches.family_solver(
+            (&job.c1, Fingerprint::of(&job.c1)),
+            (&job.c2, Fingerprint::of(&job.c2)),
+            family,
+        );
         let outcome = cached.and_then(|(solver, miter, hit)| {
             if hit {
                 self.metrics.add(Scalar::SolverCacheHits, 1);
@@ -810,19 +820,13 @@ impl Shared {
     /// is memoized, while an `Unknown` parks the solver for a warm
     /// retry. The job kind is in no key: a sat job and a sat-verified
     /// promise job share verdicts.
-    fn verify_witness(
-        &self,
-        c1: &revmatch_circuit::Circuit,
-        c2: &revmatch_circuit::Circuit,
-        witness: &MatchWitness,
-        caches: &mut ShardCaches,
-    ) -> MiterVerdict {
-        let verdict = if let Some(verdict) = caches.verdict(c1, c2, witness) {
+    fn verify_witness(&self, key: &MiterKey<'_>, caches: &mut ShardCaches) -> MiterVerdict {
+        let verdict = if let Some(verdict) = caches.verdict(key) {
             self.metrics.add(Scalar::SolverCacheHits, 1);
             verdict
         } else {
             let (mut miter, hit) = caches
-                .take_miter_solver(c1, c2, witness)
+                .take_miter_solver(key)
                 .expect("a solved job's circuits share a width");
             if hit {
                 self.metrics.add(Scalar::SolverCacheHits, 1);
@@ -835,9 +839,9 @@ impl Shared {
                 (miter.solver.xors_extracted() - xors0) as u64,
             );
             if verdict.is_unknown() {
-                caches.park(c1, c2, witness, miter);
+                caches.park(key, miter);
             }
-            caches.remember(c1, c2, witness, &verdict);
+            caches.remember(key, &verdict);
             verdict
         };
         self.metrics.record_sat_verify(verdict.is_unknown());
@@ -1162,8 +1166,10 @@ impl MatchService {
         self.tracer().map(Tracer::spans).unwrap_or_default()
     }
 
-    /// The retained spans serialized as Chrome trace-event JSON
-    /// (Perfetto-loadable); `None` with tracing off.
+    /// Drains every retained span, as [`trace_spans`](Self::trace_spans)
+    /// does, and serializes them as Chrome trace-event JSON
+    /// (Perfetto-loadable); `None` with tracing off. A second call with
+    /// no job in between yields a trace with no events.
     pub fn trace_json(&self) -> Option<String> {
         self.tracer()
             .map(|t| crate::observe::chrome_trace_json(&t.spans(), self.shards()))

@@ -148,6 +148,11 @@ fn every_kind_emits_the_span_taxonomy() {
             "no {kind} event in the trace JSON"
         );
     }
+    // Serializing drains the rings as `trace_spans` does: with no job in
+    // between, a second trace holds no event.
+    let again = service.trace_json().expect("tracing on ⇒ json available");
+    assert!(again.contains("\"traceEvents\""));
+    assert_eq!(again.matches("\"ph\":\"X\"").count(), 0, "{again}");
     service.shutdown();
 }
 

@@ -4,9 +4,10 @@
 use rand::SeedableRng;
 use revmatch::{
     check_witness, classify, job_seed, random_instance, random_wide_instance, AdmissionConfig,
-    EngineJob, EnumerateJob, Equivalence, JobKind, JobReport, JobSpec, JobTicket, MatchError,
-    MatchService, MatcherConfig, MiterVerdict, QuantumAlgorithm, QuantumPathJob, SatEquivalenceJob,
-    Scalar, ServiceConfig, Side, Stage, SubmitOutcome, TraceConfig, VerifyMode, WitnessFamily,
+    EngineJob, EnumerateJob, Equivalence, IdentifyJob, JobKind, JobReport, JobSpec, JobTicket,
+    MatchError, MatchService, MatcherConfig, MiterVerdict, QuantumAlgorithm, QuantumPathJob,
+    SatEquivalenceJob, Scalar, ServiceConfig, Side, Stage, SubmitOutcome, TraceConfig, VerifyMode,
+    WitnessFamily,
 };
 use revmatch_quantum::QuantumBackend;
 
@@ -734,6 +735,40 @@ fn dense_tables_compile_only_once_probes_pay_for_them() {
         assert_eq!(a.charged_queries, b.charged_queries, "job {i}");
         assert_eq!(a.rounds, b.rounds, "job {i}");
     }
+}
+
+/// Inverse oracles read the tables kept with their job circuits' cache
+/// entries: on one shard, a warm repeat of a promise-with-inverses job
+/// and of an identify job looks up only its two circuits, hits both, and
+/// compiles no table, with an unchanged report.
+#[test]
+fn warm_repeats_with_inverses_hit_only_their_two_circuits() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x1A7E);
+    let service = MatchService::start(ServiceConfig::default().with_shards(1));
+    let m = service.metrics();
+    for (x, y) in [(Side::Np, Side::I), (Side::I, Side::P), (Side::P, Side::N)] {
+        for width in [5, 6] {
+            let inst = random_instance(Equivalence::new(x, y), width, &mut rng);
+            let promise: JobSpec = EngineJob::from_instance(&inst, true).into();
+            let identify: JobSpec = IdentifyJob::new(inst.c1.clone(), inst.c2.clone())
+                .without_brute_force()
+                .into();
+            for job in [promise, identify] {
+                let label = format!("{:?} {x:?}-{y:?} w{width}", job.kind());
+                let cold = service.submit_wait_seeded(job.clone(), 7).wait();
+                let (hits, compiles) = (m.get(Scalar::TableCacheHits), m.table_compile().count());
+                let warm = service.submit_wait_seeded(job, 7).wait();
+                assert_eq!(m.get(Scalar::TableCacheHits) - hits, 2, "{label}: hits");
+                assert_eq!(m.table_compile().count(), compiles, "{label}: compiles");
+                assert!(warm.timing.cache_hit, "{label}");
+                let (a, b) = (std::slice::from_ref(&cold), std::slice::from_ref(&warm));
+                assert_reports_identical(a, b, &label);
+                assert_eq!(cold.rounds, warm.rounds, "{label}: rounds");
+                assert_eq!(cold.identified, warm.identified, "{label}: class");
+            }
+        }
+    }
+    service.shutdown();
 }
 
 /// An I-I promise over circuits of different widths is a width error,
