@@ -1,10 +1,10 @@
 //! Benchmarks for the quantum simulation backends: the Simon matcher on
-//! dense, sparse and stabilizer substrates across a backend × width
-//! matrix, plus Simon-only service throughput at widths past the dense
+//! the dense and stabilizer substrates across a backend × width matrix,
+//! plus Simon-only service throughput at widths past the dense
 //! state-vector ceiling.
 //!
 //! Beyond the criterion groups, `main` prints the latency matrix and
-//! **asserts** the acceptance floors in-bench: all backends recover
+//! **asserts** the acceptance floors in-bench: the stabilizer recovers
 //! bit-identical witnesses vs dense at fixed seeds, the stabilizer
 //! completes width-20 Simon jobs, and a Simon-only mix at widths 10–12
 //! runs ≥ 5× the jobs/s of a dense-pinned service (which must serve
@@ -39,7 +39,6 @@ fn wide_ni_instance(width: usize, seed: u64) -> PromiseInstance {
 fn simon_cap(backend: QuantumBackend) -> usize {
     match backend {
         QuantumBackend::Dense => (MAX_QUBITS - 1) / 2,
-        QuantumBackend::Sparse => revmatch_quantum::SPARSE_MAX_ENTRIES.ilog2() as usize - 1,
         QuantumBackend::Stabilizer => STABILIZER_MAX_QUBITS - 1,
     }
 }
@@ -95,8 +94,8 @@ fn time_simon(inst: &PromiseInstance, backend: QuantumBackend) -> f64 {
     best
 }
 
-/// Acceptance: identical fixed seeds ⇒ every backend recovers the
-/// planted negation mask bit for bit, and agrees with dense exactly.
+/// Acceptance: identical fixed seeds ⇒ both backends recover the
+/// planted negation mask bit for bit, and agree exactly.
 fn witness_identity_summary() {
     for width in [3usize, 5, 7, 9] {
         let inst = wide_ni_instance(width, 0x1D + width as u64);
@@ -106,16 +105,13 @@ fn witness_identity_summary() {
             inst.witness.nu_x(),
             "acceptance: dense misses the planted mask at width {width}"
         );
-        for backend in [QuantumBackend::Sparse, QuantumBackend::Stabilizer] {
-            let got = run_simon(&inst, backend, 0x5EED ^ width as u64);
-            assert_eq!(
-                got.witness, dense.witness,
-                "acceptance: {backend} witness diverges from dense at width {width}"
-            );
-        }
+        let stabilizer = run_simon(&inst, QuantumBackend::Stabilizer, 0x5EED ^ width as u64);
+        assert_eq!(
+            stabilizer.witness, dense.witness,
+            "acceptance: stabilizer witness diverges from dense at width {width}"
+        );
         println!(
-            "witness identity w={width:2}: dense == sparse == stabilizer == planted \
-             (mask {:#x})",
+            "witness identity w={width:2}: dense == stabilizer == planted (mask {:#x})",
             dense.witness.nu_x().mask()
         );
     }
@@ -125,7 +121,7 @@ fn witness_identity_summary() {
 /// widths through 24. Also asserts the stabilizer completes width 20.
 fn simon_matrix_summary() {
     println!("simon match latency (one job, direct matcher):");
-    println!("width | dense        | sparse       | stabilizer");
+    println!("width | dense        | stabilizer");
     for width in [6usize, 9, 12, 16, 20, 24] {
         let inst = wide_ni_instance(width, 0xB0B + width as u64);
         let mut cells = Vec::new();
@@ -137,7 +133,7 @@ fn simon_matrix_summary() {
             let secs = time_simon(&inst, backend);
             cells.push(format!("{:9.1} µs", secs * 1e6));
         }
-        println!("w={width:2}  | {} | {} | {}", cells[0], cells[1], cells[2]);
+        println!("w={width:2}  | {} | {}", cells[0], cells[1]);
         if width == 20 {
             // time_simon panics on failure, so reaching here means the
             // stabilizer solved width 20 — the dense wall is at 9.

@@ -70,9 +70,10 @@ pub struct MatcherConfig {
     pub quantum_k: usize,
     /// How swap tests are executed.
     pub swap_method: SwapTestMethod,
-    /// Quantum simulation substrate. `None` (the default) applies the
-    /// per-algorithm auto policy: Stabilizer for the Clifford-only Simon
-    /// sampler, Sparse for swap-test probes.
+    /// Quantum simulation substrate of the Simon sampler. `None` (the
+    /// default) picks Stabilizer, since the round is Clifford-only.
+    /// Swap-test probes run on the dense state vector whatever the pin:
+    /// the controlled-SWAP is not Clifford.
     pub quantum_backend: Option<QuantumBackend>,
 }
 
@@ -108,17 +109,6 @@ impl MatcherConfig {
     /// width).
     pub fn simon_backend(&self) -> QuantumBackend {
         self.quantum_backend.unwrap_or(QuantumBackend::Stabilizer)
-    }
-
-    /// The resolved substrate for swap-test probes: the config's pin,
-    /// else Sparse. A Stabilizer pin falls back to Sparse — the
-    /// controlled-SWAP is not Clifford, so the tableau cannot execute
-    /// it.
-    pub fn swap_test_backend(&self) -> QuantumBackend {
-        match self.quantum_backend {
-            Some(QuantumBackend::Stabilizer) | None => QuantumBackend::Sparse,
-            Some(b) => b,
-        }
     }
 }
 
@@ -287,8 +277,8 @@ pub(crate) fn randomized_rounds(n: usize, epsilon: f64) -> usize {
 }
 
 /// Runs one swap test between `c1(probe1)` and `c2(probe2)` on the
-/// substrate resolved by [`MatcherConfig::swap_test_backend`], returning
-/// the measured ancilla bit. One query to each box either way.
+/// dense state vector, returning the measured ancilla bit. One query to
+/// each box.
 pub(crate) fn swap_test_probes(
     c1: &dyn crate::oracle::QuantumOracle,
     probe1: &revmatch_quantum::ProductState,
@@ -297,28 +287,14 @@ pub(crate) fn swap_test_probes(
     config: &MatcherConfig,
     rng: &mut impl Rng,
 ) -> Result<bool, MatchError> {
-    match config.swap_test_backend() {
-        QuantumBackend::Dense => {
-            let out1 = c1.query_quantum(probe1)?;
-            let out2 = c2.query_quantum(probe2)?;
-            Ok(revmatch_quantum::swap_test(
-                config.swap_method,
-                &out1,
-                &out2,
-                rng,
-            )?)
-        }
-        QuantumBackend::Sparse | QuantumBackend::Stabilizer => {
-            let out1 = c1.query_quantum_sparse(probe1)?;
-            let out2 = c2.query_quantum_sparse(probe2)?;
-            Ok(revmatch_quantum::swap_test_sparse(
-                config.swap_method,
-                &out1,
-                &out2,
-                rng,
-            )?)
-        }
-    }
+    let out1 = c1.query_quantum(probe1)?;
+    let out2 = c2.query_quantum(probe2)?;
+    Ok(revmatch_quantum::swap_test(
+        config.swap_method,
+        &out1,
+        &out2,
+        rng,
+    )?)
 }
 
 pub(crate) fn ensure_same_width(

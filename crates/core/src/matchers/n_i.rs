@@ -179,12 +179,11 @@ pub fn match_n_i_collision(
 /// identical: any `1` outcome proves `ν(i) = 1`; `k` zeros give
 /// `ν(i) = 0` with confidence `1 − 2^{-k}`.
 ///
-/// The probe-and-swap-test simulation substrate is resolved through
-/// [`MatcherConfig::swap_test_backend`] (Sparse by default — `|+⟩`-blanket
-/// probes have at most `2^{n−1}` nonzero amplitudes, so the sparse path
-/// both outruns the dense vector and reaches widths it cannot represent;
-/// Stabilizer requests fall back to Sparse because the controlled-SWAP is
-/// not Clifford).
+/// Probes and swap tests run on the dense state vector whatever
+/// [`MatcherConfig::quantum_backend`] pins (the controlled-SWAP is not
+/// Clifford), up to [`revmatch_quantum::MAX_QUBITS`] lines; each box
+/// applies to its probe as one permutation of the amplitudes, read from
+/// the oracle's truth table when it holds or buys one.
 ///
 /// # Errors
 ///

@@ -30,10 +30,7 @@
 
 use rand::Rng;
 use revmatch_circuit::{width_mask, NegationMask};
-use revmatch_quantum::{
-    QuantumBackend, SparseStateVector, StateVector, MAX_QUBITS, SPARSE_MAX_QUBITS,
-    STABILIZER_MAX_QUBITS,
-};
+use revmatch_quantum::{QuantumBackend, StateVector, MAX_QUBITS, STABILIZER_MAX_QUBITS};
 
 use crate::error::MatchError;
 use crate::matchers::{MatchReport, Verdict};
@@ -145,14 +142,12 @@ pub fn match_n_i_simon(
 
 /// [`match_n_i_simon`] on an explicit simulation substrate.
 ///
-/// All three backends sample the identical constraint distribution, so
+/// Both backends sample the identical constraint distribution, so
 /// under the promise the recovered `ν` is **bit-identical** across
 /// backends (the GF(2) system has a unique solution at rank `n`) — only
 /// reachable width and throughput differ:
 ///
 /// * [`QuantumBackend::Dense`] — `2^{2n+1}` amplitudes, `n ≤ 9`;
-/// * [`QuantumBackend::Sparse`] — ≤ `2^{n+1}` nonzeros per round,
-///   `n ≤ 19` under the sparse entry budget;
 /// * [`QuantumBackend::Stabilizer`] — the round is reduced to its
 ///   Clifford normal form: the oracle queries are evaluated classically
 ///   (one to each box per round, identical accounting) to obtain the
@@ -202,7 +197,6 @@ pub fn match_n_i_simon_with(
         rounds += 1;
         let word = match backend {
             QuantumBackend::Dense => simon_round_dense(c1, c2, n, rng)?,
-            QuantumBackend::Sparse => simon_round_sparse(c1, c2, n, rng)?,
             QuantumBackend::Stabilizer => simon_round_stabilizer(c1, c2, n, rng),
         };
         let c = word & 1 == 1;
@@ -223,19 +217,6 @@ fn check_simon_capacity(n: usize, backend: QuantumBackend) -> Result<(), MatchEr
             Err(MatchError::Quantum(QuantumError::TooManyQubits {
                 n: total_qubits,
                 max: MAX_QUBITS,
-            }))
-        }
-        QuantumBackend::Sparse if total_qubits > SPARSE_MAX_QUBITS => {
-            Err(MatchError::Quantum(QuantumError::TooManyQubits {
-                n: total_qubits,
-                max: SPARSE_MAX_QUBITS,
-            }))
-        }
-        QuantumBackend::Sparse if 1usize << (n + 1) > revmatch_quantum::SPARSE_MAX_ENTRIES => {
-            // The Hadamard fan-out over (b, x) peaks at 2^{n+1} nonzeros.
-            Err(MatchError::Quantum(QuantumError::StateTooLarge {
-                entries: 1 << (n + 1),
-                max: revmatch_quantum::SPARSE_MAX_ENTRIES,
             }))
         }
         QuantumBackend::Stabilizer if n + 1 > STABILIZER_MAX_QUBITS => {
@@ -268,32 +249,6 @@ fn simon_round_dense(
     // Collapse the output register.
     let _observed = sv.measure_range(out_off, n, rng)?;
     // Fourier-sample (b, x).
-    sv.apply_h(b_q)?;
-    for i in 0..n {
-        sv.apply_h(x_off + i)?;
-    }
-    Ok(sv.measure_range(0, n + 1, rng)?)
-}
-
-/// The sparse twin of [`simon_round_dense`] — gate-for-gate identical,
-/// but the state never holds more than `2^{n+1}` nonzero amplitudes
-/// (the XOR oracles permute basis states; only the `n + 1` Hadamards
-/// fan out).
-fn simon_round_sparse(
-    c1: &Oracle,
-    c2: &Oracle,
-    n: usize,
-    rng: &mut impl Rng,
-) -> Result<u64, MatchError> {
-    let (b_q, x_off, out_off) = (0usize, 1usize, n + 1);
-    let mut sv = SparseStateVector::basis(0, 2 * n + 1);
-    sv.apply_h(b_q)?;
-    for i in 0..n {
-        sv.apply_h(x_off + i)?;
-    }
-    c1.query_quantum_xor_sparse(&mut sv, x_off, out_off, Some((b_q, false)))?;
-    c2.query_quantum_xor_sparse(&mut sv, x_off, out_off, Some((b_q, true)))?;
-    let _observed = sv.measure_range(out_off, n, rng)?;
     sv.apply_h(b_q)?;
     for i in 0..n {
         sv.apply_h(x_off + i)?;
@@ -532,19 +487,17 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_stabilizer_run_where_dense_cannot() {
+    fn stabilizer_runs_where_dense_cannot() {
         use crate::promise::random_wide_instance;
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        // Width 12 (25 total qubits) — dense refuses, sparse/stabilizer
-        // run. A bounded MCT cascade keeps per-entry oracle evaluation
+        // Width 12 (25 total qubits) — dense refuses, the stabilizer
+        // runs. A bounded MCT cascade keeps per-round oracle evaluation
         // cheap (a synthesized uniform function would dominate the test).
         let inst = random_wide_instance(Equivalence::new(Side::N, Side::I), 12, 48, &mut rng);
-        for backend in [QuantumBackend::Sparse, QuantumBackend::Stabilizer] {
-            let c1 = Oracle::new(inst.c1.clone());
-            let c2 = Oracle::new(inst.c2.clone());
-            let outcome = match_n_i_simon_with(&c1, &c2, backend, &mut rng).unwrap();
-            assert_eq!(outcome.witness.nu_x(), inst.witness.nu_x(), "{backend}");
-        }
+        let c1 = Oracle::new(inst.c1.clone());
+        let c2 = Oracle::new(inst.c2.clone());
+        let outcome = match_n_i_simon_with(&c1, &c2, QuantumBackend::Stabilizer, &mut rng).unwrap();
+        assert_eq!(outcome.witness.nu_x(), inst.witness.nu_x());
         // Width 24 — only the stabilizer reaches it.
         let inst = random_wide_instance(Equivalence::new(Side::N, Side::I), 24, 64, &mut rng);
         let c1 = Oracle::new(inst.c1.clone());
@@ -565,26 +518,18 @@ mod tests {
             Err(MatchError::Quantum(_))
         ));
         assert!(matches!(
-            err(20, QuantumBackend::Sparse, &mut rng),
-            Err(MatchError::Quantum(
-                revmatch_quantum::QuantumError::StateTooLarge { .. }
-            ))
-        ));
-        assert!(matches!(
             err(63, QuantumBackend::Stabilizer, &mut rng),
             Err(MatchError::Quantum(
                 revmatch_quantum::QuantumError::TooManyQubits { .. }
             ))
         ));
         // In-capacity widths still work on each backend. The dense w9
-        // and sparse w19 ceilings are exercised via the capacity check:
-        // full runs at 2^19 amplitudes or 2^20-entry states belong in
-        // the release-mode `quantum_backends` bench.
+        // ceiling is exercised via the capacity check: a full run at
+        // 2^19 amplitudes belongs in the release-mode `quantum_backends`
+        // bench.
         assert!(check_simon_capacity(9, QuantumBackend::Dense).is_ok());
         assert!(check_simon_capacity(10, QuantumBackend::Dense).is_err());
         assert!(err(5, QuantumBackend::Dense, &mut rng).is_ok());
-        assert!(err(12, QuantumBackend::Sparse, &mut rng).is_ok());
-        assert!(check_simon_capacity(19, QuantumBackend::Sparse).is_ok());
         assert!(err(31, QuantumBackend::Stabilizer, &mut rng).is_ok());
         // The stabilizer's full width: a planted w62 pair whose shift
         // sets line 61, so the sampled parity bit is the top qubit.

@@ -126,12 +126,11 @@ impl std::fmt::Display for Stage {
 }
 
 /// Names behind [`Detail`] codes; index 0 is "no detail".
-const DETAIL_NAMES: [&str; 8] = [
+const DETAIL_NAMES: [&str; 7] = [
     "",
     "dpll",
     "cdcl",
     "dense",
-    "sparse",
     "stabilizer",
     "wide256-portable",
     "wide256-avx2",

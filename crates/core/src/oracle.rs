@@ -33,7 +33,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use revmatch_circuit::{Circuit, TruthTable, DENSE_MAX_WIDTH};
-use revmatch_quantum::{ProductState, SparseStateVector, StateVector};
+use revmatch_quantum::{ProductState, StateVector};
 
 use crate::error::MatchError;
 
@@ -73,28 +73,9 @@ pub trait QuantumOracle {
     /// # Errors
     ///
     /// Returns an error if the preparation size mismatches the oracle width
-    /// or the state is too large to simulate.
+    /// or the state is too large to simulate; a failed call counts
+    /// nothing.
     fn query_quantum(&self, input: &ProductState) -> Result<StateVector, MatchError>;
-
-    /// Runs the box on a prepared product state using the sparse
-    /// simulation substrate. Identical accounting and semantics to
-    /// [`query_quantum`], but the result stores only nonzero
-    /// amplitudes, so widths past the dense simulator limit stay
-    /// reachable while the state is structurally sparse.
-    ///
-    /// The default implementation routes through the dense path (and
-    /// thus inherits its width limit); [`Oracle`] overrides it with a
-    /// genuinely sparse execution.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the preparation size mismatches the oracle
-    /// width or the state outgrows the sparse entry budget.
-    ///
-    /// [`query_quantum`]: QuantumOracle::query_quantum
-    fn query_quantum_sparse(&self, input: &ProductState) -> Result<SparseStateVector, MatchError> {
-        Ok(SparseStateVector::from_dense(&self.query_quantum(input)?))
-    }
 }
 
 /// A counting black box wrapping a reversible circuit.
@@ -266,8 +247,8 @@ impl Oracle {
     /// Until then probes walk the gates, and each request adds to a
     /// charge counted in scalar gate walks: a scalar query adds 1, a
     /// batch of `k` adds `⌈k/64⌉`, and a quantum window application
-    /// ([`Oracle::query_quantum_xor`], its sparse twin, and
-    /// [`QuantumOracle::query_quantum_sparse`]) adds the whole price.
+    /// ([`Oracle::query_quantum_xor`] and
+    /// [`QuantumOracle::query_quantum`]) adds the whole price.
     /// The request that brings the charge to `max(1, 2^width / 64)`
     /// compiles the table, exactly once, and it and every later
     /// request are served from it. Widths above `DENSE_MAX_WIDTH` never
@@ -468,32 +449,6 @@ impl Oracle {
         )?;
         Ok(())
     }
-
-    /// The sparse-substrate twin of [`Oracle::query_quantum_xor`]:
-    /// applies `U_C` as a key permutation over the stored nonzeros.
-    /// Counts **one** query, identical accounting to the dense path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatchError::Quantum`] if the windows do not fit or
-    /// overlap.
-    pub fn query_quantum_xor_sparse(
-        &self,
-        state: &mut SparseStateVector,
-        x_offset: usize,
-        out_offset: usize,
-        control: Option<(usize, bool)>,
-    ) -> Result<(), MatchError> {
-        self.count();
-        state.apply_xor_oracle(
-            self.window_eval(),
-            x_offset,
-            self.gates.width(),
-            out_offset,
-            control,
-        )?;
-        Ok(())
-    }
 }
 
 impl ClassicalOracle for Oracle {
@@ -531,20 +486,8 @@ impl QuantumOracle for Oracle {
                 right: self.gates.width(),
             });
         }
-        let sv = input.try_to_state_vector()?;
+        let mut sv = input.try_to_state_vector()?;
         self.count();
-        Ok(sv.applied_circuit(self.circuit(), 0)?)
-    }
-
-    fn query_quantum_sparse(&self, input: &ProductState) -> Result<SparseStateVector, MatchError> {
-        if input.num_qubits() != self.gates.width() {
-            return Err(MatchError::WidthMismatch {
-                left: input.num_qubits(),
-                right: self.gates.width(),
-            });
-        }
-        self.count();
-        let mut sv = SparseStateVector::from_product(input)?;
         sv.apply_window_permutation(self.window_eval(), self.gates.width(), 0)?;
         Ok(sv)
     }
@@ -880,47 +823,50 @@ mod tests {
     }
 
     #[test]
-    fn sparse_xor_matches_dense_and_counts_one_query() {
-        let o = not0(2);
-        let mut dense = StateVector::basis(0b00_10, 4);
-        let mut sparse = SparseStateVector::from_dense(&dense);
-        o.query_quantum_xor(&mut dense, 0, 2, None).unwrap();
-        o.query_quantum_xor_sparse(&mut sparse, 0, 2, None).unwrap();
-        assert_eq!(o.queries(), 2);
-        for x in 0..16u64 {
-            assert!(sparse.amplitude(x).approx_eq(dense.amplitude(x), 1e-12));
+    fn quantum_query_reads_any_table_bit_identically() {
+        // A gate walk, an eager table, a handed-in table and a bought one
+        // permute the same amplitudes to the same places.
+        let c = Circuit::from_gates(3, [Gate::toffoli(0, 1, 2), Gate::not(1)]).unwrap();
+        let shared = Arc::new(TruthTable::compile(&c).unwrap());
+        let inputs = [
+            ProductState::from_qubits(vec![Qubit::Plus, Qubit::One, Qubit::Minus]),
+            ProductState::uniform(3, Qubit::Plus).with_qubit(1, Qubit::Zero),
+            ProductState::basis(0b101, 3),
+        ];
+        let expect: Vec<StateVector> = inputs
+            .iter()
+            .map(|p| p.to_state_vector().applied_circuit(&c, 0).unwrap())
+            .collect();
+        for oracle in [
+            Oracle::new(c.clone()),
+            Oracle::precompiled(c.clone()),
+            Oracle::with_shared_table(c.clone(), shared),
+            Oracle::on_demand(c.clone()),
+        ] {
+            let lazy = matches!(oracle.table, TableMode::OnDemand(_));
+            for (k, (input, expect)) in inputs.iter().zip(&expect).enumerate() {
+                assert_eq!(&oracle.query_quantum(input).unwrap(), expect);
+                assert_eq!(oracle.queries(), k as u64 + 1, "one query per call");
+                if lazy {
+                    assert!(
+                        oracle.compiled_on_demand().is_some(),
+                        "the first window buys"
+                    );
+                }
+            }
         }
-    }
 
-    #[test]
-    fn sparse_quantum_query_scales_past_dense_limit() {
-        // Width 24 — query_quantum fails cleanly, the sparse path runs.
-        let width = 24;
-        let o = Oracle::new(Circuit::from_gates(width, [Gate::cnot(0, 23)]).unwrap());
-        let input = ProductState::uniform(width, Qubit::Zero).with_qubit(0, Qubit::One);
+        // Past the dense simulator: a clean error, no query, no table.
+        let width = revmatch_quantum::MAX_QUBITS + 1;
+        let wide = Oracle::on_demand(Circuit::from_gates(width, [Gate::cnot(0, 1)]).unwrap());
         assert!(matches!(
-            o.query_quantum(&input),
+            wide.query_quantum(&ProductState::uniform(width, Qubit::Zero)),
             Err(MatchError::Quantum(
                 revmatch_quantum::QuantumError::TooManyQubits { .. }
             ))
         ));
-        let out = o.query_quantum_sparse(&input).unwrap();
-        assert!((out.probability(1 | (1 << 23)) - 1.0).abs() < 1e-12);
-        // The failed dense call does not count; the sparse query does.
-        assert_eq!(o.queries(), 1);
-    }
-
-    #[test]
-    fn sparse_quantum_query_matches_dense_on_superpositions() {
-        let c = Circuit::from_gates(3, [Gate::toffoli(0, 1, 2), Gate::not(1)]).unwrap();
-        let o = Oracle::precompiled(c);
-        let input = ProductState::from_qubits(vec![Qubit::Plus, Qubit::One, Qubit::Minus]);
-        let dense = o.query_quantum(&input).unwrap();
-        let sparse = o.query_quantum_sparse(&input).unwrap();
-        for x in 0..8u64 {
-            assert!(sparse.amplitude(x).approx_eq(dense.amplitude(x), 1e-12));
-        }
-        assert_eq!(o.queries(), 2);
+        assert_eq!(wide.queries(), 0);
+        assert!(wide.compiled_on_demand().is_none());
     }
 
     fn random_circuit(width: usize, seed: u64) -> Circuit {
@@ -1007,24 +953,6 @@ mod tests {
         assert!((a.probability(0x5A | (c.apply(0x5A) << 8)) - 1.0).abs() < 1e-12);
         assert!((b.probability(0x5A | (c.apply(0x5A) << 8)) - 1.0).abs() < 1e-12);
         assert_eq!(lazy.queries(), 1);
-
-        for sparse_first in [true, false] {
-            let lazy = Oracle::on_demand(c.clone());
-            if sparse_first {
-                let mut sv = SparseStateVector::basis(0x33, 16);
-                lazy.query_quantum_xor_sparse(&mut sv, 0, 8, None).unwrap();
-                assert!((sv.probability(0x33 | (c.apply(0x33) << 8)) - 1.0).abs() < 1e-12);
-            } else {
-                let input = ProductState::uniform(8, Qubit::Plus);
-                let out = lazy.query_quantum_sparse(&input).unwrap();
-                let expect = plain.query_quantum_sparse(&input).unwrap();
-                for x in 0..256u64 {
-                    assert!(out.amplitude(x).approx_eq(expect.amplitude(x), 1e-12));
-                }
-            }
-            assert!(lazy.compiled_on_demand().is_some());
-            assert_eq!(lazy.queries(), 1);
-        }
     }
 
     #[test]
@@ -1035,11 +963,13 @@ mod tests {
         let xs: Vec<u64> = (0..4096).collect();
         assert_eq!(lazy.query_batch(&xs), c.apply_batch(&xs));
         let input = ProductState::uniform(width, Qubit::Zero).with_qubit(0, Qubit::One);
-        let out = lazy.query_quantum_sparse(&input).unwrap();
-        assert!((out.probability(1 | (1 << (width - 1))) - 1.0).abs() < 1e-12);
+        assert!(
+            lazy.query_quantum(&input).is_err(),
+            "past the dense simulator"
+        );
         assert!(lazy.compiled_on_demand().is_none());
         assert!(lazy.inverse_oracle().compiled_on_demand().is_none());
-        assert_eq!(lazy.queries(), 4097);
+        assert_eq!(lazy.queries(), 4096);
     }
 
     #[test]

@@ -79,23 +79,6 @@ impl fmt::Display for JobKind {
     }
 }
 
-impl std::str::FromStr for JobKind {
-    type Err = MatchError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "promise" => Ok(JobKind::Promise),
-            "identify" => Ok(JobKind::Identify),
-            "quantum" => Ok(JobKind::Quantum),
-            "sat" => Ok(JobKind::Sat),
-            "enumerate" => Ok(JobKind::Enumerate),
-            other => Err(MatchError::Parse {
-                reason: format!("unknown job kind {other:?}"),
-            }),
-        }
-    }
-}
-
 /// A promise-matching job: a promised pair plus the resources the
 /// solver may assume.
 #[derive(Debug, Clone)]

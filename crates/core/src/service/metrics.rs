@@ -644,8 +644,8 @@ impl Metrics {
                 write_family(&mut out, &name, "counter", &help, series);
             }
         }
-        // Always emitted for all three backends so dashboards see
-        // explicit zeroes.
+        // Always emitted for both backends so dashboards see explicit
+        // zeroes.
         write_family(
             &mut out,
             "revmatch_quantum_backend_jobs_total",

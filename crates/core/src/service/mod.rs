@@ -234,10 +234,10 @@ impl ServiceConfig {
         self
     }
 
-    /// Pins every quantum-path job to one simulation backend instead of
-    /// the per-algorithm auto policy (stabilizer for Simon, sparse for
-    /// swap tests). Jobs whose width exceeds the pinned backend's capacity
-    /// complete with a clean error instead of falling back.
+    /// Pins the Simon jobs' simulation backend instead of the default
+    /// (stabilizer). Swap-test jobs run on the dense state vector
+    /// whatever the pin. Jobs whose width exceeds their backend's
+    /// capacity complete with a clean error instead of falling back.
     #[must_use]
     pub fn with_quantum_backend(mut self, backend: revmatch_quantum::QuantumBackend) -> Self {
         self.matcher.quantum_backend = Some(backend);
@@ -640,14 +640,13 @@ impl Shared {
 
     /// The inverse-free quantum path: registry lookup on
     /// `(equivalence, None, Path::Quantum)`, with the Simon specialist
-    /// selected by name. The simulation backend is resolved per
-    /// algorithm (see [`MatcherConfig::simon_backend`] and
-    /// [`MatcherConfig::swap_test_backend`]) and counted per job in the
-    /// `revmatch_quantum_backend_jobs_total` metric. Oracles go through
-    /// the worker's dense-table cache: Simon's classical oracle queries
-    /// and sparse/dense quantum probes all route window evaluations
-    /// through a compiled table when one exists, and a quantum window
-    /// application buys a missing one at once.
+    /// selected by name. Swap tests run on the dense state vector and
+    /// Simon on [`MatcherConfig::simon_backend`]; the backend is counted
+    /// per job in the `revmatch_quantum_backend_jobs_total` metric.
+    /// Oracles go through the worker's dense-table cache: Simon's
+    /// classical oracle queries and dense quantum probes all route
+    /// window evaluations through a compiled table when one exists, and
+    /// a quantum window application buys a missing one at once.
     fn execute_quantum(
         &self,
         job: QuantumPathJob,
@@ -666,7 +665,7 @@ impl Shared {
                 .filter(|m| m.equivalence() == job.equivalence),
         };
         let backend = match job.algorithm {
-            QuantumAlgorithm::SwapTest => self.matcher.swap_test_backend(),
+            QuantumAlgorithm::SwapTest => revmatch_quantum::QuantumBackend::Dense,
             QuantumAlgorithm::Simon => self.matcher.simon_backend(),
         };
         self.metrics.record_quantum_backend(backend);

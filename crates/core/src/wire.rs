@@ -274,11 +274,6 @@ fn put_quantum_error(out: &mut Vec<u8>, e: &QuantumError) {
             put_u8(out, 3);
             put_string(out, reason);
         }
-        QuantumError::StateTooLarge { entries, max } => {
-            put_u8(out, 4);
-            put_u64(out, *entries as u64);
-            put_u64(out, *max as u64);
-        }
         // `QuantumError` is non_exhaustive; degrade unknown variants to
         // their rendered message.
         other => {
@@ -666,10 +661,6 @@ fn get_quantum_error(buf: &mut Buf<'_>) -> Result<QuantumError, WireError> {
         },
         3 => QuantumError::InvalidAmplitudes {
             reason: buf.string()?,
-        },
-        4 => QuantumError::StateTooLarge {
-            entries: buf.u64()? as usize,
-            max: buf.u64()? as usize,
         },
         b => return Err(malformed(format!("bad quantum-error tag {b:#x}"))),
     })
@@ -1145,6 +1136,35 @@ mod tests {
             let decoded = round_trip_report(&report);
             assert_eq!(decoded.witness, Err(err));
         }
+        // Quantum-error tag 4 is retired: it decodes as any unknown tag.
+        let report = JobReport {
+            witness: Err(MatchError::Quantum(QuantumError::TooManyQubits {
+                n: 80,
+                max: 63,
+            })),
+            ..base.clone()
+        };
+        let mut bytes = Vec::new();
+        write_server_frame(
+            &mut bytes,
+            &ServerFrame::Report {
+                client_id: 42,
+                report,
+            },
+        )
+        .unwrap();
+        let mut tagged = vec![15, 2];
+        tagged.extend_from_slice(&80u64.to_le_bytes());
+        let at = bytes
+            .windows(tagged.len())
+            .position(|w| w == tagged)
+            .expect("the quantum error is on the wire");
+        bytes[at + 1] = 4;
+        let err = read_server_frame(&mut bytes.as_slice()).unwrap_err();
+        assert!(
+            err.to_string().contains("bad quantum-error tag 0x4"),
+            "{err}"
+        );
     }
 
     #[test]

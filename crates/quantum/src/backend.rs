@@ -1,38 +1,34 @@
 //! Quantum simulation backend dispatch.
 //!
-//! Three interchangeable substrates execute the paper's quantum
-//! algorithms, mirroring the `SolverBackend`/`Kernel` dispatch patterns
-//! elsewhere in the workspace:
+//! Two substrates execute the paper's quantum algorithms, mirroring the
+//! `SolverBackend`/`Kernel` dispatch patterns elsewhere in the
+//! workspace:
 //!
 //! * [`QuantumBackend::Dense`] — the reference `2^n`-amplitude
 //!   [`crate::StateVector`] (exact, but capped at
-//!   [`crate::MAX_QUBITS`] qubits and `O(2^n)` per gate);
-//! * [`QuantumBackend::Sparse`] — a map-keyed
-//!   [`crate::SparseStateVector`] holding only nonzero amplitudes
-//!   (XOR-oracle states after a Hadamard layer have ≤ `2^n` nonzeros,
-//!   not `2^(2n)`);
+//!   [`crate::MAX_QUBITS`] qubits and `O(2^n)` per gate). Every swap
+//!   test runs here: the controlled-SWAP is not Clifford, and a box
+//!   applies to a probe as one permutation of its amplitudes;
 //! * [`QuantumBackend::Stabilizer`] — Clifford-only circuits: the Simon
 //!   sampling round is pure H/CNOT/X, so the matcher samples its
 //!   outcome in closed form, `O(n)` per round at any width up to 62
 //!   lines. The CHP tableau ([`crate::Tableau`]) is the reference that
 //!   closed form is diffed against.
 //!
-//! Callers pick the backend: the matchers take an explicit pin from
-//! their configuration, or else apply a per-algorithm auto policy
-//! (Stabilizer for Simon-style Clifford sampling, Sparse for swap-test
-//! probes). Every backend recovers identical Simon witnesses on
-//! identical instances — the differential suites hold them to that.
+//! The choice only matters for the Simon matcher: it takes an explicit
+//! pin from its configuration, or else runs on Stabilizer. Both
+//! backends recover identical Simon witnesses on identical instances —
+//! the differential suites hold them to that.
 
-/// The quantum simulation substrate executing a matcher's circuit runs.
+/// The quantum simulation substrate executing a Simon matcher's rounds
+/// (swap tests always run on [`QuantumBackend::Dense`]).
 ///
-/// All backends recover the same witnesses — the choice trades
+/// Both backends recover the same witnesses — the choice trades
 /// generality for throughput and reachable width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QuantumBackend {
     /// Dense `2^n`-amplitude state vector (the reference substrate).
     Dense,
-    /// Map-keyed sparse state vector: only nonzero amplitudes stored.
-    Sparse,
     /// Stabilizer formalism — Clifford circuits only (H/CNOT/X and
     /// computational-basis measurement), any width up to 63 qubits. The
     /// Simon matcher samples the round's outcome in closed form;
@@ -42,18 +38,13 @@ pub enum QuantumBackend {
 
 impl QuantumBackend {
     /// Every backend, in escalation order.
-    pub const ALL: [QuantumBackend; 3] = [
-        QuantumBackend::Dense,
-        QuantumBackend::Sparse,
-        QuantumBackend::Stabilizer,
-    ];
+    pub const ALL: [QuantumBackend; 2] = [QuantumBackend::Dense, QuantumBackend::Stabilizer];
 
-    /// The backend's name (`dense`, `sparse`, `stabilizer`), as
-    /// parsed back by [`FromStr`](std::str::FromStr).
+    /// The backend's name (`dense`, `stabilizer`), as metric labels and
+    /// the service's backend info gauge print it.
     pub fn name(self) -> &'static str {
         match self {
             QuantumBackend::Dense => "dense",
-            QuantumBackend::Sparse => "sparse",
             QuantumBackend::Stabilizer => "stabilizer",
         }
     }
@@ -70,19 +61,6 @@ impl std::fmt::Display for QuantumBackend {
     }
 }
 
-impl std::str::FromStr for QuantumBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        QuantumBackend::ALL
-            .into_iter()
-            .find(|b| b.name() == s)
-            .ok_or_else(|| {
-                format!("unknown quantum backend {s:?} (expected dense | sparse | stabilizer)")
-            })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,10 +68,12 @@ mod tests {
     #[test]
     fn names_round_trip() {
         for b in QuantumBackend::ALL {
-            assert_eq!(b.name().parse::<QuantumBackend>().unwrap(), b);
             assert_eq!(b.to_string(), b.name());
+            let named = QuantumBackend::ALL
+                .into_iter()
+                .find(|o| o.name() == b.name());
+            assert_eq!(named, Some(b), "{b}: the name picks the backend back out");
         }
-        assert!("qft".parse::<QuantumBackend>().is_err());
     }
 
     #[test]

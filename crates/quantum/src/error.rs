@@ -33,13 +33,6 @@ pub enum QuantumError {
         /// Human-readable reason.
         reason: String,
     },
-    /// A sparse state's support outgrew the entry budget.
-    StateTooLarge {
-        /// Nonzero amplitudes the operation would have produced.
-        entries: usize,
-        /// Supported maximum.
-        max: usize,
-    },
 }
 
 impl fmt::Display for QuantumError {
@@ -55,12 +48,6 @@ impl fmt::Display for QuantumError {
                 write!(f, "register of {n} qubits exceeds supported maximum {max}")
             }
             Self::InvalidAmplitudes { reason } => write!(f, "invalid amplitudes: {reason}"),
-            Self::StateTooLarge { entries, max } => {
-                write!(
-                    f,
-                    "sparse state of {entries} entries exceeds supported maximum {max}"
-                )
-            }
         }
     }
 }

@@ -7,13 +7,11 @@
 //! superposition inputs, XOR and phase oracles, measurement with collapse,
 //! and the swap test of Fig. 3.
 //!
-//! Three interchangeable simulation substrates back those algorithms —
-//! see [`QuantumBackend`] for the dispatch: the dense reference
-//! [`StateVector`], the map-keyed [`SparseStateVector`] (only nonzero
-//! amplitudes stored, so structurally sparse oracle states scale past
-//! [`MAX_QUBITS`]), and the Clifford-only stabilizer [`Tableau`], the
-//! reference for the Simon matcher's closed-form stabilizer round (any
-//! width up to 63 qubits).
+//! Two simulation substrates back those algorithms — see
+//! [`QuantumBackend`] for the dispatch: the dense reference
+//! [`StateVector`], on which every swap test runs, and the
+//! Clifford-only stabilizer [`Tableau`], the reference for the Simon
+//! matcher's closed-form stabilizer round (any width up to 63 qubits).
 //!
 //! ## Example: the `|+⟩`-blanket trick of Algorithm 1
 //!
@@ -49,7 +47,6 @@
 pub mod backend;
 pub mod complex;
 pub mod error;
-pub mod sparse;
 pub mod stabilizer;
 pub mod state;
 pub mod swap_test;
@@ -57,12 +54,10 @@ pub mod swap_test;
 pub use backend::QuantumBackend;
 pub use complex::Complex;
 pub use error::QuantumError;
-pub use sparse::{SparseStateVector, SPARSE_MAX_ENTRIES, SPARSE_MAX_QUBITS};
 pub use stabilizer::{Tableau, STABILIZER_MAX_QUBITS};
 pub use state::{ProductState, Qubit, StateVector, MAX_QUBITS};
 pub use swap_test::{
-    swap_test, swap_test_full_circuit, swap_test_full_circuit_sparse, swap_test_probability,
-    swap_test_probability_sparse, swap_test_shots, swap_test_sparse, SwapTestMethod,
+    swap_test, swap_test_full_circuit, swap_test_probability, swap_test_shots, SwapTestMethod,
 };
 
 #[cfg(test)]
@@ -124,33 +119,6 @@ mod proptests {
             if qs1 == qs2 {
                 prop_assert!(p < 1e-12);
             }
-        }
-
-        /// Sparse simulation reproduces dense amplitudes on random
-        /// circuits with Hadamard layers and an XOR oracle.
-        #[test]
-        fn sparse_matches_dense_amplitudes(
-            seed in any::<u64>(),
-            qs in proptest::collection::vec(arb_qubit(), 6..=6),
-        ) {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let circ = revmatch_circuit::random_circuit(
-                &revmatch_circuit::RandomCircuitSpec::for_width(3),
-                &mut rng,
-            );
-            let p = ProductState::from_qubits(qs);
-            let mut dense = p.to_state_vector();
-            let mut sparse = SparseStateVector::from_product(&p).unwrap();
-            dense.apply_h(0).unwrap();
-            dense.apply_xor_oracle(|x| circ.apply(x), 0, 3, 3, None).unwrap();
-            dense.apply_h(4).unwrap();
-            sparse.apply_h(0).unwrap();
-            sparse.apply_xor_oracle(|x| circ.apply(x), 0, 3, 3, None).unwrap();
-            sparse.apply_h(4).unwrap();
-            for x in 0..1u64 << 6 {
-                prop_assert!(sparse.amplitude(x).approx_eq(dense.amplitude(x), 1e-9));
-            }
-            prop_assert!((sparse.norm_sqr() - 1.0).abs() < 1e-9);
         }
 
         /// The analytic inner product of product states matches the dense one.

@@ -21,7 +21,7 @@
 //! accumulation. Only the Clifford fragment the Simon circuit needs is
 //! exposed (H, CNOT, X, measurement); anything non-Clifford (the
 //! swap-test's controlled-SWAP, arbitrary Toffoli cascades) must stay
-//! on the dense or sparse state-vector backends.
+//! on the dense state vector.
 
 mod tableau;
 

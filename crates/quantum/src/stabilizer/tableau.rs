@@ -4,8 +4,8 @@ use rand::Rng;
 
 use crate::error::QuantumError;
 
-/// Largest register a [`Tableau`] supports. Matches the sparse
-/// backend's cap so `measure_range` outcomes always fit one `u64` word.
+/// Largest register a [`Tableau`] supports, so `measure_range` outcomes
+/// always fit one `u64` word.
 pub const STABILIZER_MAX_QUBITS: usize = 63;
 
 /// A stabilizer state over `n` qubits as a CHP tableau: `2n` generator

@@ -378,21 +378,37 @@ impl StateVector {
     ///
     /// Returns [`QuantumError::QubitOutOfRange`] if the window does not fit.
     pub fn apply_circuit(&mut self, circuit: &Circuit, offset: usize) -> Result<(), QuantumError> {
-        let w = circuit.width();
-        if offset + w > self.n {
+        self.apply_window_permutation(|x| circuit.apply(x), circuit.width(), offset)
+    }
+
+    /// Applies any white-box bijection `f` over `width`-bit words to the
+    /// window `[offset, offset + width)` — [`StateVector::apply_circuit`]
+    /// for callers holding a lookup table instead of a gate cascade.
+    /// `f` is evaluated once per nonzero amplitude.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantumError::QubitOutOfRange`] if the window does not fit.
+    pub fn apply_window_permutation(
+        &mut self,
+        f: impl Fn(u64) -> u64,
+        width: usize,
+        offset: usize,
+    ) -> Result<(), QuantumError> {
+        if offset + width > self.n {
             return Err(QuantumError::QubitOutOfRange {
-                qubit: offset + w,
+                qubit: offset + width,
                 n: self.n,
             });
         }
-        let mask = revmatch_circuit::width_mask(w) as usize;
+        let mask = revmatch_circuit::width_mask(width) as usize;
         let mut out = vec![Complex::ZERO; self.amps.len()];
         for (x, &a) in self.amps.iter().enumerate() {
             if a == Complex::ZERO {
                 continue;
             }
             let window = (x >> offset) & mask;
-            let mapped = circuit.apply(window as u64) as usize;
+            let mapped = f(window as u64) as usize & mask;
             let y = (x & !(mask << offset)) | (mapped << offset);
             out[y] = a;
         }

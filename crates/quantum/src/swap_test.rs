@@ -16,7 +16,6 @@
 use rand::Rng;
 
 use crate::error::QuantumError;
-use crate::sparse::SparseStateVector;
 use crate::state::{StateVector, MAX_QUBITS};
 
 /// How to execute a swap test.
@@ -103,79 +102,6 @@ pub fn swap_test_full_circuit(
     }
     let ancilla = 2 * n;
     let mut joint = psi1.tensor(psi2)?.tensor(&StateVector::basis(0, 1))?;
-    joint.apply_h(ancilla)?;
-    for i in 0..n {
-        joint.apply_cswap(ancilla, i, n + i)?;
-    }
-    joint.apply_h(ancilla)?;
-    joint.measure_qubit(ancilla, rng)
-}
-
-/// The analytic probability of measuring `1` on the sparse backend —
-/// the inner product sums over the support intersection, so states far
-/// past [`MAX_QUBITS`] remain testable as long as they stay sparse.
-///
-/// # Errors
-///
-/// Returns [`QuantumError::QubitCountMismatch`] if the states differ in size.
-pub fn swap_test_probability_sparse(
-    psi1: &SparseStateVector,
-    psi2: &SparseStateVector,
-) -> Result<f64, QuantumError> {
-    let overlap = psi1.inner_product(psi2)?.norm_sqr();
-    Ok((0.5 - 0.5 * overlap).clamp(0.0, 1.0))
-}
-
-/// Runs one swap test on sparse states and returns the measured ancilla
-/// bit. The full-circuit path builds the sparse `2n+1`-qubit joint
-/// state (its support is the *product* of the two input supports,
-/// bounded by the sparse entry cap rather than `2^(2n+1)` amplitudes).
-///
-/// # Errors
-///
-/// Returns [`QuantumError::QubitCountMismatch`] on size mismatch, or —
-/// `FullCircuit` only — [`QuantumError::TooManyQubits`] /
-/// [`QuantumError::StateTooLarge`] if the joint state would exceed the
-/// sparse limits.
-pub fn swap_test_sparse(
-    method: SwapTestMethod,
-    psi1: &SparseStateVector,
-    psi2: &SparseStateVector,
-    rng: &mut impl Rng,
-) -> Result<bool, QuantumError> {
-    match method {
-        SwapTestMethod::Analytic => {
-            let p1 = swap_test_probability_sparse(psi1, psi2)?;
-            Ok(rng.gen_bool(p1))
-        }
-        SwapTestMethod::FullCircuit => swap_test_full_circuit_sparse(psi1, psi2, rng),
-    }
-}
-
-/// Simulates the complete Fig. 3 circuit on the sparse backend: ancilla
-/// `H`, a fan of controlled swaps, `H`, measurement — same layout as
-/// [`swap_test_full_circuit`] (`ψ1` on `0..n`, `ψ2` on `n..2n`, ancilla
-/// at `2n`).
-///
-/// # Errors
-///
-/// Returns [`QuantumError::QubitCountMismatch`] if sizes differ, or
-/// [`QuantumError::TooManyQubits`] / [`QuantumError::StateTooLarge`] if
-/// the joint state exceeds the sparse qubit or entry limits.
-pub fn swap_test_full_circuit_sparse(
-    psi1: &SparseStateVector,
-    psi2: &SparseStateVector,
-    rng: &mut impl Rng,
-) -> Result<bool, QuantumError> {
-    let n = psi1.num_qubits();
-    if n != psi2.num_qubits() {
-        return Err(QuantumError::QubitCountMismatch {
-            left: n,
-            right: psi2.num_qubits(),
-        });
-    }
-    let ancilla = 2 * n;
-    let mut joint = psi1.tensor(psi2)?.tensor(&SparseStateVector::basis(0, 1))?;
     joint.apply_h(ancilla)?;
     for i in 0..n {
         joint.apply_cswap(ancilla, i, n + i)?;
@@ -281,46 +207,6 @@ mod tests {
         let b = StateVector::basis(0, 3);
         assert!(swap_test(SwapTestMethod::Analytic, &a, &b, &mut rng).is_err());
         assert!(swap_test(SwapTestMethod::FullCircuit, &a, &b, &mut rng).is_err());
-    }
-
-    #[test]
-    fn sparse_paths_match_dense_probability_and_statistics() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-        let a = StateVector::basis(0, 1);
-        let b = ProductState::uniform(1, Qubit::Plus).to_state_vector();
-        let (sa, sb) = (
-            SparseStateVector::from_dense(&a),
-            SparseStateVector::from_dense(&b),
-        );
-        let p_dense = swap_test_probability(&a, &b).unwrap();
-        let p_sparse = swap_test_probability_sparse(&sa, &sb).unwrap();
-        assert!((p_dense - p_sparse).abs() < 1e-12);
-        for method in [SwapTestMethod::FullCircuit, SwapTestMethod::Analytic] {
-            let mut ones = 0;
-            for _ in 0..4000 {
-                ones += usize::from(swap_test_sparse(method, &sa, &sb, &mut rng).unwrap());
-            }
-            let freq = ones as f64 / 4000.0;
-            assert!((freq - 0.25).abs() < 0.04, "{method:?}: freq = {freq}");
-        }
-    }
-
-    #[test]
-    fn sparse_full_circuit_runs_past_the_dense_limit() {
-        // Width 12 (25 joint qubits) is rejected densely but trivially
-        // sparse: basis states keep the joint support at one entry.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let a = SparseStateVector::basis(7, 12);
-        for _ in 0..20 {
-            assert!(!swap_test_full_circuit_sparse(&a, &a, &mut rng).unwrap());
-        }
-        let b = SparseStateVector::basis(9, 12);
-        let mut ones = 0;
-        for _ in 0..2000 {
-            ones += usize::from(swap_test_full_circuit_sparse(&a, &b, &mut rng).unwrap());
-        }
-        let freq = ones as f64 / 2000.0;
-        assert!((freq - 0.5).abs() < 0.05, "orthogonal freq = {freq}");
     }
 
     #[test]

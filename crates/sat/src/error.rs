@@ -26,12 +26,6 @@ pub enum SatError {
         /// The unrecognized name.
         name: String,
     },
-    /// A solver-option name did not parse (expected `lbd`, `xor`, `all`
-    /// or `none`).
-    UnknownSatOption {
-        /// The unrecognized name.
-        name: String,
-    },
     /// A DRAT proof failed verification.
     ProofRejected {
         /// 0-based index of the offending proof step.
@@ -52,12 +46,6 @@ impl fmt::Display for SatError {
             }
             Self::UnknownBackend { name } => {
                 write!(f, "unknown solver backend {name:?} (expected dpll or cdcl)")
-            }
-            Self::UnknownSatOption { name } => {
-                write!(
-                    f,
-                    "unknown solver option {name:?} (expected lbd, xor, all or none)"
-                )
             }
             Self::ProofRejected { step, reason } => {
                 write!(f, "DRAT proof rejected at step {step}: {reason}")

@@ -13,13 +13,10 @@
 //!
 //! A [`crate::CdclSolver`] starts with **all features on**
 //! ([`SatOptions::ALL`]); [`crate::CdclSolver::with_options`] pins
-//! another set per solver. The text form (flags, logs, info gauges) is
-//! a comma list of `lbd`, `xor`, or the words `all` / `none`.
+//! another set per solver. The text form (logs, info gauges) is
+//! [`SatOptions::label`]: a comma list of `lbd` and `xor`, or `none`.
 
 use std::fmt;
-use std::str::FromStr;
-
-use crate::error::SatError;
 
 /// Which industrial-core features the CDCL solver runs with — see the
 /// [module docs](self).
@@ -52,8 +49,8 @@ impl SatOptions {
         xor: false,
     };
 
-    /// The stable label used in flags, logs and the metrics info gauge:
-    /// a comma list of the enabled features, or `none`.
+    /// The stable label used in logs and the metrics info gauge: a comma
+    /// list of the enabled features, or `none`.
     pub fn label(self) -> String {
         let mut parts = Vec::new();
         if self.lbd {
@@ -76,58 +73,19 @@ impl fmt::Display for SatOptions {
     }
 }
 
-impl FromStr for SatOptions {
-    type Err = SatError;
-
-    /// Parses a comma list of `lbd` / `xor` (in any order),
-    /// or the words `all` / `none`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let trimmed = s.trim().to_ascii_lowercase();
-        match trimmed.as_str() {
-            "all" => return Ok(Self::ALL),
-            "none" => return Ok(Self::NONE),
-            _ => {}
-        }
-        let mut opts = Self::NONE;
-        for part in trimmed.split(',') {
-            match part.trim() {
-                "lbd" => opts.lbd = true,
-                "xor" => opts.xor = true,
-                other => {
-                    return Err(SatError::UnknownSatOption {
-                        name: other.to_owned(),
-                    })
-                }
-            }
-        }
-        Ok(opts)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn parse_and_display_round_trip() {
-        for opts in [
-            SatOptions::ALL,
-            SatOptions::NONE,
-            SatOptions {
-                lbd: false,
-                xor: true,
-            },
-        ] {
-            let parsed: SatOptions = opts.label().parse().unwrap();
-            assert_eq!(parsed, opts);
-        }
-        assert_eq!("all".parse::<SatOptions>().unwrap(), SatOptions::ALL);
-        assert_eq!("none".parse::<SatOptions>().unwrap(), SatOptions::NONE);
-        assert_eq!(
-            " XOR , lbd ".parse::<SatOptions>().unwrap(),
-            SatOptions::ALL
-        );
-        assert!("glucose".parse::<SatOptions>().is_err());
+    fn labels_name_the_enabled_features() {
+        assert_eq!(SatOptions::ALL.label(), "lbd,xor");
+        assert_eq!(SatOptions::NONE.label(), "none");
+        let xor_only = SatOptions {
+            lbd: false,
+            xor: true,
+        };
+        assert_eq!(xor_only.to_string(), "xor");
         assert_eq!(SatOptions::default(), SatOptions::ALL);
     }
 }

@@ -1,9 +1,10 @@
-//! Differential tests for the quantum simulation backends: dense and
-//! sparse state vectors must agree amplitude-for-amplitude on the same
-//! oracle queries, all three backends must recover bit-identical Simon
-//! witnesses under fixed seeds (directly and through the service at
-//! every shard count), and widths past a backend's capacity must come
-//! back as clean failed jobs — never a panic, never a wedged shard.
+//! Differential tests for the quantum simulation backends: an oracle's
+//! quantum query must give the same amplitudes whether it walks its
+//! gates or reads its truth table, both backends must recover
+//! bit-identical Simon witnesses under fixed seeds (directly and
+//! through the service at every shard count), and widths past a
+//! backend's capacity must come back as clean failed jobs — never a
+//! panic, never a wedged shard.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -31,13 +32,17 @@ fn wide_ni_instance(width: usize, seed: u64) -> revmatch::PromiseInstance {
     )
 }
 
-fn simon_job(inst: &revmatch::PromiseInstance) -> JobSpec {
+fn quantum_job(inst: &revmatch::PromiseInstance, algorithm: QuantumAlgorithm) -> JobSpec {
     JobSpec::QuantumPath(QuantumPathJob {
         equivalence: inst.equivalence,
         c1: inst.c1.clone(),
         c2: inst.c2.clone(),
-        algorithm: QuantumAlgorithm::Simon,
+        algorithm,
     })
+}
+
+fn simon_job(inst: &revmatch::PromiseInstance) -> JobSpec {
+    quantum_job(inst, QuantumAlgorithm::Simon)
 }
 
 /// Fixed seeds, widths 2–8: every backend recovers the planted negation
@@ -71,24 +76,22 @@ fn backends_recover_bit_identical_witnesses_at_fixed_seeds() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Dense ≡ sparse on the oracle layer: querying the same random
+    /// Table ≡ gate walk on the oracle layer: querying the same random
     /// planted circuit on the same product state yields identical
-    /// amplitudes (the sparse path is a key permutation, the dense path
-    /// a full-table walk — they must agree exactly).
+    /// amplitudes whether the oracle walks its gates or reads its truth
+    /// table — both permute the amplitudes, so they agree exactly.
     #[test]
-    fn dense_and_sparse_oracle_queries_agree(width in 2usize..=7, seed in 0u64..1_000) {
+    fn table_and_gate_walk_oracle_queries_agree(width in 2usize..=7, seed in 0u64..1_000) {
         let inst = ni_instance(width, seed);
-        let oracle = Oracle::new(inst.c1.clone());
+        let walk = Oracle::new(inst.c1.clone());
+        let table = Oracle::precompiled(inst.c1.clone());
         let mut input = ProductState::uniform(width, Qubit::Plus);
         input = input.with_qubit(seed as usize % width, Qubit::Zero);
-        let dense = QuantumOracle::query_quantum(&oracle, &input).unwrap();
-        let sparse = QuantumOracle::query_quantum_sparse(&oracle, &input).unwrap();
-        let roundtrip = sparse.to_dense().unwrap();
-        for x in 0..(1u64 << width) {
-            let a = dense.amplitude(x);
-            let b = roundtrip.amplitude(x);
-            prop_assert!(a.approx_eq(b, 1e-9), "amplitude {x}: {a:?} vs {b:?}");
-        }
+        let walked = QuantumOracle::query_quantum(&walk, &input).unwrap();
+        let read = QuantumOracle::query_quantum(&table, &input).unwrap();
+        prop_assert!(walked == read, "w{width} seed {seed}: amplitudes differ");
+        prop_assert_eq!(walk.queries(), 1);
+        prop_assert_eq!(table.queries(), 1);
     }
 
     /// Per-backend round distributions agree in aggregate: across many
@@ -171,38 +174,60 @@ fn service_pins_backends_and_stays_deterministic_across_shards() {
     }
 }
 
-/// Width past a pinned backend's capacity: the job completes as a clean
+/// Width past a backend's capacity: the job completes as a clean
 /// failure with the quantum error surfaced in the report — no panic,
 /// and the shard keeps serving afterwards.
 #[test]
 fn oversized_jobs_fail_cleanly_and_do_not_wedge_the_service() {
-    // Dense refuses width 12 (25 qubits > 20); sparse refuses width 20
-    // (2^21 basis states > the entry budget).
-    for (backend, width) in [(QuantumBackend::Dense, 12), (QuantumBackend::Sparse, 20)] {
-        let svc = MatchService::start(
-            ServiceConfig::default()
-                .with_shards(1)
-                .with_quantum_backend(backend),
-        );
-        let wide = wide_ni_instance(width, 0x0DD + width as u64);
-        let report = svc.submit_wait_seeded(simon_job(&wide), 1).wait();
+    let cases = [
+        // Dense refuses a w12 Simon round (25 qubits > 20).
+        (
+            Some(QuantumBackend::Dense),
+            simon_job(&wide_ni_instance(12, 0x0DD + 12)),
+            QuantumBackend::Dense,
+        ),
+        // Every swap test runs on the dense vector: a w21 probe is one
+        // line past its 20 qubits.
+        (
+            None,
+            quantum_job(
+                &wide_ni_instance(21, 0x0DD + 21),
+                QuantumAlgorithm::SwapTest,
+            ),
+            QuantumBackend::Dense,
+        ),
+        // The stabilizer holds 63 qubits: 62 lines and the b qubit.
+        (
+            Some(QuantumBackend::Stabilizer),
+            simon_job(&wide_ni_instance(63, 0x0DD + 63)),
+            QuantumBackend::Stabilizer,
+        ),
+    ];
+    for (pin, job, ran_on) in cases {
+        let mut config = ServiceConfig::default().with_shards(1);
+        if let Some(backend) = pin {
+            config = config.with_quantum_backend(backend);
+        }
+        let svc = MatchService::start(config);
+        let width = job.width();
+        let report = svc.submit_wait_seeded(job, 1).wait();
         match report.witness {
-            Err(MatchError::Quantum(
-                QuantumError::TooManyQubits { .. } | QuantumError::StateTooLarge { .. },
-            )) => {}
-            other => panic!("{backend} at width {width}: expected a capacity error, got {other:?}"),
+            Err(MatchError::Quantum(QuantumError::TooManyQubits { .. })) => {}
+            other => panic!("{ran_on} at width {width}: expected a capacity error, got {other:?}"),
         }
         let m = svc.metrics();
         assert_eq!(m.jobs_completed_of(JobKind::Quantum), 1);
         assert_eq!(
             m.get(Scalar::JobsFailed),
             1,
-            "{backend}: capacity miss counts failed"
+            "{ran_on}: capacity miss counts failed"
         );
-        // The shard is still alive: in-capacity jobs complete next. For
-        // sparse that includes w12, 25 qubits: past the dense wall of 20.
+        // The shard is still alive: in-capacity Simon jobs complete
+        // next. Off the dense pin that includes w12, 25 qubits: past the
+        // dense wall of 20.
+        let simon_on = pin.unwrap_or(QuantumBackend::Stabilizer);
         let mut follow_ups = vec![ni_instance(4, 0x600D)];
-        if backend == QuantumBackend::Sparse {
+        if simon_on == QuantumBackend::Stabilizer {
             follow_ups.push(wide_ni_instance(12, 0x600D + 12));
         }
         for (i, inst) in follow_ups.iter().enumerate() {
@@ -210,16 +235,20 @@ fn oversized_jobs_fail_cleanly_and_do_not_wedge_the_service() {
             assert_eq!(
                 report.witness.expect("in-capacity job solves").nu_x(),
                 inst.witness.nu_x(),
-                "{backend} at width {}",
+                "{simon_on} at width {}",
                 inst.c1.width()
             );
         }
-        assert_eq!(
-            m.quantum_jobs_of_backend(backend),
-            1 + follow_ups.len() as u64,
-            "every job ran on the pinned {backend}"
-        );
-        assert_eq!(m.get(Scalar::JobsFailed), 1, "{backend}: follow-ups solve");
+        for backend in QuantumBackend::ALL {
+            let expected = u64::from(backend == ran_on)
+                + u64::from(backend == simon_on) * follow_ups.len() as u64;
+            assert_eq!(
+                m.quantum_jobs_of_backend(backend),
+                expected,
+                "jobs dispatched on {backend}"
+            );
+        }
+        assert_eq!(m.get(Scalar::JobsFailed), 1, "{ran_on}: follow-ups solve");
         svc.shutdown();
     }
 }

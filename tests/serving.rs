@@ -9,7 +9,6 @@ use revmatch::{
     SatEquivalenceJob, Scalar, ServiceConfig, Side, Stage, SubmitOutcome, TraceConfig, VerifyMode,
     WitnessFamily,
 };
-use revmatch_quantum::QuantumBackend;
 
 /// One job per tractable equivalence type (inverses available).
 fn tractable_jobs(width: usize, per_type: usize) -> Vec<EngineJob> {
@@ -667,21 +666,21 @@ fn dense_tables_compile_only_once_probes_pay_for_them() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x7AB1E);
     let np_i = Equivalence::new(Side::Np, Side::I);
     let n_i = Equivalence::new(Side::N, Side::I);
-    let simon = |width, rng: &mut rand::rngs::StdRng| {
+    let quantum = |width, algorithm, rng: &mut rand::rngs::StdRng| {
         let inst = random_wide_instance(n_i, width, 4 * width, rng);
         JobSpec::QuantumPath(QuantumPathJob {
             equivalence: n_i,
             c1: inst.c1,
             c2: inst.c2,
-            algorithm: QuantumAlgorithm::Simon,
+            algorithm,
         })
     };
     let wide_promise: JobSpec =
         EngineJob::from_instance(&random_wide_instance(np_i, 16, 64, &mut rng), true).into();
-    let wide_simon = simon(16, &mut rng);
+    let wide_simon = quantum(16, QuantumAlgorithm::Simon, &mut rng);
     let narrow: JobSpec =
         EngineJob::from_instance(&random_instance(np_i, 5, &mut rng), true).into();
-    let sparse_simon = simon(12, &mut rng);
+    let swap_test = quantum(12, QuantumAlgorithm::SwapTest, &mut rng);
     let run = |service: &MatchService, job: &JobSpec, seed: u64| {
         service
             .submit_wait_seeded(job.clone(), job_seed(0x7AB1E, seed))
@@ -715,18 +714,14 @@ fn dense_tables_compile_only_once_probes_pay_for_them() {
         }
         auto.shutdown();
 
-        let sparse = MatchService::start(
-            ServiceConfig::default()
-                .with_shards(shards)
-                .with_quantum_backend(QuantumBackend::Sparse),
-        );
-        reports.push(run(&sparse, &sparse_simon, 3));
+        let fresh = MatchService::start(ServiceConfig::default().with_shards(shards));
+        reports.push(run(&fresh, &swap_test, 3));
         assert_eq!(
-            sparse.metrics().table_compile().count(),
+            fresh.metrics().table_compile().count(),
             2,
-            "{shards} shards: the first sparse Simon round buys both tables"
+            "{shards} shards: the first swap-test probes buy both tables"
         );
-        sparse.shutdown();
+        fresh.shutdown();
         runs.push(reports);
     }
     assert_reports_identical(&runs[0], &runs[1], "1 vs 2 shards");
